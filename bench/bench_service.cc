@@ -252,7 +252,8 @@ CellOut RunServiceCell(const char* mode, int shards, int threads, double rate,
             static_cast<double>(n));
       }
     }
-    auto diag = [&rec](const char* name, const std::atomic<uint64_t>& v) {
+    auto diag = [&rec](const char* name,
+                       const service::ServiceStats::Counter& v) {
       if (uint64_t n = v.load(std::memory_order_relaxed); n > 0) {
         rec.counters.emplace_back(name, static_cast<double>(n));
       }

@@ -28,10 +28,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/gosync/runtime.h"
 #include "src/htm/fault.h"
 #include "src/service/service.h"
-#include "src/support/histogram.h"
 #include "src/support/rng.h"
 #include "src/workloads/gocache.h"
 #include "src/workloads/policy.h"
@@ -99,20 +97,14 @@ class CacheService {
         std::memory_order_relaxed);
   }
   uint64_t WindowP99(int shard) {
-    return shards_[static_cast<size_t>(shard)]->CachedP99();
+    return shards_[static_cast<size_t>(shard)]->latency.P99();
   }
 
   // Test hook: feed synthetic latency samples into a shard's estimator (the
   // admission and hedge paths read the same cached p99 real traffic would
   // update).
   void PrimeShardLatency(int shard, uint64_t ns, int count) {
-    Shard& sh = *shards_[static_cast<size_t>(shard)];
-    sh.LockWindow();
-    for (int i = 0; i < count; ++i) {
-      sh.window.Record(ns);
-    }
-    sh.RefreshP99Locked();
-    sh.UnlockWindow();
+    shards_[static_cast<size_t>(shard)]->latency.Prime(ns, count);
   }
 
   // Monotone ns since service construction.
@@ -131,53 +123,15 @@ class CacheService {
     // previous value of a racing write — that is the contract ("stale").
     std::atomic<uint64_t> snap_keys[Cache::kSlots] = {};
     std::atomic<int64_t> snap_vals[Cache::kSlots] = {};
+    // The request-path fields, grouped by who writes them (DESIGN.md
+    // §4.14): every request writes queue_depth, so it sits between pads;
+    // health and the estimator's tick and cached p99 are read by every
+    // request and written rarely; the estimator's batches pad themselves.
+    char depth_pad[kLinePad];
     std::atomic<int32_t> queue_depth{0};
+    char health_pad[kLinePad];
     ShardHealth health;
-
-    // Windowed latency estimator behind a tiny spinlock; the admission
-    // fast path reads the cached p99 without touching it.
-    std::atomic_flag window_lock = ATOMIC_FLAG_INIT;
-    support::WindowedPercentile window;
-    std::atomic<uint64_t> cached_p99{0};
-    int records_since_refresh = 0;
-
-    void LockWindow() {
-      while (window_lock.test_and_set(std::memory_order_acquire)) {
-        gosync::CpuPause();
-      }
-    }
-    void UnlockWindow() { window_lock.clear(std::memory_order_release); }
-
-    uint64_t CachedP99() const {
-      return cached_p99.load(std::memory_order_relaxed);
-    }
-
-    void RefreshP99Locked() {
-      cached_p99.store(window.P99(), std::memory_order_relaxed);
-      records_since_refresh = 0;
-    }
-
-    void AdvanceWindow(uint64_t tick) {
-      if (tick <= window.LastTick()) {
-        return;  // racy pre-check; Advance re-validates under the lock
-      }
-      LockWindow();
-      if (window.Advance(tick)) {
-        RefreshP99Locked();
-      }
-      UnlockWindow();
-    }
-
-    void RecordLatency(uint64_t ns) {
-      LockWindow();
-      window.Record(ns);
-      // Refresh the cached estimate periodically between ticks so a storm
-      // inside one window still raises the signal admission reads.
-      if (++records_since_refresh >= 128) {
-        RefreshP99Locked();
-      }
-      UnlockWindow();
-    }
+    LatencyWindow latency;
 
     void SnapshotSet(uint64_t key, int64_t value) {
       size_t ix = static_cast<size_t>(key) & (Cache::kSlots - 1);
@@ -244,7 +198,7 @@ class CacheService {
     Shard& sh = *shards_[static_cast<size_t>(shard_index)];
     ShardContextScope ctx(shard_index);
 
-    sh.AdvanceWindow(start / (cfg_.window_tick_us * 1000));
+    sh.latency.Advance(start / (cfg_.window_tick_us * 1000));
 
     // Health gate.
     bool probe = false;
@@ -272,7 +226,7 @@ class CacheService {
       }
     }
 
-    const uint64_t p99 = sh.CachedP99();
+    const uint64_t p99 = sh.latency.P99();
 
     // Admission control (probes bypass: they exist to test the shard).
     if (!probe) {
@@ -355,7 +309,7 @@ class CacheService {
       hit = sh.cache.Get(key, static_cast<int64_t>(start), &value_out);
     }
     sh.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    sh.RecordLatency(NowNs() - start);
+    sh.latency.Record(NowNs() - start);
     sh.health.OnSuccess();
 
     if (is_write) {

@@ -9,15 +9,19 @@
 
 namespace gocc::service {
 
-// Deterministic per-thread jitter streams, ordinals handed out in spawn
-// order (the same compromise the fault injector documents: cross-thread
-// interleaving is scheduler-dependent, each thread's stream is exact).
-uint64_t RetryAfterJitterNs(const ServiceConfig& cfg) {
+uint64_t ThreadOrdinal() {
   static std::atomic<uint64_t> next_ordinal{0};
-  thread_local SplitMix64 rng(
-      cfg.seed ^
-      SplitMix64(next_ordinal.fetch_add(1, std::memory_order_relaxed) + 1)
-          .Next());
+  thread_local const uint64_t ordinal =
+      next_ordinal.fetch_add(1, std::memory_order_relaxed);
+  return ordinal;
+}
+
+// Deterministic per-thread jitter streams keyed by the thread ordinal (the
+// same compromise the fault injector documents: cross-thread interleaving
+// is scheduler-dependent, each thread's stream is exact).
+uint64_t RetryAfterJitterNs(const ServiceConfig& cfg) {
+  thread_local SplitMix64 rng(cfg.seed ^
+                              SplitMix64(ThreadOrdinal() + 1).Next());
   const uint64_t base = cfg.retry_after_us * 1000;
   return base + rng.NextBelow(base == 0 ? 1 : base);
 }
@@ -86,10 +90,18 @@ const char* ShardStateName(ShardState s) {
   return "unknown";
 }
 
+uint64_t ServiceStats::Sum(int slot) const {
+  uint64_t total = 0;
+  for (const Stripe& stripe : stripes_) {
+    total += stripe.slots[slot].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 uint64_t ServiceStats::TotalOutcomes() const {
   uint64_t total = 0;
-  for (const auto& o : outcomes) {
-    total += o.load(std::memory_order_relaxed);
+  for (int i = 0; i < kNumOutcomes; ++i) {
+    total += Sum(i);
   }
   return total;
 }
@@ -132,56 +144,59 @@ bool ServiceStats::ConservationHolds(uint64_t issued, std::string* why) const {
 }
 
 void ServiceStats::Reset() {
-  for (auto& o : outcomes) {
-    o.store(0, std::memory_order_relaxed);
+  for (Stripe& stripe : stripes_) {
+    for (auto& slot : stripe.slots) {
+      slot.store(0, std::memory_order_relaxed);
+    }
   }
-  stale_reads.store(0, std::memory_order_relaxed);
-  hedges_fired.store(0, std::memory_order_relaxed);
-  hedges_won.store(0, std::memory_order_relaxed);
-  hedge_duplicates.store(0, std::memory_order_relaxed);
-  deadline_in_shard.store(0, std::memory_order_relaxed);
-  degrades.store(0, std::memory_order_relaxed);
-  quarantines.store(0, std::memory_order_relaxed);
-  recoveries.store(0, std::memory_order_relaxed);
-  probes_admitted.store(0, std::memory_order_relaxed);
-  breaker_escalations.store(0, std::memory_order_relaxed);
-  shard_failures.store(0, std::memory_order_relaxed);
 }
 
 std::string ServiceStats::ToString() const {
+  auto n = [this](int slot) {
+    return static_cast<unsigned long long>(Sum(slot));
+  };
   std::string out = "svc{";
   for (int i = 0; i < kNumOutcomes; ++i) {
-    out += StrFormat(
-        "%s%s=%llu", i == 0 ? "" : " ", OutcomeName(static_cast<Outcome>(i)),
-        static_cast<unsigned long long>(
-            outcomes[i].load(std::memory_order_relaxed)));
+    out += StrFormat("%s%s=%llu", i == 0 ? "" : " ",
+                     OutcomeName(static_cast<Outcome>(i)), n(i));
   }
-  out += StrFormat(
-      " stale=%llu hedges{fired=%llu won=%llu dup=%llu}",
-      static_cast<unsigned long long>(
-          stale_reads.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          hedges_fired.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          hedges_won.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          hedge_duplicates.load(std::memory_order_relaxed)));
+  out += StrFormat(" stale=%llu hedges{fired=%llu won=%llu dup=%llu}",
+                   n(kStaleReads), n(kHedgesFired), n(kHedgesWon),
+                   n(kHedgeDuplicates));
   out += StrFormat(
       " health{degrades=%llu quarantines=%llu recoveries=%llu probes=%llu "
       "breaker=%llu failures=%llu}}",
-      static_cast<unsigned long long>(
-          degrades.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          quarantines.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          recoveries.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          probes_admitted.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          breaker_escalations.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          shard_failures.load(std::memory_order_relaxed)));
+      n(kDegrades), n(kQuarantines), n(kRecoveries), n(kProbesAdmitted),
+      n(kBreakerEscalations), n(kShardFailures));
   return out;
+}
+
+void LatencyWindow::Prime(uint64_t ns, int count) {
+  Lock(window_lock_);
+  for (int i = 0; i < count; ++i) {
+    window_.Record(ns);
+  }
+  cached_p99_.store(window_.P99(), std::memory_order_relaxed);
+  Unlock(window_lock_);
+}
+
+void LatencyWindow::Drain(uint64_t tick) {
+  Lock(window_lock_);
+  for (Batch& b : batches_) {
+    Lock(b.lock);
+    for (int i = 0; i < b.count; ++i) {
+      window_.RecordBucket(b.ids[i]);
+    }
+    b.count = 0;
+    Unlock(b.lock);
+  }
+  window_.Advance(tick);
+  // Check first: an unchanged estimate leaves every reader's copy valid.
+  const uint64_t p99 = window_.P99();
+  if (p99 != cached_p99_.load(std::memory_order_relaxed)) {
+    cached_p99_.store(p99, std::memory_order_relaxed);
+  }
+  Unlock(window_lock_);
 }
 
 // Escalation with mu_ held: one more unit of pressure at the current rung.

@@ -32,7 +32,12 @@ class LatencyHistogram {
     total_ = 0;
   }
 
-  void Record(uint64_t ns) { ++counts_[BucketFor(ns)]; ++total_; }
+  void Record(uint64_t ns) { RecordBucket(BucketFor(ns)); }
+
+  // Bucket-id record path: a caller that batches samples keeps only the
+  // bucket id (it fits in a byte) and records it later; the counts are
+  // exactly those Record(ns) would have produced.
+  void RecordBucket(int bucket) { ++counts_[bucket]; ++total_; }
 
   void Merge(const LatencyHistogram& other) {
     for (int i = 0; i < kNumBuckets; ++i) {
@@ -73,7 +78,6 @@ class LatencyHistogram {
   uint64_t P99() const { return ValueAtQuantile(0.99); }
   uint64_t P999() const { return ValueAtQuantile(0.999); }
 
- private:
   // Values 0..7 map linearly onto the first two major buckets so tiny
   // samples stay exact; beyond that, the top bit selects the major bucket
   // and the next two bits the sub-bucket.
@@ -86,6 +90,7 @@ class LatencyHistogram {
     return (msb - 1) * kSubBuckets + sub;
   }
 
+ private:
   static uint64_t BucketMidpoint(int bucket) {
     if (bucket < 8) {
       return static_cast<uint64_t>(bucket);
@@ -111,8 +116,8 @@ class LatencyHistogram {
 // slow once its fat samples age out.
 //
 // Like LatencyHistogram, instances are NOT thread-safe; the service layer
-// guards each shard's estimator with a short spinlock because admission
-// reads and latency records race by design.
+// (service::LatencyWindow) batches each thread's bucket ids and drains
+// them into the shard's one estimator under a short spinlock.
 class WindowedPercentile {
  public:
   static constexpr int kWindows = 4;
@@ -148,6 +153,7 @@ class WindowedPercentile {
   }
 
   void Record(uint64_t ns) { windows_[current_].Record(ns); }
+  void RecordBucket(int bucket) { windows_[current_].RecordBucket(bucket); }
 
   uint64_t LastTick() const { return last_tick_; }
 

@@ -29,6 +29,8 @@
 #include "src/optilib/optilock.h"
 #include "src/service/router.h"
 #include "src/service/service.h"
+#include "src/support/histogram.h"
+#include "src/support/strings.h"
 #include "src/workloads/policy.h"
 
 namespace gocc::service {
@@ -138,6 +140,122 @@ TEST_F(ServiceTest, ConservationOracleDetectsImbalance) {
   EXPECT_NE(why.find("stale"), std::string::npos);
 }
 
+// More request threads than stats stripes, all running at once, so threads
+// that share a stripe bump it concurrently; a third of them stop early and
+// exit while the rest run.
+TEST_F(ServiceTest, StripedStatsStayExactPastTheStripeCount) {
+  constexpr int kThreads = 24;
+  constexpr int kOpsPerThread = 10'000;
+  constexpr uint64_t kKeySpace = 256;
+  static_assert(kThreads > kStripes);
+
+  PessimisticService svc(TestConfig());
+  for (uint64_t k = 1; k <= kKeySpace; ++k) {
+    ASSERT_EQ(svc.Set(k, static_cast<int64_t>(k)).outcome, Outcome::kOk);
+  }
+  svc.stats().Reset();
+
+  std::atomic<uint64_t> ok{0};
+  std::atomic<uint64_t> miss{0};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      SplitMix64 rng(seed_ * 1000 + static_cast<uint64_t>(t));
+      const int ops = t % 3 == 0 ? kOpsPerThread / 4 : kOpsPerThread;
+      uint64_t my_ok = 0;
+      uint64_t my_miss = 0;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < ops; ++i) {
+        // Keys past kKeySpace were never written: those Gets miss.
+        const uint64_t key = 1 + rng.NextBelow(2 * kKeySpace);
+        if (key <= kKeySpace && i % 10 == 0) {
+          svc.Set(key, i);
+        } else {
+          svc.Get(key);
+        }
+        ++(key <= kKeySpace ? my_ok : my_miss);
+      }
+      ok.fetch_add(my_ok);
+      miss.fetch_add(my_miss);
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+
+  const ServiceStats& st = svc.stats();
+  const uint64_t issued = ok.load() + miss.load();
+  EXPECT_EQ(issued, (kThreads - kThreads / 3) * uint64_t{kOpsPerThread} +
+                        kThreads / 3 * uint64_t{kOpsPerThread / 4});
+  std::string why;
+  EXPECT_TRUE(st.ConservationHolds(issued, &why)) << why;
+  EXPECT_EQ(st.TotalOutcomes(), issued);
+  EXPECT_EQ(st.Count(Outcome::kOk), ok.load());
+  EXPECT_EQ(st.Count(Outcome::kMiss), miss.load());
+  // The exact format operators and logs parse.
+  EXPECT_EQ(st.ToString(),
+            StrFormat("svc{ok=%llu miss=%llu shed_deadline=0 shed_overload=0 "
+                      "rejected_quarantine=0 failed=0 stale=0 "
+                      "hedges{fired=0 won=0 dup=0} health{degrades=0 "
+                      "quarantines=0 recoveries=0 probes=0 breaker=0 "
+                      "failures=0}}",
+                      static_cast<unsigned long long>(ok.load()),
+                      static_cast<unsigned long long>(miss.load())));
+
+  // Reset at quiescence zeroes every stripe (the sums are of unsigned
+  // stripes, so a zero sum means every stripe is zero), and counting
+  // resumes from there.
+  svc.stats().Reset();
+  EXPECT_EQ(st.TotalOutcomes(), 0u);
+  EXPECT_EQ(st.ToString(),
+            "svc{ok=0 miss=0 shed_deadline=0 shed_overload=0 "
+            "rejected_quarantine=0 failed=0 stale=0 hedges{fired=0 won=0 "
+            "dup=0} health{degrades=0 quarantines=0 recoveries=0 probes=0 "
+            "breaker=0 failures=0}}");
+
+  // Two threads on one stripe, bumping it head to head: ordinals kStripes
+  // apart share a stripe, so the first racer takes an ordinal, threads
+  // that exit at once burn the next kStripes - 1, and the second racer
+  // takes the one after. The racers spin rather than yield while they
+  // wait, so the scheduler runs them on two CPUs.
+  constexpr int kBumps = 4'000'000;
+  std::atomic<int> claimed{0};
+  std::atomic<bool> go{false};
+  int stripe[2] = {-1, -1};
+  auto racer = [&](int r) {
+    stripe[r] = ThreadStripe();
+    claimed.fetch_add(1);
+    while (!go.load()) {
+      gosync::CpuPause();
+    }
+    for (int i = 0; i < kBumps; ++i) {
+      svc.stats().Bump(Outcome::kOk);
+      svc.stats().stale_reads.fetch_add(1);
+    }
+  };
+  std::thread first(racer, 0);
+  while (claimed.load() < 1) {
+    std::this_thread::yield();
+  }
+  for (int i = 1; i < kStripes; ++i) {
+    std::thread([] { ThreadStripe(); }).join();
+  }
+  std::thread second(racer, 1);
+  while (claimed.load() < 2) {
+    std::this_thread::yield();
+  }
+  go.store(true);
+  first.join();
+  second.join();
+  EXPECT_EQ(stripe[0], stripe[1]);
+  EXPECT_TRUE(st.ConservationHolds(2 * uint64_t{kBumps}, &why)) << why;
+  EXPECT_EQ(st.stale_reads.load(), 2 * uint64_t{kBumps});
+}
+
 TEST_F(ServiceTest, BlownBudgetShedsBeforeTheShardLock) {
   ServiceConfig cfg = TestConfig();
   cfg.deadline_us = 1000;  // 1 ms budget
@@ -211,6 +329,69 @@ TEST_F(ServiceTest, WindowedP99DecaysAcrossTicks) {
   EXPECT_EQ(r.outcome, Outcome::kOk);
   EXPECT_EQ(svc.WindowP99(shard), 0u)
       << "aged-out samples must stop feeding the admission signal";
+}
+
+// One deterministic sample sequence, with tick advances, through the
+// batched record path and through a reference estimator fed directly. A
+// drain happens at every LatencyWindow::kBatch-th record on the recording
+// thread and at every tick advance: there the cached p99 must equal the
+// reference's, and in between it must hold the value of the last drain.
+TEST_F(ServiceTest, BatchedEstimatorMatchesTheReferenceAtEveryDrain) {
+  auto window = std::make_unique<LatencyWindow>();
+  support::WindowedPercentile reference;
+  SplitMix64 rng(seed_);
+  uint64_t tick = 0;
+  int since_drain = 0;
+  uint64_t at_last_drain = 0;
+  for (int i = 0; i < 6000; ++i) {
+    if (rng.NextBelow(300) == 0) {
+      // Forward by 1..kWindows+1 ticks, so some advances clear the ring.
+      tick += 1 + rng.NextBelow(support::WindowedPercentile::kWindows + 1);
+      window->Advance(tick);
+      reference.Advance(tick);
+      since_drain = 0;
+      at_last_drain = reference.P99();
+      ASSERT_EQ(window->P99(), at_last_drain) << "tick " << tick;
+      window->Advance(tick);  // a stale tick neither drains nor rotates
+    }
+    // Fast samples, with every other thousand from a stalled shard.
+    const uint64_t ns = (i / 1000) % 2 == 1
+                            ? 1'000'000 + rng.NextBelow(9'000'000)
+                            : 100 + rng.NextBelow(900);
+    window->Record(ns);
+    reference.Record(ns);
+    if (++since_drain == LatencyWindow::kBatch) {
+      since_drain = 0;
+      at_last_drain = reference.P99();
+    }
+    ASSERT_EQ(window->P99(), at_last_drain) << "sample " << i;
+  }
+}
+
+// The lag bound: a stalled shard's tail reaches the admission signal after
+// at most kBatch records on the recording thread, or at the next tick,
+// whichever comes first, including records other threads left behind.
+TEST_F(ServiceTest, BatchedEstimatorLagIsOneBatchOrOneTick) {
+  constexpr uint64_t kStall = 10'000'000;
+  auto by_batch = std::make_unique<LatencyWindow>();
+  for (int i = 1; i < LatencyWindow::kBatch; ++i) {
+    by_batch->Record(kStall);
+  }
+  EXPECT_EQ(by_batch->P99(), 0u) << "drained before the batch filled";
+  by_batch->Record(kStall);
+  EXPECT_GT(by_batch->P99(), kStall / 2);
+
+  auto by_tick = std::make_unique<LatencyWindow>();
+  std::thread other([&] {
+    for (int i = 0; i < 5; ++i) {
+      by_tick->Record(kStall);
+    }
+  });
+  other.join();
+  EXPECT_EQ(by_tick->P99(), 0u);
+  by_tick->Advance(1);
+  EXPECT_GT(by_tick->P99(), kStall / 2)
+      << "the tick drain must empty every stripe, not just the caller's";
 }
 
 TEST_F(ServiceTest, QueueDepthLimitShedsWhileShardIsStalled) {
@@ -496,6 +677,57 @@ TEST_F(ServiceTest, ChaosShardKillKeepsRouterServingAndRecovers) {
   EXPECT_EQ(r.outcome, Outcome::kOk);
   EXPECT_EQ(r.value, 777);
   EXPECT_FALSE(r.stale);
+}
+
+// Every request's window advance races the others' across 100-us ticks;
+// under TSan this is the schedule that flagged the estimator's unlocked
+// tick pre-check.
+TEST_F(ServiceTest, ConcurrentRequestsAcrossTicksAreRaceFree) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeySpace = 256;
+  ServiceConfig cfg = TestConfig();
+  cfg.window_tick_us = 100;
+  ElidedService svc(cfg);
+  for (uint64_t k = 1; k <= kKeySpace; ++k) {
+    ASSERT_EQ(svc.Set(k, static_cast<int64_t>(k)).outcome, Outcome::kOk);
+  }
+
+  std::atomic<uint64_t> issued{kKeySpace};
+  const auto stop_at =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      SplitMix64 rng(seed_ + static_cast<uint64_t>(t));
+      uint64_t n = 0;
+      while (std::chrono::steady_clock::now() < stop_at) {
+        const uint64_t key = 1 + rng.NextBelow(kKeySpace);
+        if (rng.NextBool(0.2)) {
+          svc.Set(key, static_cast<int64_t>(n));
+        } else {
+          svc.Get(key);
+        }
+        ++n;
+      }
+      issued.fetch_add(n);
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  std::string why;
+  EXPECT_TRUE(svc.stats().ConservationHolds(issued.load(), &why)) << why;
+  EXPECT_EQ(svc.stats().Count(Outcome::kOk), issued.load());
+
+  // Past every live window, each shard's next request rotates out all it
+  // has seen: the one request per shard below records into its batch and
+  // drains nothing, so the signal reads empty.
+  std::this_thread::sleep_for(std::chrono::microseconds(
+      cfg.window_tick_us * (support::WindowedPercentile::kWindows + 16)));
+  for (int s = 0; s < cfg.shards; ++s) {
+    EXPECT_EQ(svc.Get(KeyForShard(svc, s)).outcome, Outcome::kOk);
+    EXPECT_EQ(svc.WindowP99(s), 0u) << "shard " << s;
+  }
 }
 
 TEST_F(ServiceTest, ShardStallRaisesTheWindowedTail) {
