@@ -44,11 +44,19 @@
 //                     (2) an ABSOLUTE bound on the empty-CS gocc-np
 //                     overhead above the raw lock, 1-thread and max-thread:
 //                     2 ns on the release-pgo tier, a looser sim-backend
-//                     bound elsewhere (see kOverheadBoundNs).
+//                     bound elsewhere (see kOverheadBoundNs), and
+//                     (3) scaling of the empty-CS `lock` cell on disjoint
+//                     mutexes: its aggregate ns/op at max threads must not
+//                     exceed kScalingSlack x its 1-thread value divided by
+//                     the CPUs the run can use, so a tracked lock that
+//                     anti-scales fails while a 1-vCPU host is not held to
+//                     a speedup.
 //
 // Emits BENCH_overhead.json (see bench_util.h) with one record per cell
 // (including p50_ns/p99_ns) plus summary config keys for the derived
 // per-episode overhead numbers.
+
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -189,6 +197,16 @@ struct Cell {
   int threads;
   double ns_per_op;
 };
+
+// CPUs this process may run on (its affinity mask), at least 1.
+int UsableCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return 1;
+  }
+  return std::max(1, CPU_COUNT(&set));
+}
 
 double FindCell(const std::vector<Cell>& cells, Mode mode, bool empty_cs,
                 int threads) {
@@ -440,6 +458,29 @@ int main(int argc, char** argv) {
                    "perf-smoke FAILED: empty-CS np overhead (1t %+.2f ns, "
                    "%dt %+.2f ns) exceeds %.1f ns bound\n",
                    ov_1t, max_threads, ov_mt, kOverheadBoundNs);
+      ++failures;
+    }
+
+    // Gate 3 (scaling): every thread owns its mutex, so nothing but runtime
+    // metadata is shared, and the empty-CS `lock` cell's aggregate ns/op
+    // should fall roughly as 1/CPUs. Fail when it stays above kScalingSlack
+    // x the 1-thread value / usable CPUs (capped at the thread count): that
+    // catches a tracked acquire that writes a line every thread shares,
+    // while leaving half the linear speedup as room for host noise.
+    constexpr double kScalingSlack = 2.0;
+    const int cpus = std::min(UsableCpus(), max_threads);
+    const double lock_e1 = FindCell(cells, Mode::kLock, true, 1);
+    const double lock_emt = FindCell(cells, Mode::kLock, true, max_threads);
+    const double scaling_bound = kScalingSlack * lock_e1 / cpus;
+    std::printf("  perf-smoke: empty-CS lock %.1f ns at 1t -> %.1f ns at %dt "
+                "(bound %.1f ns: %.0fx / %d usable CPUs)\n",
+                lock_e1, lock_emt, max_threads, scaling_bound, kScalingSlack,
+                cpus);
+    if (lock_emt > scaling_bound) {
+      std::fprintf(stderr,
+                   "perf-smoke FAILED: empty-CS lock at %d threads %.1f ns/op "
+                   "> %.1f ns bound (1-thread %.1f ns, %d usable CPUs)\n",
+                   max_threads, lock_emt, scaling_bound, lock_e1, cpus);
       ++failures;
     }
     return failures == 0 ? 0 : 1;

@@ -10,8 +10,9 @@
 // de-references the first word of the Mutex pointer" to observe the lock
 // status, and optiLib subscribes a hardware transaction to it. To make that
 // subscription work under SimTM, lock-acquiring transitions are
-// stripe-guarded (htm::StripeGuardedUpdate) when elision tracking is on, so
-// a slow-path acquisition aborts any in-flight transaction that read the
+// stripe-guarded (htm::StripeGuardedUpdateAt on the mutex's inline stripe,
+// bumping that stripe's own version) when elision tracking is on, so a
+// slow-path acquisition aborts any in-flight transaction that read the
 // word. Under real RTM, cache coherence provides this for free and the
 // guard collapses to a plain CAS.
 
@@ -99,9 +100,9 @@ class Mutex {
   // line of lock metadata, as in the paper's single-word subscription).
   std::atomic<uint64_t> occ_word_{0};
   // Inline SimTM version stripe for the state word (stripe_table.h word
-  // encoding: version << 1, low bit = commit lock). Versions still come from
-  // the global clock — TL2 validation compares them against read versions
-  // drawn from it. Third word of the same metadata line as state_/occ_word_.
+  // encoding: version << 1, low bit = commit lock). Each tracked transition
+  // releases it at its own version + 1, so an acquire writes only this
+  // line. Third word of the same metadata line as state_/occ_word_.
   std::atomic<uint64_t> stripe_{0};
   ElisionTracking tracking_ = ElisionTracking::kEnabled;
 };

@@ -82,7 +82,7 @@ class RWMutex {
   std::atomic<uint64_t> reader_count_{0};  // must stay the first member
   // sw-OCC version word (writer-maintained; see OccWord()).
   std::atomic<uint64_t> occ_word_{0};
-  // Inline SimTM version stripe for the readerCount word (global-clock
+  // Inline SimTM version stripe for the readerCount word (per-stripe
   // versions, stripe_table.h encoding); completes the one-line metadata
   // layout readerCount/occ/stripe.
   std::atomic<uint64_t> stripe_{0};

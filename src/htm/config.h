@@ -19,7 +19,8 @@ namespace gocc::htm {
 
 // Which mechanism enforces transactional semantics.
 enum class Backend {
-  // TL2-style software transactional backend (default; runs anywhere).
+  // Software transactional backend with per-stripe versions (default; runs
+  // anywhere).
   kSim,
   // Real Intel RTM via xbegin/xend (requires hardware support; selected only
   // after a successful runtime probe).

@@ -5,31 +5,7 @@ namespace gocc::htm {
 namespace internal {
 
 PaddedStripe g_stripes[kNumStripes];
-std::atomic<uint64_t> g_clock{0};
 
 }  // namespace internal
-
-void NotifyNonTxWrite(const void* addr) {
-  std::atomic<uint64_t>* stripe = StripeFor(addr);
-  // Lock the stripe, then install a fresh global-clock version. Versions
-  // must come from the global clock (not stripe-local increments) so that
-  // any version installed after a transaction sampled its read version is
-  // strictly greater — that is what makes per-read validation abort zombies
-  // eagerly.
-  uint64_t word = stripe->load(std::memory_order_relaxed);
-  while (true) {
-    if (StripeIsLocked(word)) {
-      word = stripe->load(std::memory_order_relaxed);
-      continue;
-    }
-    if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  uint64_t version = GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-  stripe->store(version << 1, std::memory_order_release);
-}
 
 }  // namespace gocc::htm

@@ -1,15 +1,18 @@
-// Versioned-lock stripe table (TL2-style).
+// Versioned-lock stripe table.
 //
-// Every memory word is hashed to one of kNumStripes versioned locks. A stripe
-// word encodes `version << 1 | locked`. Transactions validate reads against
-// stripe versions; commit acquires the stripes of the write set, publishes
-// the buffered values, and releases the stripes with a new version.
+// Every 8-byte memory word is hashed to one of kNumStripes versioned locks.
+// A stripe word encodes `version << 1 | locked`, and each stripe counts its
+// own versions: whoever holds a stripe's lock and writes under it releases
+// the stripe at its version + 1. A transaction records the stripe word at
+// its first read of the stripe and re-checks every recorded stripe on each
+// later read, and a writing commit re-checks them once more after locking
+// its write stripes (DESIGN.md §4.2).
 //
 // Non-transactional code that mutates memory watched by transactions (most
 // importantly the gosync::Mutex state word a fast-path transaction
-// "subscribes" to) must call NotifyNonTxWrite so in-flight readers of that
-// stripe abort — this provides the strong-atomicity edge real RTM gets for
-// free from cache coherence.
+// "subscribes" to) goes through htm::StripeGuardedUpdate(At), which does
+// the same lock-write-bump, so in-flight readers of that stripe abort —
+// the strong-atomicity edge real RTM gets for free from cache coherence.
 
 #ifndef GOCC_SRC_HTM_STRIPE_TABLE_H_
 #define GOCC_SRC_HTM_STRIPE_TABLE_H_
@@ -30,7 +33,6 @@ struct alignas(64) PaddedStripe {
   std::atomic<uint64_t> word{0};
 };
 extern PaddedStripe g_stripes[kNumStripes];
-extern std::atomic<uint64_t> g_clock;
 
 inline size_t HashAddr(const void* addr) {
   auto p = reinterpret_cast<uintptr_t>(addr);
@@ -42,11 +44,8 @@ inline size_t HashAddr(const void* addr) {
 }
 }  // namespace internal
 
-// Global version clock. Incremented once per writing commit. (Inline — the
-// clock and stripe lookups sit on the per-access SimTM fast path.)
-inline std::atomic<uint64_t>& GlobalClock() { return internal::g_clock; }
-
-// The stripe guarding `addr`.
+// The stripe guarding `addr`. (Inline — stripe lookups sit on the
+// per-access SimTM fast path.)
 inline std::atomic<uint64_t>* StripeFor(const void* addr) {
   return &internal::g_stripes[internal::HashAddr(addr)].word;
 }
@@ -61,10 +60,11 @@ inline bool StripeIsLocked(uint64_t stripe_word) {
 }
 inline uint64_t StripeVersion(uint64_t stripe_word) { return stripe_word >> 1; }
 
-// Marks a non-transactional write to `addr`: bumps the stripe version (under
-// the stripe lock) so concurrent transactions that read the stripe fail
-// validation. Spins while a committing transaction holds the stripe.
-void NotifyNonTxWrite(const void* addr);
+// The unlocked word that releases a stripe locked from `unlocked_word` after
+// a write under its lock: the stripe's own next version.
+inline uint64_t StripeBumped(uint64_t unlocked_word) {
+  return (StripeVersion(unlocked_word) + 1) << 1;
+}
 
 }  // namespace gocc::htm
 

@@ -26,7 +26,7 @@ inline uintptr_t CacheLineOf(const void* addr) {
 
 struct ReadEntry {
   std::atomic<uint64_t>* stripe;
-  uint64_t version;  // stripe version observed at first read
+  uint64_t word;  // unlocked stripe word observed at first read
 };
 
 struct WriteEntry {
@@ -36,7 +36,7 @@ struct WriteEntry {
 
 struct LockedStripe {
   std::atomic<uint64_t>* stripe;
-  uint64_t pre_lock_version;
+  uint64_t pre_lock_word;  // unlocked word the commit's CAS replaced
 };
 
 // Dedup set tuned for SimTM's common case: a transformed critical section
@@ -88,11 +88,10 @@ class SmallSet {
 // across transactions, so steady-state operation allocates nothing.
 struct TxContext {
   int depth = 0;
-  uint64_t rv = 0;
   std::jmp_buf* env = nullptr;
 
+  // One entry per distinct stripe read (ValidatedRead's scan dedups).
   std::vector<ReadEntry> reads;
-  SmallSet<const std::atomic<uint64_t>*> read_stripes_seen;
   std::vector<WriteEntry> writes;
   // Populated only once the write set spills past SmallSet::kSpill entries;
   // below that, write lookups linear-scan `writes` directly.
@@ -112,7 +111,6 @@ struct TxContext {
 
   void ResetSets() {
     reads.clear();
-    read_stripes_seen.clear();
     writes.clear();
     if (writes_spilled) {
       write_index.clear();
@@ -172,7 +170,7 @@ inline void BumpSlot(int slot) { BumpSlot(g_stats.LocalShard(), slot); }
 // C++ exception can keep unwinding).
 void RollbackInternal(TxContext& tx, AbortCode code) {
   for (const LockedStripe& ls : tx.locked) {
-    ls.stripe->store(ls.pre_lock_version << 1, std::memory_order_release);
+    ls.stripe->store(ls.pre_lock_word, std::memory_order_release);
   }
   g_stats.RecordAbort(code);
   tx.depth = 0;
@@ -211,15 +209,18 @@ void MaybeSpuriousAbort(TxContext& tx) {
   }
 }
 
-// Locks `stripe` for commit; returns false after bounded spinning.
+// Locks `stripe` for commit; returns false after bounded spinning. The CAS
+// is seq_cst: it and the seq_cst validation loads that follow are all that
+// orders this commit against another thread's stripe lock and later loads
+// (the Dekker pairs of DESIGN.md §4.2).
 bool LockStripeForCommit(TxContext& tx, std::atomic<uint64_t>* stripe) {
   for (int spin = 0; spin < kStripeLockSpins; ++spin) {
     uint64_t word = stripe->load(std::memory_order_relaxed);
     if (!StripeIsLocked(word)) {
       if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                        std::memory_order_acq_rel,
+                                        std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
-        tx.locked.push_back({stripe, StripeVersion(word)});
+        tx.locked.push_back({stripe, word});
         return true;
       }
     }
@@ -232,9 +233,9 @@ bool LockStripeForCommit(TxContext& tx, std::atomic<uint64_t>* stripe) {
 
 void CommitOutermost(TxContext& tx) {
   if (tx.writes.empty()) {
-    // Read-only transaction: per-read validation against the fixed read
-    // version already guarantees a consistent snapshot at rv; nothing to
-    // publish.
+    // Read-only transaction: every read already re-validated all earlier
+    // ones, so the reads were consistent at the last read — the
+    // transaction serializes there. Nothing to validate or publish.
     std::atomic<uint64_t>* shard = g_stats.LocalShard();
     BumpSlot(shard, TxStats::kCommits);
     BumpSlot(shard, TxStats::kReadOnlyCommits);
@@ -244,84 +245,54 @@ void CommitOutermost(TxContext& tx) {
     return;
   }
 
-  // Single-write transaction — the common transformed critical section —
-  // takes a fully inlined path: one stripe lock, validation that compares
-  // against that stripe directly (no find_if over `locked`), one publish.
-  if (tx.writes.size() == 1) {
-    const WriteEntry& w = tx.writes[0];
-    std::atomic<uint64_t>* stripe = StripeFor(w.addr);
-    if (!LockStripeForCommit(tx, stripe)) {
-      AbortInternal(tx, AbortCode::kConflict);
-    }
-    const uint64_t pre_lock_version = tx.locked[0].pre_lock_version;
-    const uint64_t wv =
-        GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-    for (const ReadEntry& r : tx.reads) {
-      if (r.stripe == stripe) {
-        // The one stripe we hold: validate against its pre-lock version.
-        if (pre_lock_version != r.version) {
-          AbortInternal(tx, AbortCode::kConflict);
-        }
-        continue;
-      }
-      uint64_t word = r.stripe->load(std::memory_order_acquire);
-      if (StripeIsLocked(word) || StripeVersion(word) != r.version) {
-        AbortInternal(tx, AbortCode::kConflict);
-      }
-    }
-    w.addr->store(w.value, std::memory_order_relaxed);
-    stripe->store(wv << 1, std::memory_order_release);
-    BumpSlot(TxStats::kCommits);
-    tx.depth = 0;
-    tx.env = nullptr;
-    tx.ResetSets();
-    return;
-  }
-
   // Lock the stripes covering the write set in address order (prevents
-  // deadlock between committers).
-  std::vector<std::atomic<uint64_t>*>& stripes = tx.commit_stripes;
-  stripes.clear();
-  stripes.reserve(tx.writes.size());
-  for (const WriteEntry& w : tx.writes) {
-    stripes.push_back(StripeFor(w.addr));
-  }
-  std::sort(stripes.begin(), stripes.end());
-  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-  for (std::atomic<uint64_t>* stripe : stripes) {
-    if (!LockStripeForCommit(tx, stripe)) {
+  // deadlock between committers). A single write — the common transformed
+  // critical section — has nothing to sort.
+  if (tx.writes.size() == 1) {
+    if (!LockStripeForCommit(tx, StripeFor(tx.writes[0].addr))) {
       AbortInternal(tx, AbortCode::kConflict);
     }
-    // A write stripe whose version advanced past rv and that we also read
-    // is caught by read-set validation below; a write-only stripe may have
-    // any version (TL2: last-writer-wins is fine, we hold the lock).
-  }
-
-  const uint64_t wv =
-      GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-
-  // Validate the read set: every stripe we read must still carry the version
-  // we first observed, and must not be locked by another committer.
-  for (const ReadEntry& r : tx.reads) {
-    uint64_t word = r.stripe->load(std::memory_order_acquire);
-    if (StripeIsLocked(word)) {
-      auto it = std::find_if(
-          tx.locked.begin(), tx.locked.end(),
-          [&](const LockedStripe& ls) { return ls.stripe == r.stripe; });
-      if (it == tx.locked.end() || it->pre_lock_version != r.version) {
+  } else {
+    std::vector<std::atomic<uint64_t>*>& stripes = tx.commit_stripes;
+    stripes.clear();
+    for (const WriteEntry& w : tx.writes) {
+      stripes.push_back(StripeFor(w.addr));
+    }
+    std::sort(stripes.begin(), stripes.end());
+    stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
+    for (std::atomic<uint64_t>* stripe : stripes) {
+      if (!LockStripeForCommit(tx, stripe)) {
         AbortInternal(tx, AbortCode::kConflict);
       }
-    } else if (StripeVersion(word) != r.version) {
+    }
+  }
+
+  // Validate the read set: every stripe read must still be unlocked at the
+  // version first observed — or locked by this commit at that version. A
+  // write-only stripe may carry any version (we hold its lock).
+  for (const ReadEntry& r : tx.reads) {
+    const uint64_t word = r.stripe->load(std::memory_order_seq_cst);
+    if (word == r.word) {
+      continue;
+    }
+    auto it = std::find_if(
+        tx.locked.begin(), tx.locked.end(),
+        [&](const LockedStripe& ls) { return ls.stripe == r.stripe; });
+    if (it == tx.locked.end() || it->pre_lock_word != r.word) {
       AbortInternal(tx, AbortCode::kConflict);
     }
   }
 
-  // Publish buffered writes, then release stripes with the commit version.
+  // Publish the buffered writes, then release each stripe at its own next
+  // version. The release fence orders the stripe locks before the value
+  // stores for ValidatedRead's seqlock-style readers.
+  std::atomic_thread_fence(std::memory_order_release);
   for (const WriteEntry& w : tx.writes) {
     w.addr->store(w.value, std::memory_order_relaxed);
   }
   for (const LockedStripe& ls : tx.locked) {
-    ls.stripe->store(wv << 1, std::memory_order_release);
+    ls.stripe->store(StripeBumped(ls.pre_lock_word),
+                     std::memory_order_release);
   }
 
   BumpSlot(TxStats::kCommits);
@@ -330,30 +301,50 @@ void CommitOutermost(TxContext& tx) {
   tx.ResetSets();
 }
 
-// In-transaction validated read against a caller-supplied stripe: the
-// shared body of TxLoad (global stripe table) and TxSubscribeAt (inline
-// per-mutex stripe). Write-set lookup first, then the w1/value/fence/w2
-// stripe protocol, then dedup + capacity accounting.
+// Validated read of `addr` under `stripe`, the core of every transactional
+// load. The w1/value/fence/w2 sequence returns a value that was current
+// while the stripe sat unlocked at one version. The scan then re-checks
+// every stripe read earlier: each must still be unlocked at the version
+// first observed, so all values read so far were current together at this
+// read and a doomed transaction never computes on an inconsistent snapshot
+// (opacity, at O(k) for the k-th distinct stripe).
+// The scan doubles as the dedup: a stripe is recorded once.
+uint64_t ValidatedRead(TxContext& tx, const std::atomic<uint64_t>* addr,
+                       std::atomic<uint64_t>* stripe) {
+  const uint64_t w1 = stripe->load(std::memory_order_acquire);
+  if (StripeIsLocked(w1)) [[unlikely]] {
+    AbortInternal(tx, AbortCode::kConflict);
+  }
+  const uint64_t value = addr->load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (stripe->load(std::memory_order_relaxed) != w1) [[unlikely]] {
+    AbortInternal(tx, AbortCode::kConflict);
+  }
+  bool seen = false;
+  for (const ReadEntry& r : tx.reads) {
+    const bool same = r.stripe == stripe;
+    const uint64_t now =
+        same ? w1 : r.stripe->load(std::memory_order_acquire);
+    if (now != r.word) [[unlikely]] {
+      AbortInternal(tx, AbortCode::kConflict);
+    }
+    seen |= same;
+  }
+  if (!seen) {
+    tx.reads.push_back({stripe, w1});
+  }
+  return value;
+}
+
+// In-transaction load against a caller-supplied stripe: the shared body of
+// TxLoad (global stripe table) and TxSubscribeAt (inline per-mutex stripe).
+// Write-set lookup first, then the validated read, then capacity accounting.
 uint64_t TxLoadAtStripe(TxContext& tx, const std::atomic<uint64_t>* addr,
                         std::atomic<uint64_t>* stripe) {
   if (const WriteEntry* w = FindWrite(tx, addr)) {
     return w->value;
   }
-
-  uint64_t w1 = stripe->load(std::memory_order_acquire);
-  if (StripeIsLocked(w1) || StripeVersion(w1) > tx.rv) {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-  uint64_t value = addr->load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  uint64_t w2 = stripe->load(std::memory_order_relaxed);
-  if (w1 != w2) {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-
-  if (tx.read_stripes_seen.insert(stripe)) {
-    tx.reads.push_back({stripe, StripeVersion(w1)});
-  }
+  const uint64_t value = ValidatedRead(tx, addr, stripe);
   if (tx.read_lines.insert(CacheLineOf(addr)) &&
       tx.read_lines.size() > Config().read_capacity_lines) {
     AbortInternal(tx, AbortCode::kCapacity);
@@ -361,6 +352,55 @@ uint64_t TxLoadAtStripe(TxContext& tx, const std::atomic<uint64_t>* addr,
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeSpuriousAbort(tx);
   return value;
+}
+
+// Non-transactional read with strong atomicity: a committer publishes its
+// write set while holding the stripes, so waiting for an unlocked stripe
+// guarantees we read the final committed value, never an in-flight one.
+// (Real RTM commits atomically at xend, making this window impossible in
+// hardware.) The wait load is seq_cst: a pessimistic lock holder's stripe
+// CAS and this load pair with a committer's lock CAS and validation load.
+uint64_t NonTxLoad(const std::atomic<uint64_t>* addr,
+                   const std::atomic<uint64_t>* stripe) {
+  while (StripeIsLocked(stripe->load(std::memory_order_seq_cst))) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  return addr->load(std::memory_order_acquire);
+}
+
+// The one non-transactional write protocol — TxStore/TxFetchAdd outside a
+// transaction and StripeGuardedUpdate(At): lock `stripe`, run `fn`, release
+// the stripe at its own next version, so every transaction that read the
+// stripe fails its next validation. The seq_cst CAS is this side of the
+// Dekker pairs LockStripeForCommit describes; the release fence orders the
+// lock before `fn`'s stores, as in LockStripeForCommit's publish.
+template <typename Fn>
+void UnderStripeLock(std::atomic<uint64_t>* stripe, Fn&& fn) {
+  uint64_t word = stripe->load(std::memory_order_relaxed);
+  while (StripeIsLocked(word) ||
+         !stripe->compare_exchange_weak(word, word | kStripeLockedBit,
+                                        std::memory_order_seq_cst,
+                                        std::memory_order_relaxed)) {
+    word = stripe->load(std::memory_order_relaxed);
+  }
+  std::atomic_thread_fence(std::memory_order_release);
+  fn();
+  stripe->store(StripeBumped(word), std::memory_order_release);
+}
+
+// Appends a new write-set entry, indexing the set once it spills.
+void AppendWrite(TxContext& tx, std::atomic<uint64_t>* addr, uint64_t value) {
+  tx.writes.push_back({addr, value});
+  if (tx.writes_spilled) {
+    tx.write_index.emplace(addr, tx.writes.size() - 1);
+  } else if (tx.writes.size() > SmallSet<uintptr_t>::kSpill) {
+    for (size_t i = 0; i < tx.writes.size(); ++i) {
+      tx.write_index.emplace(tx.writes[i].addr, i);
+    }
+    tx.writes_spilled = true;
+  }
 }
 
 // SimTM body shared by TxSubscribe / TxSubscribeAt: first-access fast path
@@ -371,30 +411,15 @@ uint64_t TxLoadAtStripe(TxContext& tx, const std::atomic<uint64_t>* addr,
 uint64_t SimSubscribe(TxContext& tx, const std::atomic<uint64_t>* addr,
                       std::atomic<uint64_t>* stripe) {
   if (tx.depth == 0) [[unlikely]] {
-    // Non-transactional read with strong atomicity (see TxLoad).
-    while (StripeIsLocked(stripe->load(std::memory_order_acquire))) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    }
-    return addr->load(std::memory_order_acquire);
+    return NonTxLoad(addr, stripe);
   }
   if (tx.depth != 1 || !tx.reads.empty() || !tx.writes.empty()) [[unlikely]] {
     // Nested subscription or not the first access: full generality.
     return TxLoadAtStripe(tx, addr, stripe);
   }
-  uint64_t w1 = stripe->load(std::memory_order_acquire);
-  if (StripeIsLocked(w1) || StripeVersion(w1) > tx.rv) [[unlikely]] {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-  uint64_t value = addr->load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  uint64_t w2 = stripe->load(std::memory_order_relaxed);
-  if (w1 != w2) [[unlikely]] {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-  tx.read_stripes_seen.insert(stripe);
-  tx.reads.push_back({stripe, StripeVersion(w1)});
+  // First access: no write to find, nothing earlier to re-validate, and one
+  // line cannot exceed capacity.
+  const uint64_t value = ValidatedRead(tx, addr, stripe);
   tx.read_lines.insert(CacheLineOf(addr));
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeSpuriousAbort(tx);
@@ -496,7 +521,6 @@ BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env) {
   }
   tx.depth = 1;
   tx.env = env;
-  tx.rv = GlobalClock().load(std::memory_order_acquire);
   // No ResetSets here: every transaction exit (commit or abort) clears the
   // sets, so they are already clean on entry.
   BumpSlot(TxStats::kBegins);
@@ -573,20 +597,8 @@ uint64_t TxLoad(const std::atomic<uint64_t>* addr) {
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
-    // Non-transactional read with strong atomicity: a committer publishes
-    // its write set while holding the stripes, so waiting for an unlocked
-    // stripe guarantees we read the final committed value, never an
-    // in-flight one. (Real RTM commits atomically at xend, making this
-    // window impossible in hardware.)
-    const std::atomic<uint64_t>* stripe = StripeFor(addr);
-    while (StripeIsLocked(stripe->load(std::memory_order_acquire))) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    }
-    return addr->load(std::memory_order_acquire);
+    return NonTxLoad(addr, StripeFor(addr));
   }
-
   return TxLoadAtStripe(tx, addr, StripeFor(addr));
 }
 
@@ -605,26 +617,10 @@ void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
-    // Strong atomicity: make the non-transactional store visible to
-    // concurrent transactions' validation. The new stripe version must come
-    // from the global clock so it exceeds every in-flight read version.
-    std::atomic<uint64_t>* stripe = StripeFor(addr);
-    uint64_t word = stripe->load(std::memory_order_relaxed);
-    while (true) {
-      if (StripeIsLocked(word)) {
-        word = stripe->load(std::memory_order_relaxed);
-        continue;
-      }
-      if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-        break;
-      }
-    }
-    addr->store(value, std::memory_order_relaxed);
-    uint64_t version =
-        GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-    stripe->store(version << 1, std::memory_order_release);
+    // Strong atomicity: the stripe bump makes the non-transactional store
+    // visible to concurrent transactions' validation.
+    UnderStripeLock(StripeFor(addr),
+                    [&] { addr->store(value, std::memory_order_relaxed); });
     return;
   }
 
@@ -635,15 +631,7 @@ void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
   if (WriteEntry* w = FindWrite(tx, addr)) {
     w->value = value;
   } else {
-    tx.writes.push_back({addr, value});
-    if (tx.writes_spilled) {
-      tx.write_index.emplace(addr, tx.writes.size() - 1);
-    } else if (tx.writes.size() > SmallSet<uintptr_t>::kSpill) {
-      for (size_t i = 0; i < tx.writes.size(); ++i) {
-        tx.write_index.emplace(tx.writes[i].addr, i);
-      }
-      tx.writes_spilled = true;
-    }
+    AppendWrite(tx, addr, value);
   }
   MaybeInjectedAbort(tx, fault::Site::kStore);
   MaybeSpuriousAbort(tx);
@@ -687,24 +675,11 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
   if (tx.depth == 0) {
     // Non-transactional RMW under the stripe lock: strongly atomic against
     // both committing transactions and other non-transactional updaters.
-    std::atomic<uint64_t>* stripe = StripeFor(addr);
-    uint64_t word = stripe->load(std::memory_order_relaxed);
-    while (true) {
-      if (StripeIsLocked(word)) {
-        word = stripe->load(std::memory_order_relaxed);
-        continue;
-      }
-      if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-        break;
-      }
-    }
-    uint64_t next = addr->load(std::memory_order_relaxed) + delta;
-    addr->store(next, std::memory_order_relaxed);
-    uint64_t version =
-        GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-    stripe->store(version << 1, std::memory_order_release);
+    uint64_t next = 0;
+    UnderStripeLock(StripeFor(addr), [&] {
+      next = addr->load(std::memory_order_relaxed) + delta;
+      addr->store(next, std::memory_order_relaxed);
+    });
     return next;
   }
 
@@ -717,21 +692,7 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
     return w->value;
   }
 
-  // Validated read of the committed value (same protocol as TxLoad).
-  std::atomic<uint64_t>* stripe = StripeFor(addr);
-  uint64_t w1 = stripe->load(std::memory_order_acquire);
-  if (StripeIsLocked(w1) || StripeVersion(w1) > tx.rv) {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-  uint64_t value = addr->load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  uint64_t w2 = stripe->load(std::memory_order_relaxed);
-  if (w1 != w2) {
-    AbortInternal(tx, AbortCode::kConflict);
-  }
-  if (tx.read_stripes_seen.insert(stripe)) {
-    tx.reads.push_back({stripe, StripeVersion(w1)});
-  }
+  uint64_t value = ValidatedRead(tx, addr, StripeFor(addr));
   const uintptr_t line = CacheLineOf(addr);
   if (tx.read_lines.insert(line) &&
       tx.read_lines.size() > Config().read_capacity_lines) {
@@ -742,15 +703,7 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
     AbortInternal(tx, AbortCode::kCapacity);
   }
   value += delta;
-  tx.writes.push_back({addr, value});
-  if (tx.writes_spilled) {
-    tx.write_index.emplace(addr, tx.writes.size() - 1);
-  } else if (tx.writes.size() > SmallSet<uintptr_t>::kSpill) {
-    for (size_t i = 0; i < tx.writes.size(); ++i) {
-      tx.write_index.emplace(tx.writes[i].addr, i);
-    }
-    tx.writes_spilled = true;
-  }
+  AppendWrite(tx, addr, value);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeInjectedAbort(tx, fault::Site::kStore);
   MaybeSpuriousAbort(tx);
@@ -758,55 +711,21 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
 }
 
 void StripeGuardedUpdate(const void* addr, void (*fn)(void*), void* arg) {
-  const Backend backend = CurrentBackend();
-  if (backend == Backend::kRtm || backend == Backend::kSwOcc) {
-    // Real RTM gets strong atomicity from cache coherence. Under sw-OCC
-    // nothing validates against the stripe table — conflicts are carried by
-    // the occ words the gosync transitions maintain — so the guarded update
-    // is just the update.
-    fn(arg);
-    return;
-  }
-  std::atomic<uint64_t>* stripe = StripeFor(addr);
-  uint64_t word = stripe->load(std::memory_order_relaxed);
-  while (true) {
-    if (StripeIsLocked(word)) {
-      word = stripe->load(std::memory_order_relaxed);
-      continue;
-    }
-    if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  fn(arg);
-  uint64_t version = GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-  stripe->store(version << 1, std::memory_order_release);
+  StripeGuardedUpdateAt(StripeFor(addr), fn, arg);
 }
 
 void StripeGuardedUpdateAt(std::atomic<uint64_t>* stripe, void (*fn)(void*),
                            void* arg) {
   const Backend backend = CurrentBackend();
   if (backend == Backend::kRtm || backend == Backend::kSwOcc) {
+    // Real RTM gets strong atomicity from cache coherence. Under sw-OCC
+    // nothing validates against the stripes — conflicts are carried by the
+    // occ words the gosync transitions maintain — so the guarded update is
+    // just the update.
     fn(arg);
     return;
   }
-  uint64_t word = stripe->load(std::memory_order_relaxed);
-  while (true) {
-    if (StripeIsLocked(word)) {
-      word = stripe->load(std::memory_order_relaxed);
-      continue;
-    }
-    if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  fn(arg);
-  uint64_t version = GlobalClock().fetch_add(1, std::memory_order_acq_rel) + 1;
-  stripe->store(version << 1, std::memory_order_release);
+  UnderStripeLock(stripe, [&] { fn(arg); });
 }
 
 }  // namespace gocc::htm

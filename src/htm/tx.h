@@ -2,11 +2,13 @@
 //
 // Two backends implement this API (selected at runtime, see config.h):
 //
-//  * SimTM — a TL2-style software transactional backend: lazy versioning
-//    (writes buffered until commit), per-read validation against a striped
-//    version-lock table, commit-time write-stripe locking + read-set
-//    validation, capacity aborts modelled on cache geometry, flat nesting
-//    (like RTM, an abort anywhere rolls back to the outermost begin).
+//  * SimTM — a software transactional backend: lazy versioning (writes
+//    buffered until commit), a striped version-lock table whose stripes
+//    count their own versions, incremental validation (each read re-checks
+//    every stripe read before it), commit-time write-stripe locking +
+//    read-set validation, capacity aborts modelled on cache geometry, flat
+//    nesting (like RTM, an abort anywhere rolls back to the outermost
+//    begin).
 //  * RTM — real xbegin/xend/xabort (rtm_backend.cc) when the hardware probe
 //    succeeds; transactional loads/stores degrade to plain atomics because
 //    the hardware versions memory itself.
@@ -90,9 +92,9 @@ uint64_t TxSubscribe(const std::atomic<uint64_t>* addr);
 // cache line as their lock word (gosync::Mutex::SubscriptionStripe), so the
 // subscription that opens every elided critical section touches exactly one
 // line and skips the address hash + 4 MiB table probe. The stripe must be
-// the same one the lock's transitions bump via StripeGuardedUpdateAt — its
-// versions still come from the global clock, which TL2 validation requires.
-// RTM and sw-OCC ignore `stripe` (hardware / occ words carry the conflicts).
+// the same one the lock's transitions bump via StripeGuardedUpdateAt; like
+// every stripe it counts its own versions. RTM and sw-OCC ignore `stripe`
+// (hardware / occ words carry the conflicts).
 uint64_t TxSubscribeAt(const std::atomic<uint64_t>* addr,
                        std::atomic<uint64_t>* stripe);
 
@@ -105,10 +107,11 @@ uint64_t TxSubscribeAt(const std::atomic<uint64_t>* addr,
 uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta);
 
 // Runs `fn` as a stripe-guarded non-transactional update of `addr`:
-// lock stripe -> fn() -> release stripe with a bumped version. Any in-flight
-// transaction that read `addr` will abort at (or before) commit. This is the
-// strong-atomicity hook gosync uses for mutex state-word transitions, which
-// fast-path transactions subscribe to.
+// lock stripe -> fn() -> release the stripe at its version + 1. An
+// in-flight transaction that read `addr` aborts at its next read or, if it
+// writes, at commit; a read-only one that reads nothing more serializes
+// before the update. This is the strong-atomicity hook for
+// non-transactional writes to memory transactions watch.
 void StripeGuardedUpdate(const void* addr, void (*fn)(void*), void* arg);
 
 // Convenience overload for capturing lambdas.

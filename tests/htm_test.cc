@@ -230,10 +230,11 @@ TEST_F(HtmTest, NonTxWriteInvalidatesWritingReaderAtCommit) {
   EXPECT_EQ(pass, 2) << "commit after a conflicting non-tx write must abort";
 }
 
-// A read-only transaction is serializable at its begin point (every read is
-// validated against the fixed read version), so a later remote write does
-// NOT abort it — the transaction simply serializes before the writer. This
-// is what makes elided read-only critical sections conflict-free (§6.1).
+// A read-only transaction serializes at its last read (every read re-checks
+// all earlier ones, and a read-only commit validates nothing), so a remote
+// write after that read does NOT abort it — the transaction simply
+// serializes before the writer. This is what makes elided read-only
+// critical sections conflict-free (§6.1).
 TEST_F(HtmTest, ReadOnlyTxSerializesBeforeLaterRemoteWrite) {
   Shared<int64_t> a(7);
   std::jmp_buf env;
@@ -248,27 +249,49 @@ TEST_F(HtmTest, ReadOnlyTxSerializesBeforeLaterRemoteWrite) {
   EXPECT_EQ(seen, 7);
 }
 
+// Zombie prevention: once a stripe this transaction read has changed, the
+// very next read — of any cell — must abort, not let the doomed transaction
+// run on until commit with `a` stale and `b` fresh.
 TEST_F(HtmTest, ReadAfterRemoteBumpAbortsEagerly) {
   Shared<int64_t> a(0);
+  Shared<int64_t> b(0);
+  ASSERT_NE(StripeFor(a.cell()), StripeFor(b.cell()));
   std::jmp_buf env;
   volatile int state = 0;
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
     if (state == 0) {
-      state = 1;
-      // A strongly-atomic remote write installs a stripe version newer than
-      // our read version: the very next read of `a` must abort eagerly
-      // (zombie prevention), not wait until commit.
-      StripeGuardedUpdate(a.cell(), [&] {});
       (void)a.Load();
-      ADD_FAILURE() << "load of a newer-versioned stripe did not abort";
+      state = 1;
+      // A strongly-atomic remote write to the cell already read.
+      StripeGuardedUpdate(a.cell(), [&] { a.StoreRelaxedInit(1); });
+      (void)b.Load();
+      ADD_FAILURE() << "read after a remote write to the read set did not "
+                       "abort";
     }
     TxCommit();
   } else {
     EXPECT_EQ(status.abort_code, AbortCode::kConflict);
+    EXPECT_EQ(state, 1) << "the abort must come at the read of b";
     state = 2;
   }
   EXPECT_EQ(state, 2);
+}
+
+// With per-stripe versions there is no begin-time read version, so a remote
+// write that lands before the transaction's first read of the cell is no
+// conflict: the read returns the new value and the transaction commits.
+TEST_F(HtmTest, FirstReadAfterRemoteWriteCommitsWithNewValue) {
+  Shared<int64_t> a(0);
+  Shared<int64_t> out(0);
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  ASSERT_TRUE(status.started) << "a first read after a remote write aborted";
+  StripeGuardedUpdate(a.cell(), [&] { a.StoreRelaxedInit(5); });
+  out.Store(a.Load());
+  TxCommit();
+  EXPECT_EQ(out.Load(), 5);
+  EXPECT_EQ(GlobalTxStats().aborts_conflict.load(), 0u);
 }
 
 TEST_F(HtmTest, SpuriousAbortInjection) {
@@ -308,9 +331,9 @@ TEST_F(HtmTest, StripeHelpers) {
   size_t idx = StripeIndexFor(addr);
   EXPECT_LT(idx, kNumStripes);
   uint64_t before = StripeFor(addr)->load();
-  NotifyNonTxWrite(addr);
+  StripeGuardedUpdate(addr, [] {});
   uint64_t after = StripeFor(addr)->load();
-  EXPECT_GT(StripeVersion(after), StripeVersion(before));
+  EXPECT_EQ(StripeVersion(after), StripeVersion(before) + 1);
   EXPECT_FALSE(StripeIsLocked(after));
 }
 

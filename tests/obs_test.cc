@@ -218,7 +218,7 @@ TEST_F(ObsTest, TraceConservationMultiThread) {
   EXPECT_EQ(stats.drained + stats.dropped, episodes);
   ASSERT_EQ(events.size(), episodes);  // kDefaultRingCapacity holds 2000/thread
 
-  uint64_t fast = 0, nested = 0, slow = 0;
+  uint64_t fast = 0, nested = 0, slow = 0, occ_fallback = 0;
   for (const Event& e : events) {
     switch (e.outcome) {
       case Outcome::kFastCommit:
@@ -230,6 +230,12 @@ TEST_F(ObsTest, TraceConservationMultiThread) {
       case Outcome::kSlowAcquire:
         ++slow;
         break;
+      case Outcome::kOccFallback:
+        // A slow acquire after the sw-OCC retry budget ran dry (event.h):
+        // counted in slow_acquires and, on its own, in occ_fallbacks.
+        ++slow;
+        ++occ_fallback;
+        break;
       case Outcome::kUnwind:
         ADD_FAILURE() << "no episode unwound in this test";
         break;
@@ -239,6 +245,7 @@ TEST_F(ObsTest, TraceConservationMultiThread) {
   EXPECT_EQ(fast, s.fast_commits.load(std::memory_order_relaxed));
   EXPECT_EQ(nested, s.nested_fast_commits.load(std::memory_order_relaxed));
   EXPECT_EQ(slow, s.slow_acquires.load(std::memory_order_relaxed));
+  EXPECT_EQ(occ_fallback, s.occ_fallbacks.load(std::memory_order_relaxed));
 }
 
 TEST_F(ObsTest, TraceConservationUnderChaosInjection) {

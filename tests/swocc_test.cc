@@ -385,9 +385,17 @@ TEST_F(SwOccTest, InvisibleReadsNeverObserveInFlightWriter) {
   std::atomic<bool> done{false};
   std::atomic<uint64_t> torn{0};
   std::atomic<uint64_t> consistent{0};
+  // Readers that have completed their first episode. The writer waits for
+  // all of them: otherwise it can finish every iteration before a reader
+  // is scheduled, and the readers then see `done` before any episode.
+  std::atomic<int> readers_started{0};
 
+  constexpr int kReaders = 2;
   constexpr int kWriterIters = 3000;
   std::thread writer([&] {
+    while (readers_started.load(std::memory_order_acquire) < kReaders) {
+      std::this_thread::yield();
+    }
     for (int i = 1; i <= kWriterIters; ++i) {
       rw.Lock();
       a.Store(i);
@@ -401,9 +409,10 @@ TEST_F(SwOccTest, InvisibleReadsNeverObserveInFlightWriter) {
   });
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       OptiLock ol;
+      bool started = false;
       while (!done.load(std::memory_order_acquire)) {
         int64_t seen_a = 0;
         int64_t seen_b = 0;
@@ -415,6 +424,10 @@ TEST_F(SwOccTest, InvisibleReadsNeverObserveInFlightWriter) {
           torn.fetch_add(1, std::memory_order_relaxed);
         } else {
           consistent.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (!started) {
+          started = true;
+          readers_started.fetch_add(1, std::memory_order_release);
         }
       }
     });
