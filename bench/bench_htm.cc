@@ -116,8 +116,10 @@ void BM_MutexLockUnlock_Untracked(benchmark::State& state) {
 BENCHMARK(BM_MutexLockUnlock_Untracked);
 
 void BM_MutexLockUnlock_Tracked(benchmark::State& state) {
-  // The SimTM interop cost a mutex pays when it participates in elision
-  // (real RTM pays none of this; see DESIGN.md §4.2).
+  // The tracking tax a mutex pays when it participates in elision: the
+  // acquire adds one CAS on the versioned lock word the software backends
+  // subscribe, the release one more RMW on it (DESIGN.md §4.2). Real RTM
+  // reads the Go lock word and would not need either.
   gocc::gosync::Mutex mu(gocc::gosync::ElisionTracking::kEnabled);
   for (auto _ : state) {
     mu.Lock();

@@ -11,9 +11,11 @@
 // that the disjointness of the workload cannot excuse.
 //
 // Modes per critical-section variant:
-//   lock     — pessimistic m.Lock()/m.Unlock() baseline
+//   lock     — pessimistic m.Lock()/m.Unlock() baseline (tracked mutex)
 //   gocc     — elided fast path, perceptron on (production default)
 //   gocc-np  — elided, perceptron off (isolates predictor cost)
+// plus one `lock-untracked` cell (empty CS, 1 thread): the same lock built
+// with ElisionTracking::kDisabled, the baseline for the tracking tax.
 // CS variants:
 //   empty    — no shared access: the transaction is read-only (subscription
 //              load only), the purest runtime-overhead measurement
@@ -50,7 +52,10 @@
 //                     exceed kScalingSlack x its 1-thread value divided by
 //                     the CPUs the run can use, so a tracked lock that
 //                     anti-scales fails while a 1-vCPU host is not held to
-//                     a speedup.
+//                     a speedup, and
+//                     (4) the tracking tax: tracked minus untracked
+//                     empty-CS lock ns/op at 1 thread must stay under
+//                     kTrackingTaxBoundNs.
 //
 // Emits BENCH_overhead.json (see bench_util.h) with one record per cell
 // (including p50_ns/p99_ns) plus summary config keys for the derived
@@ -92,14 +97,18 @@ struct Slot {
   alignas(64) gosync::Mutex mu;
   alignas(64) htm::Shared<int64_t> counter{0};
   alignas(64) char pad = 0;
+  // The kLockUntracked mode's mutex, on its own line.
+  alignas(64) gosync::Mutex untracked_mu{gosync::ElisionTracking::kDisabled};
 };
 
-enum class Mode { kLock, kGocc, kGoccNoPerceptron };
+enum class Mode { kLock, kLockUntracked, kGocc, kGoccNoPerceptron };
 
 const char* ModeName(Mode m) {
   switch (m) {
     case Mode::kLock:
       return "lock";
+    case Mode::kLockUntracked:
+      return "lock-untracked";
     case Mode::kGocc:
       return "gocc";
     case Mode::kGoccNoPerceptron:
@@ -117,17 +126,18 @@ std::function<void(gopool::PB&)> MakeBody(Mode mode, bool empty_cs,
     Slot& slot =
         (*slots)[next_slot->fetch_add(1, std::memory_order_relaxed) %
                  slots->size()];
-    if (mode == Mode::kLock) {
+    if (mode == Mode::kLock || mode == Mode::kLockUntracked) {
+      gosync::Mutex& mu = mode == Mode::kLock ? slot.mu : slot.untracked_mu;
       if (empty_cs) {
         while (pb.Next()) {
-          slot.mu.Lock();
-          slot.mu.Unlock();
+          mu.Lock();
+          mu.Unlock();
         }
       } else {
         while (pb.Next()) {
-          slot.mu.Lock();
+          mu.Lock();
           slot.counter.Add(1);
-          slot.mu.Unlock();
+          mu.Unlock();
         }
       }
       return;
@@ -158,17 +168,18 @@ std::function<void(gopool::PB&)> MakeLatencyBody(
     support::LatencyHistogram& hist = recorder->Claim();
     optilib::OptiLock ol;
     auto run = [&](auto&& one_op) { BatchTimedLoop(pb, &hist, one_op); };
-    if (mode == Mode::kLock) {
+    if (mode == Mode::kLock || mode == Mode::kLockUntracked) {
+      gosync::Mutex& mu = mode == Mode::kLock ? slot.mu : slot.untracked_mu;
       if (empty_cs) {
         run([&] {
-          slot.mu.Lock();
-          slot.mu.Unlock();
+          mu.Lock();
+          mu.Unlock();
         });
       } else {
         run([&] {
-          slot.mu.Lock();
+          mu.Lock();
           slot.counter.Add(1);
-          slot.mu.Unlock();
+          mu.Unlock();
         });
       }
     } else if (empty_cs) {
@@ -343,43 +354,59 @@ int main(int argc, char** argv) {
   // reps cannot dodge it — only re-rolling the addresses can. The reported
   // number is the best (lowest-overhead) attempt: the measurement with the
   // least layout interference, which is the quantity the gate asserts.
-  auto paired_empty = [&](int threads) {
+  //
+  // The same pass pairs the untracked lock (base) with the tracked one for
+  // gate 4's tracking tax.
+  auto paired_empty = [&](Mode base, Mode other, int threads) {
     constexpr int kMaxAttempts = 6;
-    double best_lock = 0.0;
-    double best_np = 0.0;
+    double best_base = 0.0;
+    double best_other = 0.0;
     for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      ConfigureRuntime(Mode::kGoccNoPerceptron);
+      ConfigureRuntime(other);
       auto slots = std::make_unique<std::vector<Slot>>(max_threads);
       std::atomic<uint32_t> next_slot{0};
-      auto lock_body = MakeBody(Mode::kLock, true, slots.get(), &next_slot);
-      auto np_body =
-          MakeBody(Mode::kGoccNoPerceptron, true, slots.get(), &next_slot);
+      auto base_body = MakeBody(base, true, slots.get(), &next_slot);
+      auto other_body = MakeBody(other, true, slots.get(), &next_slot);
       next_slot.store(0);
-      gocc::gopool::RunParallel(threads, window / 4, lock_body);
+      gocc::gopool::RunParallel(threads, window / 4, base_body);
       next_slot.store(0);
-      gocc::gopool::RunParallel(threads, window / 4, np_body);
-      double lock_min = 0.0;
-      double np_min = 0.0;
+      gocc::gopool::RunParallel(threads, window / 4, other_body);
+      double base_min = 0.0;
+      double other_min = 0.0;
       for (int rep = 0; rep < reps; ++rep) {
         next_slot.store(0);
-        const double l =
-            gocc::gopool::RunParallel(threads, window, lock_body).ns_per_op;
+        const double b =
+            gocc::gopool::RunParallel(threads, window, base_body).ns_per_op;
         next_slot.store(0);
-        const double n =
-            gocc::gopool::RunParallel(threads, window, np_body).ns_per_op;
-        if (rep == 0 || l < lock_min) lock_min = l;
-        if (rep == 0 || n < np_min) np_min = n;
+        const double o =
+            gocc::gopool::RunParallel(threads, window, other_body).ns_per_op;
+        if (rep == 0 || b < base_min) base_min = b;
+        if (rep == 0 || o < other_min) other_min = o;
       }
-      if (attempt == 0 || np_min - lock_min < best_np - best_lock) {
-        best_lock = lock_min;
-        best_np = np_min;
+      if (attempt == 0 || other_min - base_min < best_other - best_base) {
+        best_base = base_min;
+        best_other = other_min;
       }
-      if (best_np - best_lock <= 0.0) break;  // clean phase; done
+      if (best_other - best_base <= 0.0) break;  // clean phase; done
     }
-    return std::pair<double, double>{best_lock, best_np};
+    return std::pair<double, double>{best_base, best_other};
   };
-  const auto [elock_1t, enp_1t] = paired_empty(1);
-  const auto [elock_mt, enp_mt] = paired_empty(max_threads);
+  const auto [elock_1t, enp_1t] =
+      paired_empty(Mode::kLock, Mode::kGoccNoPerceptron, 1);
+  const auto [elock_mt, enp_mt] =
+      paired_empty(Mode::kLock, Mode::kGoccNoPerceptron, max_threads);
+  const auto [untracked_1t, tracked_1t] =
+      paired_empty(Mode::kLockUntracked, Mode::kLock, 1);
+  {
+    JsonRecord rec;
+    rec.benchmark = "uncontended/empty";
+    rec.mode = ModeName(Mode::kLockUntracked);
+    rec.section = "measured";
+    rec.threads = 1;
+    rec.ns_per_op = untracked_1t;
+    rec.ops_per_sec = untracked_1t > 0 ? 1e9 / untracked_1t : 0.0;
+    report.Add(std::move(rec));
+  }
 
   // Perceptron cost estimator: the difference of two independently-measured
   // cells (gocc minus gocc-np, both min-of-reps). When the predictor's real
@@ -396,6 +423,7 @@ int main(int argc, char** argv) {
   report.Config("overhead_empty_np_ns_1t", enp_1t - elock_1t);
   report.Config("overhead_empty_np_ns_mt", enp_mt - elock_mt);
   report.Config("perceptron_ns_1t", perceptron_1t);
+  report.Config("tracking_tax_ns_1t", tracked_1t - untracked_1t);
   report.Config("mt_threads", static_cast<double>(max_threads));
 
   std::printf("\n  summary (counter CS):\n");
@@ -412,6 +440,10 @@ int main(int argc, char** argv) {
   std::printf("    %d-thread: lock %.1f ns, elided %.1f ns "
               "(overhead %+.1f ns)\n",
               max_threads, elock_mt, enp_mt, enp_mt - elock_mt);
+  std::printf("  summary (empty CS, tracking tax):\n");
+  std::printf("    1-thread : untracked lock %.1f ns, tracked lock %.1f ns "
+              "(tax %+.1f ns)\n",
+              untracked_1t, tracked_1t, tracked_1t - untracked_1t);
 
   if (!check_path.empty()) {
     int failures = 0;
@@ -481,6 +513,25 @@ int main(int argc, char** argv) {
                    "perf-smoke FAILED: empty-CS lock at %d threads %.1f ns/op "
                    "> %.1f ns bound (1-thread %.1f ns, %d usable CPUs)\n",
                    max_threads, lock_emt, scaling_bound, lock_e1, cpus);
+      ++failures;
+    }
+
+    // Gate 4 (tracking tax): what elision tracking adds to an uncontended
+    // lock/unlock at 1 thread, from the paired untracked/tracked pass. A
+    // tracked acquire adds one version-word CAS to the state CAS, and its
+    // release one version-word RMW, both on the lock's own line; the bound
+    // leaves room for those and fails when a tracked transition takes on
+    // more RMWs.
+    constexpr double kTrackingTaxBoundNs = 19.0;
+    const double tax_1t = tracked_1t - untracked_1t;
+    std::printf("  perf-smoke: empty-CS tracking tax 1t %+.2f ns "
+                "(untracked %.1f ns, tracked %.1f ns; bound %.1f ns)\n",
+                tax_1t, untracked_1t, tracked_1t, kTrackingTaxBoundNs);
+    if (tax_1t > kTrackingTaxBoundNs) {
+      std::fprintf(stderr,
+                   "perf-smoke FAILED: tracking tax %+.2f ns at 1 thread "
+                   "exceeds %.1f ns bound\n",
+                   tax_1t, kTrackingTaxBoundNs);
       ++failures;
     }
     return failures == 0 ? 0 : 1;

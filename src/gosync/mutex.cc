@@ -7,7 +7,6 @@
 #include "src/gosync/runtime.h"
 #include "src/htm/fault.h"
 #include "src/htm/swocc.h"
-#include "src/htm/tx.h"
 #include "src/support/misuse.h"
 
 namespace gocc::gosync {
@@ -51,17 +50,12 @@ Mutex::~Mutex() {
                           detail);
   }
   if (tracking_ == ElisionTracking::kEnabled) {
-    // Poison the state word: bumping its stripe version (and setting the
-    // locked bit) aborts any transaction still subscribed to this word, so
-    // its commit-time validation never races the storage being reused.
-    // Destruction is never on the episode fast path, so the stripe CAS is
-    // an acceptable fixed cost.
-    htm::StripeGuardedUpdateAt(&stripe_, [&] {
-      state_.store(kLockedBit, std::memory_order_release);
-    });
-    // Same for sw-OCC: the poison word is unreachable by live transitions,
-    // so any episode still subscribed fails validation — and the backend
-    // reports the read-after-destroy through the misuse taxonomy.
+    // Poison both subscribable words: the locked bit aborts RTM episodes
+    // reading the state word, and the poison pattern, which no live
+    // transition produces, fails every SimTM/sw-OCC subscription to the
+    // version word (sw-OCC also reports the read-after-destroy through the
+    // misuse taxonomy).
+    state_.store(kLockedBit, std::memory_order_release);
     occ_word_.store(htm::kOccPoison, std::memory_order_release);
   }
 }
@@ -71,20 +65,18 @@ bool Mutex::AcquiringCas(uint64_t& expected, uint64_t desired) {
     // Chaos hook: widen the window between a transaction's subscription read
     // and this slow-path acquisition (no-op unless the injector is armed).
     htm::fault::MaybeStall();
-    bool ok = false;
-    htm::StripeGuardedUpdateAt(&stripe_, [&] {
-      ok = state_.compare_exchange_strong(expected, desired,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed);
-    });
-    if (ok) {
-      // Having won the state word, take the occ word exclusive so sw-OCC
-      // episodes subscribed to it abort instead of validating against the
-      // critical section we are about to run. state_ serializes pessimistic
-      // acquirers, so at most one thread is ever in this wait per mutex.
-      htm::OccWordAcquireExclusive(&occ_word_);
+    if (!state_.compare_exchange_strong(expected, desired,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+      return false;
     }
-    return ok;
+    // Having won the state word, take the version word exclusive, so every
+    // episode subscribed to it fails validation instead of committing
+    // across the critical section we are about to run. state_ serializes
+    // pessimistic acquirers, so at most one thread is ever in this wait per
+    // mutex.
+    htm::OccWordAcquireExclusive(&occ_word_);
+    return true;
   }
   return state_.compare_exchange_strong(expected, desired,
                                         std::memory_order_acquire,
@@ -94,15 +86,12 @@ bool Mutex::AcquiringCas(uint64_t& expected, uint64_t desired) {
 void Mutex::AcquiringAdd(int64_t delta) {
   if (tracking_ == ElisionTracking::kEnabled) {
     htm::fault::MaybeStall();
-    htm::StripeGuardedUpdateAt(&stripe_, [&] {
-      state_.fetch_add(static_cast<uint64_t>(delta),
-                       std::memory_order_acq_rel);
-    });
-    // Starvation handoff acquires the mutex; mirror AcquiringCas.
-    htm::OccWordAcquireExclusive(&occ_word_);
-    return;
   }
   state_.fetch_add(static_cast<uint64_t>(delta), std::memory_order_acq_rel);
+  if (tracking_ == ElisionTracking::kEnabled) {
+    // Starvation handoff acquires the mutex; mirror AcquiringCas.
+    htm::OccWordAcquireExclusive(&occ_word_);
+  }
 }
 
 void Mutex::Lock() {
@@ -205,9 +194,9 @@ void Mutex::LockSlow() {
 
 void Mutex::Unlock() {
   if (tracking_ == ElisionTracking::kEnabled) {
-    // Release the occ word (version already bumped at acquire) *before* the
-    // state word drops: the critical section's writes sit between the occ
-    // acquire (in Acquiring*) and this release in program order, so a sw-OCC
+    // Release the version word (bumped at acquire) *before* the state word
+    // drops: the critical section's writes sit between the acquire (in
+    // Acquiring*) and this release in program order, so a subscribed
     // episode either sees the pre-bump version on every read (serialized
     // before us) or fails validation.
     htm::OccWordReleaseExclusive(&occ_word_);

@@ -5,7 +5,6 @@
 #include "src/gosync/parking_lot.h"
 #include "src/htm/fault.h"
 #include "src/htm/swocc.h"
-#include "src/htm/tx.h"
 #include "src/support/misuse.h"
 
 namespace gocc::gosync {
@@ -19,35 +18,29 @@ RWMutex::~RWMutex() {
                                  : "writer-active-or-pending");
   }
   if (tracking_ == ElisionTracking::kEnabled) {
-    // Poison readerCount: park it at the writer-pending sentinel under the
-    // stripe lock so any subscribed reader transaction aborts (and a
-    // use-after-destroy RLock would take the slow path rather than eliding).
-    htm::StripeGuardedUpdateAt(&stripe_, [&] {
-      reader_count_.store(static_cast<uint64_t>(-kMaxReaders),
-                          std::memory_order_release);
-    });
-    // And poison the occ word so subscribed sw-OCC read episodes classify
-    // the use-after-destroy instead of validating freed storage.
+    // Poison readerCount: park it at the writer-pending sentinel so any
+    // transaction subscribed to it aborts (and a use-after-destroy RLock
+    // takes the slow path rather than eliding). And poison the version word
+    // so subscribed SimTM/sw-OCC read episodes abort too (sw-OCC classifies
+    // the use-after-destroy instead of validating freed storage).
+    reader_count_.store(static_cast<uint64_t>(-kMaxReaders),
+                        std::memory_order_release);
     occ_word_.store(htm::kOccPoison, std::memory_order_release);
   }
   // w_ is destroyed after this body runs and reports separately if held.
 }
 
 int64_t RWMutex::ReaderCountAdd(int64_t delta) {
-  int64_t result = 0;
   if (tracking_ == ElisionTracking::kEnabled) {
-    // Chaos hook: stretch the stripe-guarded reader-count transition so
-    // injected schedules can interleave with subscribed transactions.
+    // Chaos hook: stretch the reader-count transition so injected schedules
+    // can interleave with subscribed transactions.
     htm::fault::MaybeStall();
-    htm::StripeGuardedUpdateAt(&stripe_, [&] {
-      result = static_cast<int64_t>(reader_count_.fetch_add(
-                   static_cast<uint64_t>(delta), std::memory_order_acq_rel)) +
-               delta;
-    });
-    return result;
   }
+  // seq_cst: for a SimTM write episode that validates reader_count_, this
+  // RMW is the holder's side of the committer/holder Dekker pair (DESIGN.md
+  // §4.2). On x86-64 it is the same lock xadd as acq_rel.
   return static_cast<int64_t>(reader_count_.fetch_add(
-             static_cast<uint64_t>(delta), std::memory_order_acq_rel)) +
+             static_cast<uint64_t>(delta), std::memory_order_seq_cst)) +
          delta;
 }
 
@@ -81,7 +74,7 @@ void RWMutex::Lock() {
     ParkingLot::Acquire(&writer_sem_, /*lifo=*/false);
   }
   if (tracking_ == ElisionTracking::kEnabled) {
-    // Readers have drained: take the occ word exclusive so sw-OCC read
+    // Readers have drained: take the version word exclusive so read
     // episodes subscribed to it abort rather than validate across the write
     // section. Acquiring at the *end* keeps OCC readers live while the
     // writer merely waits. w_ serializes writers, so at most one thread is
@@ -92,8 +85,8 @@ void RWMutex::Lock() {
 
 void RWMutex::Unlock() {
   if (tracking_ == ElisionTracking::kEnabled) {
-    // Release the occ word (version bumped at acquire) before readers are
-    // re-admitted: an OCC read episode then either validates entirely
+    // Release the version word (bumped at acquire) before readers are
+    // re-admitted: a subscribed read episode then either validates entirely
     // before the write section or entirely after it.
     htm::OccWordReleaseExclusive(&occ_word_);
   }

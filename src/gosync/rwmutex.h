@@ -7,10 +7,11 @@
 // atomic RMWs on `readerCount`, which collapses under parallelism — HTM
 // elision removes exactly those writes.
 //
-// `readerCount` is the first member so optiLib can subscribe a fast-path
-// transaction to it; all transitions are stripe-guarded when elision
-// tracking is on (under real HTM the cache coherence traffic of those RMWs
-// is what aborts reader transactions — the stripe guard models that).
+// `readerCount` is the first member so optiLib can subscribe a hardware
+// transaction to it, and SimTM write elision validates it by value. Read
+// elision on the software backends subscribes the writer-maintained version
+// word behind OccWord() instead, so slow-path readers, which touch only
+// readerCount, never abort elided readers.
 
 #ifndef GOCC_SRC_GOSYNC_RWMUTEX_H_
 #define GOCC_SRC_GOSYNC_RWMUTEX_H_
@@ -27,15 +28,14 @@ class RWMutex {
   static constexpr int64_t kMaxReaders = int64_t{1} << 30;
 
   RWMutex() = default;
-  explicit RWMutex(ElisionTracking tracking)
-      : tracking_(tracking), w_(tracking) {}
+  explicit RWMutex(ElisionTracking tracking) : tracking_(tracking) {}
 
   // Destroying an RWMutex with readers active, a writer active, or a writer
   // pending is misuse (kRWMutexDestroyedInUse, DESIGN.md §4.9). A tracked
-  // destructor always poisons the readerCount stripe so subscribed reader
-  // transactions abort instead of validating freed storage. Note: a
-  // write-locked RWMutex additionally reports kMutexDestroyedInUse when the
-  // inner writer Mutex is destroyed right after.
+  // destructor always poisons readerCount and the version word so
+  // subscribed transactions abort instead of validating freed storage.
+  // Note: a write-locked RWMutex additionally reports kMutexDestroyedInUse
+  // when the inner writer Mutex is destroyed right after.
   ~RWMutex();
 
   RWMutex(const RWMutex&) = delete;
@@ -46,22 +46,19 @@ class RWMutex {
   void Lock();
   void Unlock();
 
-  // The word fast-path transactions subscribe to. A non-negative value means
-  // no writer holds or awaits the lock.
+  // The word RTM episodes and SimTM write episodes subscribe to. A
+  // non-negative value means no writer holds or awaits the lock; zero means
+  // no reader holds it either.
   const std::atomic<uint64_t>* ReaderCountWord() const {
     return &reader_count_;
   }
 
-  // The private SimTM version stripe covering the readerCount word (same
-  // inline-stripe scheme as Mutex::SubscriptionStripe).
-  std::atomic<uint64_t>* SubscriptionStripe() { return &stripe_; }
-
-  // The versioned OCC word sw-OCC read episodes subscribe to (swocc.h).
-  // Only *writer* transitions maintain it: Lock() takes it exclusive once
-  // the readers have drained, Unlock() releases it before re-admitting
-  // them. Slow-path readers never touch it (reader/reader pairs do not
-  // conflict, and churning the word on every RLock would re-create the
-  // contended RMW elision exists to remove).
+  // The versioned lock word SimTM and sw-OCC read episodes subscribe to
+  // (swocc.h). Only *writer* transitions maintain it: Lock() takes it
+  // exclusive once the readers have drained, Unlock() releases it before
+  // re-admitting them. Slow-path readers never touch it (reader/reader
+  // pairs do not conflict, and churning the word on every RLock would
+  // re-create the contended RMW elision exists to remove).
   std::atomic<uint64_t>* OccWord() { return &occ_word_; }
   const std::atomic<uint64_t>* OccWord() const { return &occ_word_; }
 
@@ -75,20 +72,18 @@ class RWMutex {
   }
 
  private:
-  // Adds `delta` to reader_count_, stripe-guarded when tracked; returns the
-  // new signed value.
+  // Adds `delta` to reader_count_; returns the new signed value.
   int64_t ReaderCountAdd(int64_t delta);
 
   std::atomic<uint64_t> reader_count_{0};  // must stay the first member
-  // sw-OCC version word (writer-maintained; see OccWord()).
+  // Version word (writer-maintained; see OccWord()).
   std::atomic<uint64_t> occ_word_{0};
-  // Inline SimTM version stripe for the readerCount word (per-stripe
-  // versions, stripe_table.h encoding); completes the one-line metadata
-  // layout readerCount/occ/stripe.
-  std::atomic<uint64_t> stripe_{0};
   std::atomic<int64_t> reader_wait_{0};
   ElisionTracking tracking_ = ElisionTracking::kEnabled;
-  Mutex w_;  // held by writers
+  // Held by writers. Untracked: no backend subscribes it (elided sections
+  // read reader_count_ or occ_word_), so tracking it would only add work to
+  // every pessimistic Lock/Unlock.
+  Mutex w_{ElisionTracking::kDisabled};
   // Distinct park addresses for the two semaphores.
   char writer_sem_ = 0;
   char reader_sem_ = 0;

@@ -16,8 +16,8 @@
 //   * kLoad / kStore — SimTM transactional accesses; the injected code
 //     aborts the in-flight transaction through the normal rollback path.
 //   * kCommit — commit-time abort, as if read-set validation failed.
-//   * kLockTransition — not an abort: an injected bounded stall inside the
-//     stripe-guarded slow-path lock transitions (gosync), widening the race
+//   * kLockTransition — not an abort: an injected bounded stall at the
+//     tracked slow-path lock transitions (gosync), widening the race
 //     window between a transaction's lock-word subscription and a slow-path
 //     acquisition.
 //   * kOccValidate — sw-OCC commit-time validation: the injected code is
@@ -229,7 +229,7 @@ inline void MaybeStallAt(Site site) {
   internal::StallSlow(site);
 }
 
-// Legacy spelling for the stripe-guarded lock-transition stall.
+// Legacy spelling for the tracked lock-transition stall.
 inline void MaybeStall() { MaybeStallAt(Site::kLockTransition); }
 
 }  // namespace gocc::htm::fault

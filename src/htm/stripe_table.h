@@ -8,11 +8,11 @@
 // later read, and a writing commit re-checks them once more after locking
 // its write stripes (DESIGN.md §4.2).
 //
-// Non-transactional code that mutates memory watched by transactions (most
-// importantly the gosync::Mutex state word a fast-path transaction
-// "subscribes" to) goes through htm::StripeGuardedUpdate(At), which does
-// the same lock-write-bump, so in-flight readers of that stripe abort —
-// the strong-atomicity edge real RTM gets for free from cache coherence.
+// Non-transactional writes to transactional data (TxStore/TxFetchAdd outside
+// a transaction, and StripeGuardedUpdate) do the same lock-write-bump, so
+// in-flight readers of that stripe abort — the strong-atomicity edge real
+// RTM gets for free from cache coherence. Lock words are not striped: a
+// transaction subscribes the lock's version word itself (TxSubscribe).
 
 #ifndef GOCC_SRC_HTM_STRIPE_TABLE_H_
 #define GOCC_SRC_HTM_STRIPE_TABLE_H_

@@ -1,9 +1,13 @@
-// Versioned-lock-word encoding shared by the sw-OCC backend and gosync.
+// The versioned lock word every tracked gosync mutex carries, and the word
+// both software backends subscribe (DESIGN.md §4.2).
 //
-// Each elidable mutex carries one extra 64-bit "occ word" on its lock cache
-// line (DESIGN.md §4.10), in the style of classical OCC lock words: a 31-bit
-// version counter plus a lock flag. The word is the only shared state the
-// software-OCC backend ever touches for conflict detection:
+// Each tracked Mutex/RWMutex keeps one 64-bit version word on its lock
+// cache line (Mutex::OccWord / RWMutex::OccWord), in the style of classical
+// OCC lock words: a 31-bit version counter plus a lock flag. SimTM records
+// it as a read-set entry and sw-OCC as a subscription; both validate it by
+// value equality, so any exclusive acquisition between subscription and
+// commit fails validation. (Under RTM the transaction reads the Go lock
+// word instead, as the paper does.)
 //
 //   bit 0      — exclusive flag: a pessimistic holder or an OCC committer
 //                owns the protected data right now.
@@ -12,21 +16,19 @@
 //                word as held until the writer gets through (writers win).
 //   bits [2,33) — 31-bit version, bumped on every exclusive acquisition and
 //                wrapping mod 2^31 (matching the classical 31-bit layout).
-//                An OCC episode that subscribed the word detects any
-//                intervening exclusive owner by value inequality; the ABA
-//                bound is 2^31 acquisitions within one episode (see the
-//                wraparound regression test).
+//                A subscriber detects any intervening exclusive owner by
+//                value inequality; the ABA bound is 2^31 acquisitions
+//                within one episode (see the wraparound regression test).
 //   bits [33,64) — zero in live words; all-ones only in the destructor's
 //                poison pattern, which no acquire/release transition can
 //                produce, so a subscribed episode can classify a destroyed
 //                mutex distinctly from an ordinary conflict.
 //
-// Maintenance cost when sw-OCC is not the active backend: pessimistic
-// acquire/release transitions keep the word coherent unconditionally for
-// tracked mutexes (one uncontended CAS + one fetch_sub per critical
-// section, both on the already-dirty lock line), so a mid-run backend
-// switch can never observe a stale version. Untracked mutexes never touch
-// the word and are never speculated by the sw-OCC backend.
+// Maintenance: pessimistic acquire/release transitions keep the word
+// coherent for tracked mutexes whatever the backend (one uncontended CAS +
+// one fetch_sub per critical section, both on the already-dirty lock line),
+// so a mid-run backend switch can never observe a stale version. Untracked
+// mutexes never touch the word and are never elided by a software backend.
 
 #ifndef GOCC_SRC_HTM_SWOCC_H_
 #define GOCC_SRC_HTM_SWOCC_H_
@@ -105,7 +107,10 @@ inline constexpr int kOccWriterStarvationSpins = 64;
 // Exclusive acquisition of an occ word by a pessimistic lock holder (called
 // *after* winning the mutex's own state-word race, so the only competition
 // is a briefly-publishing OCC committer). Spins with pause; raises the
-// pending flag past kOccWriterStarvationSpins failed rounds.
+// pending flag past kOccWriterStarvationSpins failed rounds. The CASes are
+// seq_cst: each is the holder's side of the Dekker pair with a SimTM
+// committer that locks its write stripes and then validates this word
+// (DESIGN.md §4.2).
 void OccWordAcquireExclusive(std::atomic<uint64_t>* word);
 
 // Release half: clears the exclusive flag (keeping the bumped version) with

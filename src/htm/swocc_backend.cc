@@ -36,7 +36,7 @@ void OccWordAcquireExclusive(std::atomic<uint64_t>* word) {
   uint64_t cur = word->load(std::memory_order_relaxed);
   if (!OccUnavailable(cur) &&
       word->compare_exchange_strong(cur, OccAcquired(cur),
-                                    std::memory_order_acq_rel,
+                                    std::memory_order_seq_cst,
                                     std::memory_order_relaxed)) {
     return;  // uncontended: no OCC committer holds the word
   }
@@ -66,7 +66,7 @@ void OccWordAcquireExclusive(std::atomic<uint64_t>* word) {
       continue;
     }
     if (word->compare_exchange_weak(cur, OccAcquired(cur),
-                                    std::memory_order_acq_rel,
+                                    std::memory_order_seq_cst,
                                     std::memory_order_relaxed)) {
       return;
     }
@@ -218,8 +218,8 @@ void MaybeSpuriousAbort(SwOccContext& tx) {
 // turned into the destructor's poison pattern means the episode outlived its
 // mutex. Report once per detection, then abort — under the recover policy
 // the episode's retry loop re-subscribes, sees poison as "held", and
-// degrades to the slow path, which is the same terminal state SimTM's
-// stripe poisoning produces.
+// degrades to the slow path, which is the same terminal state SimTM
+// reaches when it sees the poisoned word.
 void ReportPoisonedRead(SwOccContext& tx, const std::atomic<uint64_t>* word) {
   support::ReportMisuse(support::MisuseKind::kElidedUseAfterDestroy, word,
                         "occ-word-poisoned-mid-episode");

@@ -13,10 +13,10 @@
 // the buffered writes, and release-stores the words back with the new
 // version.
 //
-// Relationship to the other backends: SimTM validates against a striped
-// version table covering *all* of memory; sw-OCC validates only the elided
-// locks' occ words, so it needs the gosync acquire/release transitions to
-// maintain those words (they do, unconditionally for tracked mutexes).
+// Relationship to the other backends: SimTM validates the same occ words
+// plus a striped version table covering *all* of memory; sw-OCC validates
+// only the elided locks' occ words, so it needs the gosync acquire/release
+// transitions to maintain those words (they do, for every tracked mutex).
 // Raw GOCC_TX_BEGIN transactions with no subscription get no isolation
 // under this backend (there is no word to validate); OptiLock episodes
 // always subscribe, and only they select sw-OCC.

@@ -24,9 +24,12 @@ inline uintptr_t CacheLineOf(const void* addr) {
   return reinterpret_cast<uintptr_t>(addr) >> 6;
 }
 
+// A read-set entry: a stripe, or a subscribed lock word (TxSubscribe),
+// and the value it held when first read. Both kinds validate by value
+// equality.
 struct ReadEntry {
-  std::atomic<uint64_t>* stripe;
-  uint64_t word;  // unlocked stripe word observed at first read
+  const std::atomic<uint64_t>* word;
+  uint64_t seen;
 };
 
 struct WriteEntry {
@@ -90,7 +93,7 @@ struct TxContext {
   int depth = 0;
   std::jmp_buf* env = nullptr;
 
-  // One entry per distinct stripe read (ValidatedRead's scan dedups).
+  // One entry per distinct stripe or lock word read (RecheckReads dedups).
   std::vector<ReadEntry> reads;
   std::vector<WriteEntry> writes;
   // Populated only once the write set spills past SmallSet::kSpill entries;
@@ -267,18 +270,19 @@ void CommitOutermost(TxContext& tx) {
     }
   }
 
-  // Validate the read set: every stripe read must still be unlocked at the
-  // version first observed — or locked by this commit at that version. A
+  // Validate the read set: every entry must still hold the value first
+  // observed (a stripe: unlocked at that version; a lock word: no holder
+  // since) — or be a stripe this commit locked at that version. A
   // write-only stripe may carry any version (we hold its lock).
   for (const ReadEntry& r : tx.reads) {
-    const uint64_t word = r.stripe->load(std::memory_order_seq_cst);
-    if (word == r.word) {
+    const uint64_t now = r.word->load(std::memory_order_seq_cst);
+    if (now == r.seen) {
       continue;
     }
     auto it = std::find_if(
         tx.locked.begin(), tx.locked.end(),
-        [&](const LockedStripe& ls) { return ls.stripe == r.stripe; });
-    if (it == tx.locked.end() || it->pre_lock_word != r.word) {
+        [&](const LockedStripe& ls) { return ls.stripe == r.word; });
+    if (it == tx.locked.end() || it->pre_lock_word != r.seen) {
       AbortInternal(tx, AbortCode::kConflict);
     }
   }
@@ -301,16 +305,41 @@ void CommitOutermost(TxContext& tx) {
   tx.ResetSets();
 }
 
-// Validated read of `addr` under `stripe`, the core of every transactional
-// load. The w1/value/fence/w2 sequence returns a value that was current
-// while the stripe sat unlocked at one version. The scan then re-checks
-// every stripe read earlier: each must still be unlocked at the version
-// first observed, so all values read so far were current together at this
-// read and a doomed transaction never computes on an inconsistent snapshot
-// (opacity, at O(k) for the k-th distinct stripe).
-// The scan doubles as the dedup: a stripe is recorded once.
-uint64_t ValidatedRead(TxContext& tx, const std::atomic<uint64_t>* addr,
-                       std::atomic<uint64_t>* stripe) {
+// Re-checks every earlier read-set entry against the value it recorded,
+// then records `word` at `seen` unless it is already an entry (the scan is
+// the dedup). Passing means every value read so far was current together
+// at this read, so a doomed transaction never computes on an inconsistent
+// snapshot (opacity, at O(k) for the k-th entry).
+void RecheckReads(TxContext& tx, const std::atomic<uint64_t>* word,
+                  uint64_t seen) {
+  bool recorded = false;
+  for (const ReadEntry& r : tx.reads) {
+    const bool same = r.word == word;
+    const uint64_t now = same ? seen : r.word->load(std::memory_order_acquire);
+    if (now != r.seen) [[unlikely]] {
+      AbortInternal(tx, AbortCode::kConflict);
+    }
+    recorded |= same;
+  }
+  if (!recorded) {
+    tx.reads.push_back({word, seen});
+  }
+}
+
+// Counts `addr`'s line against the read capacity.
+void AccountReadLine(TxContext& tx, const void* addr) {
+  if (tx.read_lines.insert(CacheLineOf(addr)) &&
+      tx.read_lines.size() > Config().read_capacity_lines) {
+    AbortInternal(tx, AbortCode::kCapacity);
+  }
+}
+
+// Validated read of `addr`, the core of every transactional data load. The
+// w1/value/fence/w2 sequence returns a value that was current while the
+// stripe sat unlocked at one version; RecheckReads then makes it current
+// together with every earlier read.
+uint64_t ValidatedRead(TxContext& tx, const std::atomic<uint64_t>* addr) {
+  std::atomic<uint64_t>* stripe = StripeFor(addr);
   const uint64_t w1 = stripe->load(std::memory_order_acquire);
   if (StripeIsLocked(w1)) [[unlikely]] {
     AbortInternal(tx, AbortCode::kConflict);
@@ -320,37 +349,7 @@ uint64_t ValidatedRead(TxContext& tx, const std::atomic<uint64_t>* addr,
   if (stripe->load(std::memory_order_relaxed) != w1) [[unlikely]] {
     AbortInternal(tx, AbortCode::kConflict);
   }
-  bool seen = false;
-  for (const ReadEntry& r : tx.reads) {
-    const bool same = r.stripe == stripe;
-    const uint64_t now =
-        same ? w1 : r.stripe->load(std::memory_order_acquire);
-    if (now != r.word) [[unlikely]] {
-      AbortInternal(tx, AbortCode::kConflict);
-    }
-    seen |= same;
-  }
-  if (!seen) {
-    tx.reads.push_back({stripe, w1});
-  }
-  return value;
-}
-
-// In-transaction load against a caller-supplied stripe: the shared body of
-// TxLoad (global stripe table) and TxSubscribeAt (inline per-mutex stripe).
-// Write-set lookup first, then the validated read, then capacity accounting.
-uint64_t TxLoadAtStripe(TxContext& tx, const std::atomic<uint64_t>* addr,
-                        std::atomic<uint64_t>* stripe) {
-  if (const WriteEntry* w = FindWrite(tx, addr)) {
-    return w->value;
-  }
-  const uint64_t value = ValidatedRead(tx, addr, stripe);
-  if (tx.read_lines.insert(CacheLineOf(addr)) &&
-      tx.read_lines.size() > Config().read_capacity_lines) {
-    AbortInternal(tx, AbortCode::kCapacity);
-  }
-  MaybeInjectedAbort(tx, fault::Site::kLoad);
-  MaybeSpuriousAbort(tx);
+  RecheckReads(tx, stripe, w1);
   return value;
 }
 
@@ -358,10 +357,11 @@ uint64_t TxLoadAtStripe(TxContext& tx, const std::atomic<uint64_t>* addr,
 // write set while holding the stripes, so waiting for an unlocked stripe
 // guarantees we read the final committed value, never an in-flight one.
 // (Real RTM commits atomically at xend, making this window impossible in
-// hardware.) The wait load is seq_cst: a pessimistic lock holder's stripe
-// CAS and this load pair with a committer's lock CAS and validation load.
-uint64_t NonTxLoad(const std::atomic<uint64_t>* addr,
-                   const std::atomic<uint64_t>* stripe) {
+// hardware.) The wait load is seq_cst: a pessimistic lock holder's
+// version-word RMW and this load pair with a committer's stripe-lock CAS
+// and validation load (DESIGN.md §4.2).
+uint64_t NonTxLoad(const std::atomic<uint64_t>* addr) {
+  const std::atomic<uint64_t>* stripe = StripeFor(addr);
   while (StripeIsLocked(stripe->load(std::memory_order_seq_cst))) {
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_ia32_pause();
@@ -371,7 +371,7 @@ uint64_t NonTxLoad(const std::atomic<uint64_t>* addr,
 }
 
 // The one non-transactional write protocol — TxStore/TxFetchAdd outside a
-// transaction and StripeGuardedUpdate(At): lock `stripe`, run `fn`, release
+// transaction and StripeGuardedUpdate: lock `stripe`, run `fn`, release
 // the stripe at its own next version, so every transaction that read the
 // stripe fails its next validation. The seq_cst CAS is this side of the
 // Dekker pairs LockStripeForCommit describes; the release fence orders the
@@ -403,24 +403,16 @@ void AppendWrite(TxContext& tx, std::atomic<uint64_t>* addr, uint64_t value) {
   }
 }
 
-// SimTM body shared by TxSubscribe / TxSubscribeAt: first-access fast path
-// when this is the opening read of an outermost transaction, otherwise the
-// fully general load — both validating the caller's stripe, so nested
-// subscriptions of an inline-stripe mutex still watch the stripe its
-// transitions actually bump.
-uint64_t SimSubscribe(TxContext& tx, const std::atomic<uint64_t>* addr,
-                      std::atomic<uint64_t>* stripe) {
+// SimTM subscription: the lock word itself is the read-set entry. No
+// lock-bit test (the caller classifies the value) and no write-set lookup
+// (lock words are never written transactionally).
+uint64_t SimSubscribe(TxContext& tx, const std::atomic<uint64_t>* word) {
   if (tx.depth == 0) [[unlikely]] {
-    return NonTxLoad(addr, stripe);
+    return word->load(std::memory_order_acquire);
   }
-  if (tx.depth != 1 || !tx.reads.empty() || !tx.writes.empty()) [[unlikely]] {
-    // Nested subscription or not the first access: full generality.
-    return TxLoadAtStripe(tx, addr, stripe);
-  }
-  // First access: no write to find, nothing earlier to re-validate, and one
-  // line cannot exceed capacity.
-  const uint64_t value = ValidatedRead(tx, addr, stripe);
-  tx.read_lines.insert(CacheLineOf(addr));
+  const uint64_t value = word->load(std::memory_order_acquire);
+  RecheckReads(tx, word, value);
+  AccountReadLine(tx, word);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeSpuriousAbort(tx);
   return value;
@@ -597,9 +589,16 @@ uint64_t TxLoad(const std::atomic<uint64_t>* addr) {
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
-    return NonTxLoad(addr, StripeFor(addr));
+    return NonTxLoad(addr);
   }
-  return TxLoadAtStripe(tx, addr, StripeFor(addr));
+  if (const WriteEntry* w = FindWrite(tx, addr)) {
+    return w->value;
+  }
+  const uint64_t value = ValidatedRead(tx, addr);
+  AccountReadLine(tx, addr);
+  MaybeInjectedAbort(tx, fault::Site::kLoad);
+  MaybeSpuriousAbort(tx);
+  return value;
 }
 
 void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
@@ -637,26 +636,15 @@ void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
   MaybeSpuriousAbort(tx);
 }
 
-uint64_t TxSubscribe(const std::atomic<uint64_t>* addr) {
-  if (CurrentBackend() == Backend::kSwOcc) {
-    return SwOccSubscribe(addr);
-  }
-  if (CurrentBackend() == Backend::kRtm) {
-    return addr->load(std::memory_order_acquire);
-  }
-  return SimSubscribe(Tls(), addr, StripeFor(addr));
-}
-
-uint64_t TxSubscribeAt(const std::atomic<uint64_t>* addr,
-                       std::atomic<uint64_t>* stripe) {
+uint64_t TxSubscribe(const std::atomic<uint64_t>* word) {
   const Backend backend = CurrentBackend();
   if (backend == Backend::kSwOcc) [[unlikely]] {
-    return SwOccSubscribe(addr);
+    return SwOccSubscribe(word);
   }
   if (backend == Backend::kRtm) [[unlikely]] {
-    return addr->load(std::memory_order_acquire);
+    return word->load(std::memory_order_acquire);
   }
-  return SimSubscribe(Tls(), addr, stripe);
+  return SimSubscribe(Tls(), word);
 }
 
 uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
@@ -692,13 +680,9 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
     return w->value;
   }
 
-  uint64_t value = ValidatedRead(tx, addr, StripeFor(addr));
-  const uintptr_t line = CacheLineOf(addr);
-  if (tx.read_lines.insert(line) &&
-      tx.read_lines.size() > Config().read_capacity_lines) {
-    AbortInternal(tx, AbortCode::kCapacity);
-  }
-  if (tx.write_lines.insert(line) &&
+  uint64_t value = ValidatedRead(tx, addr);
+  AccountReadLine(tx, addr);
+  if (tx.write_lines.insert(CacheLineOf(addr)) &&
       tx.write_lines.size() > Config().write_capacity_lines) {
     AbortInternal(tx, AbortCode::kCapacity);
   }
@@ -711,21 +695,15 @@ uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
 }
 
 void StripeGuardedUpdate(const void* addr, void (*fn)(void*), void* arg) {
-  StripeGuardedUpdateAt(StripeFor(addr), fn, arg);
-}
-
-void StripeGuardedUpdateAt(std::atomic<uint64_t>* stripe, void (*fn)(void*),
-                           void* arg) {
   const Backend backend = CurrentBackend();
   if (backend == Backend::kRtm || backend == Backend::kSwOcc) {
     // Real RTM gets strong atomicity from cache coherence. Under sw-OCC
-    // nothing validates against the stripes — conflicts are carried by the
-    // occ words the gosync transitions maintain — so the guarded update is
-    // just the update.
+    // nothing validates against the stripes, so the guarded update is just
+    // the update.
     fn(arg);
     return;
   }
-  UnderStripeLock(stripe, [&] { fn(arg); });
+  UnderStripeLock(StripeFor(addr), [&] { fn(arg); });
 }
 
 }  // namespace gocc::htm

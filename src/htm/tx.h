@@ -78,25 +78,15 @@ uint64_t TxLoad(const std::atomic<uint64_t>* addr);
 // stripe-guarded so concurrent transactions observe it (strong atomicity).
 void TxStore(std::atomic<uint64_t>* addr, uint64_t value);
 
-// Transactional load specialized for the lock-word subscription that opens
-// every elided critical section: semantically identical to TxLoad, but when
-// this is the first access of an outermost transaction (empty read/write
-// sets — the overwhelmingly common case) it skips the write-set lookup and
-// the dedup/capacity scans, since a first access cannot be a duplicate and
-// one line cannot exceed capacity. Falls back to TxLoad otherwise (nested
-// subscription, RW locks issuing a second read).
-uint64_t TxSubscribe(const std::atomic<uint64_t>* addr);
-
-// TxSubscribe against a caller-supplied version stripe instead of the hashed
-// global stripe table. Tracked mutexes embed a private stripe in the same
-// cache line as their lock word (gosync::Mutex::SubscriptionStripe), so the
-// subscription that opens every elided critical section touches exactly one
-// line and skips the address hash + 4 MiB table probe. The stripe must be
-// the same one the lock's transitions bump via StripeGuardedUpdateAt; like
-// every stripe it counts its own versions. RTM and sw-OCC ignore `stripe`
-// (hardware / occ words carry the conflicts).
-uint64_t TxSubscribeAt(const std::atomic<uint64_t>* addr,
-                       std::atomic<uint64_t>* stripe);
+// Subscribes the open transaction to a lock word and returns the word's
+// value; the caller decides from it whether the lock is available. SimTM
+// records the word itself as a read-set entry checked by value equality:
+// every later read and a writing commit re-check it, so any RMW a lock
+// holder makes on the word aborts the transaction (DESIGN.md §4.2). There
+// is no stripe and no lock-bit test. sw-OCC records it as a subscription,
+// and under RTM it is a plain load into the hardware read set. Outside a
+// transaction this is a plain acquire load.
+uint64_t TxSubscribe(const std::atomic<uint64_t>* word);
 
 // Fused transactional read-modify-write: semantically TxStore(addr,
 // TxLoad(addr) + delta) (2^64 wrapping add in the bit domain), but performs
@@ -119,19 +109,6 @@ template <typename Fn>
 void StripeGuardedUpdate(const void* addr, Fn&& fn) {
   StripeGuardedUpdate(
       addr, [](void* raw) { (*static_cast<Fn*>(raw))(); }, &fn);
-}
-
-// StripeGuardedUpdate against a caller-supplied stripe (the inline-stripe
-// dual of TxSubscribeAt). Subscribers of the guarded word must validate the
-// same stripe, so a lock that adopts an inline stripe must route *all* of
-// its transitions through this variant.
-void StripeGuardedUpdateAt(std::atomic<uint64_t>* stripe, void (*fn)(void*),
-                           void* arg);
-
-template <typename Fn>
-void StripeGuardedUpdateAt(std::atomic<uint64_t>* stripe, Fn&& fn) {
-  StripeGuardedUpdateAt(
-      stripe, [](void* raw) { (*static_cast<Fn*>(raw))(); }, &fn);
 }
 
 }  // namespace gocc::htm

@@ -735,8 +735,9 @@ bool OptiLock::DecideElide() {
         htm::PinThreadBackend(htm::ActiveBackend());
         SetFlag(kFlagBackendPinned);
       }
-      if (htm::CurrentBackend() == htm::Backend::kSwOcc &&
-          !SwOccEligible()) [[unlikely]] {
+      const htm::Backend backend = htm::CurrentBackend();
+      if (backend != htm::Backend::kRtm && !SoftwareEligible(backend))
+          [[unlikely]] {
         // A hash collision can alias an ineligible site onto an elide
         // cell; SubscribeOrAbort's explicit-abort backstop would keep this
         // sound, but degrading here skips the abort detour.
@@ -833,9 +834,11 @@ bool OptiLock::DecideElide() {
     htm::PinThreadBackend(htm::ActiveBackend());
     SetFlag(kFlagBackendPinned);
   }
-  if (htm::CurrentBackend() == htm::Backend::kSwOcc && !SwOccEligible()) {
-    // sw-OCC cannot soundly elide this target (RWMutex write section or
-    // untracked mutex); the lock is the correct degradation.
+  const htm::Backend backend = htm::CurrentBackend();
+  if (backend != htm::Backend::kRtm && !SoftwareEligible(backend)) {
+    // The software backend cannot soundly elide this target (untracked
+    // mutex, or an RWMutex write section under sw-OCC); the lock is the
+    // correct degradation.
     TakeSlowPath();
     return false;
   }
@@ -913,19 +916,23 @@ void OptiLock::ReleaseSetSlow() {
   --t_lock_order_depth;
 }
 
-bool OptiLock::SwOccEligible() const {
+bool OptiLock::SoftwareEligible(htm::Backend backend) const {
   switch (kind_) {
     case Target::kMutex:
       return AsMutex()->elision_tracked();
     case Target::kRWRead:
       return AsRW()->elision_tracked();
     case Target::kRWWrite:
-      // Slow-path readers take no occ-word transition, so they are
-      // invisible to an OCC writer's validation — a write elision could
-      // publish mid-read-section. Forced pessimistic.
-      return false;
+      // Slow-path readers take no version-word transition, so a write
+      // section must validate reader_count_ by value instead. That is sound
+      // under SimTM only: a reader still inside its section at commit
+      // leaves the count nonzero, and one that came and went is serialized
+      // by the data stripes it touched. sw-OCC's depth-0 accesses touch no
+      // stripes, so there a write elision could publish under a reader's
+      // feet: sw-OCC takes the lock.
+      return backend == htm::Backend::kSim && AsRW()->elision_tracked();
     case Target::kMutexSet:
-      // Every member must maintain its occ word; one untracked member
+      // Every member must maintain its version word; one untracked member
       // would leave a hole in the validation set.
       for (int i = 0; i < set_size_; ++i) {
         if (!set_[i]->elision_tracked()) {
@@ -944,53 +951,52 @@ void OptiLock::SubscribeOrAbort() {
     SubscribeSetOrAbort();
     return;
   }
-  if (htm::CurrentBackend() == htm::Backend::kSwOcc) {
-    // sw-OCC subscribes the mutex's versioned occ word instead of the Go
-    // lock word: the gosync transitions bump it on every exclusive
-    // acquisition, so validation catches any pessimistic critical section
-    // (and any other OCC publish) that overlapped this episode.
-    if (!SwOccEligible()) {
+  const htm::Backend backend = htm::CurrentBackend();
+  if (backend != htm::Backend::kRtm) [[likely]] {
+    if (!SoftwareEligible(backend)) [[unlikely]] {
       // Reachable only when a nested critical section subsumed into an
-      // enclosing sw-OCC transaction wants a target the backend cannot
+      // enclosing software transaction wants a target the backend cannot
       // cover. Abort the whole nest; the enclosing episode's retry budget
       // drains and it degrades to the lock, under which this section
       // re-runs pessimistically.
       htm::TxAbort(htm::AbortCode::kExplicit);
     }
-    const std::atomic<uint64_t>* word = kind_ == Target::kMutex
-                                            ? AsMutex()->OccWord()
-                                            : AsRW()->OccWord();
-    const uint64_t occ = htm::TxSubscribe(word);
-    if (htm::OccUnavailable(occ)) {
-      // Exclusive holder mid-section, or a starving writer raised the
-      // pending flag (writers win: new OCC episodes queue behind).
-      htm::TxAbort(htm::AbortCode::kLockHeld);
+    if (kind_ != Target::kRWWrite) [[likely]] {
+      // SimTM and sw-OCC subscribe the versioned lock word: every
+      // exclusive acquisition bumps it, so validation catches any
+      // pessimistic critical section (and any sw-OCC publish) that
+      // overlapped this episode.
+      const uint64_t word = htm::TxSubscribe(
+          kind_ == Target::kMutex ? AsMutex()->OccWord() : AsRW()->OccWord());
+      if (htm::OccUnavailable(word)) [[unlikely]] {
+        // Exclusive holder mid-section, a starving writer raised the
+        // pending flag (writers win: new episodes queue behind), or poison.
+        htm::TxAbort(htm::AbortCode::kLockHeld);
+      }
+      return;
     }
-    return;
   }
+  // RTM reads the Go lock word, as the paper does. A SimTM RWMutex write
+  // section reads reader_count_ too, validated by value (SoftwareEligible).
   switch (kind_) {
     case Target::kMutex: {
-      // Inline-stripe subscription: the lock word and the version stripe
-      // its transitions bump share one cache line, so the opening read of
-      // every elided section skips the global stripe-table hash + probe.
-      uint64_t state = htm::TxSubscribeAt(AsMutex()->StateWord(),
-                                          AsMutex()->SubscriptionStripe());
+      const uint64_t state = htm::TxSubscribe(AsMutex()->StateWord());
       if ((state & gosync::Mutex::kLockedBit) != 0) [[unlikely]] {
         htm::TxAbort(htm::AbortCode::kLockHeld);
       }
       return;
     }
     case Target::kRWRead: {
-      auto readers = static_cast<int64_t>(htm::TxSubscribeAt(
-          AsRW()->ReaderCountWord(), AsRW()->SubscriptionStripe()));
+      auto readers =
+          static_cast<int64_t>(htm::TxSubscribe(AsRW()->ReaderCountWord()));
       if (readers < 0) [[unlikely]] {  // writer pending or active
         htm::TxAbort(htm::AbortCode::kLockHeld);
       }
       return;
     }
     case Target::kRWWrite: {
-      auto readers = static_cast<int64_t>(htm::TxSubscribeAt(
-          AsRW()->ReaderCountWord(), AsRW()->SubscriptionStripe()));
+      auto readers =
+          static_cast<int64_t>(htm::TxSubscribe(AsRW()->ReaderCountWord()));
       if (readers != 0) [[unlikely]] {  // active readers or a writer
         htm::TxAbort(htm::AbortCode::kLockHeld);
       }
@@ -1006,13 +1012,14 @@ void OptiLock::SubscribeOrAbort() {
 void OptiLock::SubscribeSetOrAbort() {
   // One transaction, N subscriptions, in sorted order — the same per-word
   // protocol as the single-lock paths, repeated: any member's slow-path
-  // transition (stripe bump / occ-word acquisition) lands in this
-  // transaction's read set and defeats validation, so mutual exclusion
-  // holds against every member's other critical sections independently.
-  const bool swocc = htm::CurrentBackend() == htm::Backend::kSwOcc;
-  if (swocc && !SwOccEligible()) {
-    // Nested section subsumed into an enclosing sw-OCC transaction wants a
-    // set the backend cannot cover (untracked member). Same recovery as
+  // acquisition lands in this transaction's read set and defeats
+  // validation, so mutual exclusion holds against every member's other
+  // critical sections independently.
+  const htm::Backend backend = htm::CurrentBackend();
+  const bool rtm = backend == htm::Backend::kRtm;
+  if (!rtm && !SoftwareEligible(backend)) {
+    // Nested section subsumed into an enclosing software transaction wants
+    // a set the backend cannot cover (untracked member). Same recovery as
     // the single-lock case: abort the nest, degrade under the lock.
     htm::TxAbort(htm::AbortCode::kExplicit);
   }
@@ -1029,23 +1036,18 @@ void OptiLock::SubscribeSetOrAbort() {
       blamed_member_ = i;
       htm::TxAbort(injected);
     }
-    if (swocc) {
-      const uint64_t occ = htm::TxSubscribe(m->OccWord());
-      if (htm::OccUnavailable(occ)) {
-        blamed_member_ = i;
-        htm::TxAbort(htm::AbortCode::kLockHeld);
-      }
-      set_seen_[i] = occ;
+    bool held = false;
+    if (rtm) {
+      held = (htm::TxSubscribe(m->StateWord()) & gosync::Mutex::kLockedBit) !=
+             0;
+      set_seen_[i] = m->OccWord()->load(std::memory_order_relaxed);
     } else {
-      const uint64_t state =
-          htm::TxSubscribeAt(m->StateWord(), m->SubscriptionStripe());
-      if ((state & gosync::Mutex::kLockedBit) != 0) [[unlikely]] {
-        blamed_member_ = i;
-        htm::TxAbort(htm::AbortCode::kLockHeld);
-      }
-      // Subscription-time stripe value, for commit-time attribution (the
-      // stripe moves iff a slow-path transition touched this member).
-      set_seen_[i] = m->SubscriptionStripe()->load(std::memory_order_relaxed);
+      set_seen_[i] = htm::TxSubscribe(m->OccWord());
+      held = htm::OccUnavailable(set_seen_[i]);
+    }
+    if (held) [[unlikely]] {
+      blamed_member_ = i;
+      htm::TxAbort(htm::AbortCode::kLockHeld);
     }
     set_subscribed_ = i + 1;
   }
@@ -1055,14 +1057,12 @@ int OptiLock::InferBlamedMember() const {
   // Only members this attempt actually subscribed can be compared; an
   // abort before/mid-subscription leaves the tail unseen. First changed
   // member wins — with one conflicting writer (the common case) that is
-  // exact; with several it names the lowest-addressed one.
-  const bool swocc = htm::CurrentBackend() == htm::Backend::kSwOcc;
+  // exact; with several it names the lowest-addressed one. The version word
+  // moves on every exclusive acquisition whatever the backend.
   for (int i = 0; i < set_subscribed_; ++i) {
     gosync::Mutex* m = set_[i];
-    const uint64_t now =
-        swocc ? m->OccWord()->load(std::memory_order_relaxed)
-              : m->SubscriptionStripe()->load(std::memory_order_relaxed);
-    if (now != set_seen_[i] || m->IsLocked()) {
+    if (m->OccWord()->load(std::memory_order_relaxed) != set_seen_[i] ||
+        m->IsLocked()) {
       return i;
     }
   }

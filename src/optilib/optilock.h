@@ -463,14 +463,16 @@ class OptiLock {
   // Jittered bounded-exponential pause-spin between conflict-class retries.
   void BackoffBeforeRetry();
   void TakeSlowPath();
-  // Transactionally reads the elided lock word (adding it to the read set)
-  // and aborts with LockHeld if the lock is unavailable.
+  // Transactionally reads the elided lock's word (adding it to the read
+  // set) and aborts with LockHeld if the lock is unavailable: the versioned
+  // lock word on SimTM and sw-OCC, the Go lock word under RTM and for a
+  // SimTM RWMutex write section (DESIGN.md §4.2).
   void SubscribeOrAbort();
-  // Whether the sw-OCC backend may elide this episode's target: RWMutex
-  // WRITE sections never (slow-path readers do not consult the occ word, so
-  // an OCC writer could publish under their feet), and untracked mutexes
-  // never (nothing maintains their occ word).
-  bool SwOccEligible() const;
+  // Whether software backend `backend` may elide this episode's target:
+  // untracked mutexes never (nothing maintains their version word), and
+  // RWMutex WRITE sections under SimTM only (slow-path readers do not touch
+  // the version word, and only SimTM can validate reader_count_ soundly).
+  bool SoftwareEligible(htm::Backend backend) const;
   bool TargetHeld() const;
   void FinishFastEpisode();
   void FinishSlowEpisode();
@@ -579,8 +581,8 @@ class OptiLock {
   // unchanged. set_ holds the deduplicated members in ascending address
   // order: the subscription order (stable attribution), the slow-path
   // acquisition order (deadlock freedom), and the reverse release order.
-  // set_seen_ holds each member's version word at subscription time (SimTM
-  // stripe value or sw-OCC occ word) for commit-time abort attribution.
+  // set_seen_ holds each member's version word (OccWord) at subscription
+  // time, on every backend, for commit-time abort attribution.
   gosync::Mutex* set_[kMaxLockSet] = {};
   uint64_t set_seen_[kMaxLockSet] = {};
   int set_size_ = 0;

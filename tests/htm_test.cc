@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <csetjmp>
 
 #include "src/htm/config.h"
@@ -292,6 +293,53 @@ TEST_F(HtmTest, FirstReadAfterRemoteWriteCommitsWithNewValue) {
   TxCommit();
   EXPECT_EQ(out.Load(), 5);
   EXPECT_EQ(GlobalTxStats().aborts_conflict.load(), 0u);
+}
+
+// A subscribed lock word is its own read-set entry, checked by value: a
+// holder's plain RMW on it (no stripe involved) aborts the subscriber at its
+// next read...
+TEST_F(HtmTest, SubscribedWordChangeAbortsNextRead) {
+  std::atomic<uint64_t> word{0};
+  Shared<int64_t> b(0);
+  std::jmp_buf env;
+  volatile int state = 0;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    if (state == 0) {
+      EXPECT_EQ(TxSubscribe(&word), 0u);
+      state = 1;
+      word.fetch_add(4);  // a holder bumps the version
+      (void)b.Load();
+      ADD_FAILURE() << "read after the subscribed word changed did not abort";
+    }
+    TxCommit();
+  } else {
+    EXPECT_EQ(status.abort_code, AbortCode::kConflict);
+    EXPECT_EQ(state, 1) << "the abort must come at the read of b";
+    state = 2;
+  }
+  EXPECT_EQ(state, 2);
+}
+
+// ...and fails a writing commit that reads nothing more.
+TEST_F(HtmTest, SubscribedWordChangeAbortsWritingCommit) {
+  std::atomic<uint64_t> word{0};
+  Shared<int64_t> b(0);
+  std::jmp_buf env;
+  volatile int state = 0;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    EXPECT_EQ(TxSubscribe(&word), 0u);
+    b.Store(1);
+    state = 1;
+    word.fetch_add(4);
+    TxCommit();
+    ADD_FAILURE() << "commit validated a changed subscribed word";
+  } else {
+    EXPECT_EQ(status.abort_code, AbortCode::kConflict);
+    EXPECT_EQ(state, 1);
+  }
+  EXPECT_EQ(b.Load(), 0);
 }
 
 TEST_F(HtmTest, SpuriousAbortInjection) {

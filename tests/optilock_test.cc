@@ -346,6 +346,93 @@ TEST_F(OptiLockTest, RWMutexWriteElision) {
   EXPECT_EQ(counter.Load(), kThreads * kIters);
 }
 
+// A pessimistic RLock/RUnlock moves only readerCount, and elided readers
+// subscribe the writer-maintained version word instead, so a slow reader
+// whose whole section falls inside an elided reader's must not abort it.
+TEST_F(OptiLockTest, SlowReaderDoesNotAbortElidedReader) {
+  gosync::RWMutex rw;
+  htm::Shared<int64_t> a(1);
+  htm::Shared<int64_t> b(2);
+  std::atomic<int> phase{0};  // 1: elided reader has read a; 2: slow done
+  std::thread slow_reader([&] {
+    while (phase.load() != 1) {
+      std::this_thread::yield();
+    }
+    rw.RLock();
+    EXPECT_EQ(a.Load(), 1);
+    rw.RUnlock();
+    phase.store(2);
+  });
+  OptiLock ol;
+  int64_t x = 0;
+  int64_t y = 0;
+  ol.WithRLock(&rw, [&] {
+    x = a.Load();
+    if (phase.load() == 0) {
+      phase.store(1);
+      while (phase.load() != 2) {
+        std::this_thread::yield();
+      }
+    }
+    y = b.Load();
+  });
+  slow_reader.join();
+  EXPECT_EQ(x, 1);
+  EXPECT_EQ(y, 2);
+  EXPECT_EQ(GlobalOptiStats().htm_attempts.load(), 1u);
+  EXPECT_EQ(GlobalOptiStats().fast_commits.load(), 1u);
+  EXPECT_EQ(htm::GlobalTxStats().aborts_conflict.load(), 0u);
+}
+
+// Elided RWMutex write sections beside pessimistic readers: slow readers
+// never touch the version word, so a write episode must validate
+// readerCount by value, or it could publish between a reader's two loads.
+TEST_F(OptiLockTest, ElidedWritersInteroperateWithSlowReaders) {
+  gosync::RWMutex rw;
+  htm::Shared<int64_t> a(0);
+  htm::Shared<int64_t> b(0);
+  std::atomic<bool> torn{false};
+  std::atomic<bool> stop{false};
+  constexpr int kIters = 20000;
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        rw.RLock();
+        const int64_t x = a.Load();
+        const int64_t y = b.Load();
+        rw.RUnlock();
+        if (x != y) {
+          torn.store(true);  // writers update a and b in one section
+        }
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&] {
+      OptiLock ol;
+      for (int i = 0; i < kIters; ++i) {
+        ol.WithWLock(&rw, [&] {
+          a.Add(1);
+          b.Add(1);
+        });
+      }
+    });
+  }
+  for (auto& th : writers) {
+    th.join();
+  }
+  stop.store(true);
+  for (auto& th : readers) {
+    th.join();
+  }
+  EXPECT_FALSE(torn.load());
+  EXPECT_EQ(a.Load(), 2 * kIters);
+  EXPECT_EQ(b.Load(), 2 * kIters);
+}
+
 TEST_F(OptiLockTest, SlowPathFlagVisibleInsideCriticalSection) {
   gosync::SetMaxProcs(1);  // force slow path
   gosync::Mutex mu;
