@@ -146,7 +146,7 @@ void ConflictRetryAblation() {
 void ResetRuntime() {
   gocc::htm::MutableConfig() = gocc::htm::TxConfig{};
   gocc::htm::GlobalTxStats().Reset();
-  gocc::optilib::MutableOptiConfig() = gocc::optilib::OptiConfig{};
+  gocc::optilib::PublishOptiConfig(gocc::optilib::OptiConfig{});
   gocc::optilib::GlobalOptiStats().Reset();
   gocc::optilib::GlobalPerceptron().Reset();
   gocc::optilib::ResetHardeningState();
@@ -163,11 +163,12 @@ void BackoffSweep() {
   constexpr int kIters = 10000;
   for (int base : {0, 8, 32, 128, 512}) {
     ResetRuntime();
-    auto& cfg = gocc::optilib::MutableOptiConfig();
+    gocc::optilib::OptiConfig cfg = gocc::optilib::GetOptiConfig();
     cfg.use_perceptron = false;  // keep every episode speculating
     cfg.conflict_retries = 3;
     cfg.backoff_base_pauses = base;
     cfg.backoff_cap_pauses = 4096;
+    gocc::optilib::PublishOptiConfig(cfg);
     gocc::htm::fault::FaultPlan plan;
     plan.seed = 0x41424c41u;  // fixed: every sweep point sees the same storm
     plan.WithRule(gocc::htm::fault::Site::kCommit, 0.5,
@@ -219,10 +220,11 @@ void BreakerSweep() {
   constexpr int kEpisodes = 20000;
   auto run_point = [&](int threshold, uint64_t cooldown) {
     ResetRuntime();
-    auto& cfg = gocc::optilib::MutableOptiConfig();
+    gocc::optilib::OptiConfig cfg = gocc::optilib::GetOptiConfig();
     cfg.use_perceptron = false;  // isolate the breaker layer
     cfg.breaker_threshold = threshold;
     cfg.breaker_cooldown_episodes = cooldown;
+    gocc::optilib::PublishOptiConfig(cfg);
     gocc::htm::fault::FaultPlan plan;
     plan.seed = 0x42524b52u;
     plan.WithRule(gocc::htm::fault::Site::kCommit, 1.0,

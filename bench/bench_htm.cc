@@ -150,7 +150,7 @@ BENCHMARK(BM_CrossoverLock)->Arg(1)->Arg(16)->Arg(128);
 
 void BM_CrossoverElided(benchmark::State& state) {
   gocc::htm::ForceSimBackend();
-  gocc::optilib::MutableOptiConfig() = gocc::optilib::OptiConfig{};
+  gocc::optilib::PublishOptiConfig(gocc::optilib::OptiConfig{});
   gocc::optilib::GlobalPerceptron().Reset();
   int prev = gocc::gosync::SetMaxProcs(4);  // enable HTM attempts
   const int size = static_cast<int>(state.range(0));
@@ -173,7 +173,7 @@ BENCHMARK(BM_CrossoverElided)->Arg(1)->Arg(16)->Arg(128);
 
 void BM_OptiLockFastPathRoundTrip(benchmark::State& state) {
   gocc::htm::ForceSimBackend();
-  gocc::optilib::MutableOptiConfig() = gocc::optilib::OptiConfig{};
+  gocc::optilib::PublishOptiConfig(gocc::optilib::OptiConfig{});
   gocc::optilib::GlobalPerceptron().Reset();
   int prev = gocc::gosync::SetMaxProcs(4);
   gocc::gosync::Mutex mu;

@@ -33,10 +33,9 @@
 //    extreme per-op tail (a batch absorbs one cache miss across 32 ops) but
 //    keep the clock read off the measured path; they answer "how stable is
 //    the fast path", not "what is the worst single op".
-//  * Config is installed via PublishOptiConfig, not the direct mutable ref,
-//    so the bench measures the production steady state: episodes serve
-//    their config snapshot from the epoch-tagged cache instead of
-//    re-copying the published config every episode.
+//  * Config is installed via PublishOptiConfig, the only config path, so
+//    the bench measures the steady state every binary runs: episodes keep
+//    their config snapshot until the decision epoch moves.
 //
 // Flags:
 //   --quick           shorter windows and a reduced sweep (perf-smoke CI)
@@ -197,8 +196,6 @@ void ConfigureRuntime(Mode mode) {
   // measure nothing; §6.2 measures the fast path itself.
   cfg.single_proc_bypass = false;
   cfg.use_perceptron = mode != Mode::kGoccNoPerceptron;
-  // Publish (rather than poke the direct mutable ref) so episodes run the
-  // production path: epoch-cached config snapshot + per-site decision cache.
   optilib::PublishOptiConfig(cfg);
 }
 

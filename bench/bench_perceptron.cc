@@ -78,8 +78,9 @@ void PerceptronOverheadExperiment() {
   constexpr int kEpisodes = 2000;
 
   auto run_episodes = [&](bool use_perceptron) {
-    optilib::MutableOptiConfig() = optilib::OptiConfig{};
-    optilib::MutableOptiConfig().use_perceptron = use_perceptron;
+    optilib::OptiConfig cfg;
+    cfg.use_perceptron = use_perceptron;
+    optilib::PublishOptiConfig(cfg);
     optilib::GlobalPerceptron().Reset();
     optilib::OptiLock opti_lock;
     double start = NowNs();

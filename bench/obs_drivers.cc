@@ -250,10 +250,12 @@ StatusOr<SelfProfileResult> CollectSelfProfile(const std::string& repo_name,
   // Trace this run and nothing else: flip the recorder on, drop any stale
   // events, and restore the caller's config afterwards. MaxProcs must be
   // > 1 or the single-proc bypass turns every episode into a slow acquire.
-  optilib::OptiConfig saved_config = optilib::GetOptiConfig();
+  const optilib::OptiConfig saved_config = optilib::GetOptiConfig();
   const int saved_procs =
       gosync::SetMaxProcs(threads < 2 ? 2 : threads);
-  optilib::MutableOptiConfig().trace_episodes = true;
+  optilib::OptiConfig traced = saved_config;
+  traced.trace_episodes = true;
+  optilib::PublishOptiConfig(traced);
   obs::DiscardTrace();
 
   driver(threads, ops_per_thread);
@@ -264,7 +266,7 @@ StatusOr<SelfProfileResult> CollectSelfProfile(const std::string& repo_name,
   result.profile_text =
       obs::EmitProfileText(result.profile, repo_name + " workload run");
 
-  optilib::MutableOptiConfig() = saved_config;
+  optilib::PublishOptiConfig(saved_config);
   gosync::SetMaxProcs(saved_procs);
   return result;
 }

@@ -320,7 +320,7 @@ SoakReport RunSoak(const SoakOptions& options) {
   support::SetMisusePolicy(support::MisusePolicy::kRecoverAndCount);
   optilib::OptiConfig base;
   base.misuse_policy = support::MisusePolicy::kRecoverAndCount;
-  optilib::MutableOptiConfig() = base;
+  optilib::PublishOptiConfig(base);
 
   const int prev_procs = gosync::SetMaxProcs(options.threads_per_wave);
 
@@ -404,8 +404,8 @@ SoakReport RunSoak(const SoakOptions& options) {
   report.config_publishes = st.config_publishes.load();
   report.rss_end_kb = CurrentRssKb();
 
-  // Leave the process in the canonical quiescent configuration.
-  optilib::MutableOptiConfig() = base;
+  // Leave the process in the run's base configuration.
+  optilib::PublishOptiConfig(base);
   support::SetMisusePolicy(prev_policy);
   gosync::SetMaxProcs(prev_procs);
   return report;

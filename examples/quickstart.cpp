@@ -42,7 +42,9 @@ int main() {
 
   // Turn the episode trace recorder on (equivalent to GOCC_OBS_TRACE=1):
   // every elision episode leaves one event in the recording thread's ring.
-  gocc::optilib::MutableOptiConfig().trace_episodes = true;
+  gocc::optilib::OptiConfig cfg = gocc::optilib::GetOptiConfig();
+  cfg.trace_episodes = true;
+  gocc::optilib::PublishOptiConfig(cfg);
   const uint32_t site = gocc::obs::RegisterSite("Quickstart.Increment");
 
   constexpr int kThreads = 4;

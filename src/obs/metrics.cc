@@ -1,9 +1,11 @@
 #include "src/obs/metrics.h"
 
 #include <atomic>
+#include <cstdint>
 
 #include "src/htm/abort.h"
 #include "src/htm/stats.h"
+#include "src/htm/swocc.h"
 #include "src/obs/recorder.h"
 #include "src/optilib/optilock.h"
 #include "src/support/misuse.h"
@@ -13,6 +15,10 @@ namespace gocc::obs {
 namespace {
 
 double Load(const support::ShardedCounter& counter) {
+  return static_cast<double>(counter.load(std::memory_order_relaxed));
+}
+
+double Load(const std::atomic<uint64_t>& counter) {
   return static_cast<double>(counter.load(std::memory_order_relaxed));
 }
 
@@ -123,6 +129,44 @@ std::vector<Metric> CollectRuntimeMetrics() {
       "Cached verdicts evicted after a refuting episode outcome.",
       Load(opti.site_cache_invalidations)));
 
+  // --- sw-OCC hardening and RTM health (DESIGN.md §4.10) -------------------
+  out.push_back(Counter1(
+      "gocc_opti_occ_fallbacks_total",
+      "Episodes that exhausted the sw-OCC validation-retry budget.",
+      Load(opti.occ_fallbacks)));
+  out.push_back(Counter1(
+      "gocc_opti_rtm_demotions_total",
+      "RTM health re-probes that demoted the global backend to software.",
+      Load(opti.rtm_demotions)));
+
+  // --- multi-lock episodes (DESIGN.md §4.12) -------------------------------
+  out.push_back(Counter1("gocc_opti_multilock_episodes_total",
+                         "WithLocks episodes over two or more distinct locks.",
+                         Load(opti.multilock_episodes)));
+  out.push_back(Counter1(
+      "gocc_opti_multilock_fast_commits_total",
+      "Multi-lock episodes that committed the whole set elided.",
+      Load(opti.multilock_fast_commits)));
+  out.push_back(Counter1(
+      "gocc_opti_multilock_slow_acquires_total",
+      "Multi-lock episodes that ended on the sorted pessimistic path.",
+      Load(opti.multilock_slow_acquires)));
+  out.push_back(Counter1(
+      "gocc_opti_multilock_aborts_unattributed_total",
+      "Multi-lock aborts that no member's version word explains.",
+      Load(opti.multilock_aborts_unattributed)));
+  {
+    Metric m;
+    m.name = "gocc_opti_multilock_abort_member_total";
+    m.help = "Multi-lock aborts blamed on a member, by sorted member index.";
+    m.type = "counter";
+    for (int i = 0; i < optilib::OptiLock::kMaxLockSet; ++i) {
+      m.samples.push_back({StrFormat("member=\"%d\"", i),
+                           Load(opti.multilock_abort_member[i])});
+    }
+    out.push_back(std::move(m));
+  }
+
   // --- lifecycle: unwind & misuse (DESIGN.md §4.9) -------------------------
   out.push_back(Counter1(
       "gocc_opti_unwind_cancels_total",
@@ -167,6 +211,20 @@ std::vector<Metric> CollectRuntimeMetrics() {
     }
     out.push_back(std::move(m));
   }
+
+  // --- sw-OCC version words (DESIGN.md §4.10) ------------------------------
+  const htm::SwOccWordStats& words = htm::GlobalSwOccWordStats();
+  out.push_back(Counter1(
+      "gocc_swocc_writer_waits_total",
+      "Pessimistic acquirers that spun on a word held by an OCC committer.",
+      Load(words.writer_waits)));
+  out.push_back(Counter1(
+      "gocc_swocc_writer_pending_sets_total",
+      "Starved acquirers that raised the writer-pending flag.",
+      Load(words.writer_pending_sets)));
+  out.push_back(Counter1("gocc_swocc_occ_publishes_total",
+                         "Read-write OCC commits published through a word.",
+                         Load(words.occ_publishes)));
 
   // --- episode clock & recorder -------------------------------------------
   out.push_back(Gauge1(

@@ -1,14 +1,13 @@
 // Metrics registry + Prometheus-style text exposition (DESIGN.md §4.8).
 //
 // A snapshot-based exporter: CollectRuntimeMetrics() reads every runtime
-// counter family — OptiStats episode outcomes, the per-AbortCode episode
-// histogram, backoff/breaker/watchdog hardening counters, TxStats substrate
-// begins/commits/aborts, the episode clock, and the trace recorder's own
-// bookkeeping — into a plain metric list, and RenderPrometheus() turns it
-// into the text exposition format (`# HELP` / `# TYPE` / samples) that
-// Prometheus, VictoriaMetrics, and friends scrape. Collection sums the
-// per-thread stat shards (support/sharded.h), so taking a snapshot costs
-// the readers, never the episode fast path.
+// counter family — every OptiStats slot, TxStats substrate
+// begins/commits/aborts, the sw-OCC version-word stats, the episode clock,
+// and the trace recorder's own bookkeeping — into a plain metric list, and
+// RenderPrometheus() turns it into the text exposition format (`# HELP` /
+// `# TYPE` / samples) that Prometheus, VictoriaMetrics, and friends
+// scrape. Collection sums the per-thread stat shards (support/sharded.h),
+// so taking a snapshot costs the readers, never the episode fast path.
 //
 // The metric list is data, not callbacks: embedders that want a /metrics
 // endpoint serve PrometheusSnapshot(); tests assert on the structured form.

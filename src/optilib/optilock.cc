@@ -22,53 +22,67 @@
 namespace gocc::optilib {
 namespace {
 
-// Live configuration, kept in two stores:
-//
-//  * Direct store: a plain OptiConfig behind MutableOptiConfig() /
-//    GetOptiConfig(). The historical test/bench idiom — retained mutable
-//    references, field-at-a-time writes — with its historical quiescence
-//    requirement (no episodes running while it is written).
-//
-//  * Published overlay: the same bytes serialized into a word array of
-//    relaxed atomics under a seqlock, written only by PublishOptiConfig.
-//    Episode snapshots read it with a word-wise retry copy: wait-free in
-//    practice (writers finish in nanoseconds and are externally
-//    serialized), immune to the slot-reuse window a pointer-swung ring has
-//    when a preempted reader sleeps through a full ring of publishes, and
-//    every access is atomic, so the copy is TSan-clean by construction.
-//
-// g_config_published selects the store an episode snapshot reads.
-// PublishOptiConfig flips it on; MutableOptiConfig() flips it back off
-// (reclaiming direct mode is a quiescent act, like the write that follows
-// it). The uncontended fast path pays one predicted branch on the flag —
-// in direct mode it replaces the acquire pointer load the ring needed, so
-// the snapshot is no more expensive than before.
+// Live configuration: one word array of relaxed atomics under a seqlock,
+// written only by PublishOptiConfig. Episode snapshots read it with a
+// word-wise retry copy: wait-free in practice (writers finish in
+// nanoseconds and are externally serialized), immune to the slot-reuse
+// window a pointer-swung ring has when a preempted reader sleeps through a
+// full ring of publishes, and every access is atomic, so the copy is
+// TSan-clean by construction.
 static_assert(std::is_trivially_copyable_v<OptiConfig>,
               "config snapshots are word-wise memcpys");
 constexpr size_t kConfigWords = (sizeof(OptiConfig) + 7) / 8;
-OptiConfig g_direct_config;
-std::atomic<bool> g_config_published{false};
-std::atomic<uint64_t> g_config_seq{0};
-std::atomic<uint64_t> g_config_words[kConfigWords];
 
-// Seqlock-validated copy of the published overlay (Boehm's recipe: acquire
-// seq, relaxed data, acquire fence, seq recheck).
-void LoadPublishedConfig(OptiConfig* out) {
-  uint64_t raw[kConfigWords];
-  while (true) {
-    const uint64_t before = g_config_seq.load(std::memory_order_acquire);
-    if ((before & 1) == 0) {
-      for (size_t i = 0; i < kConfigWords; ++i) {
-        raw[i] = g_config_words[i].load(std::memory_order_relaxed);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (g_config_seq.load(std::memory_order_relaxed) == before) {
-        break;
-      }
+class ConfigStore {
+ public:
+  ConfigStore() { Write(OptiConfig{}); }
+
+  void Write(const OptiConfig& next) {
+    uint64_t raw[kConfigWords];
+    std::memset(raw, 0, sizeof(raw));  // deterministic tail padding
+    std::memcpy(raw, &next, sizeof(OptiConfig));
+    const uint64_t seq = seq_.load(std::memory_order_relaxed);
+    seq_.store(seq + 1, std::memory_order_relaxed);  // odd: in flight
+    std::atomic_thread_fence(std::memory_order_release);
+    for (size_t i = 0; i < kConfigWords; ++i) {
+      words_[i].store(raw[i], std::memory_order_relaxed);
     }
-    gosync::CpuPause();
+    seq_.store(seq + 2, std::memory_order_release);
   }
-  std::memcpy(out, raw, sizeof(OptiConfig));
+
+  // Seqlock-validated copy (Boehm's recipe: acquire seq, relaxed data,
+  // acquire fence, seq recheck).
+  OptiConfig Read() const {
+    uint64_t raw[kConfigWords];
+    while (true) {
+      const uint64_t before = seq_.load(std::memory_order_acquire);
+      if ((before & 1) == 0) {
+        for (size_t i = 0; i < kConfigWords; ++i) {
+          raw[i] = words_[i].load(std::memory_order_relaxed);
+        }
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (seq_.load(std::memory_order_relaxed) == before) {
+          break;
+        }
+      }
+      gosync::CpuPause();
+    }
+    OptiConfig out;
+    std::memcpy(&out, raw, sizeof(OptiConfig));
+    return out;
+  }
+
+ private:
+  std::atomic<uint64_t> seq_{0};
+  std::atomic<uint64_t> words_[kConfigWords] = {};
+};
+
+// Seeded with OptiConfig{} on first use, so the env-derived defaults
+// (GOCC_OBS_TRACE, GOCC_MISUSE_POLICY, ...) resolve when the runtime first
+// needs a config, like any other default-constructed OptiConfig.
+ConfigStore& LiveConfig() {
+  static ConfigStore store;
+  return store;
 }
 
 OptiStats g_stats;
@@ -110,11 +124,11 @@ constinit thread_local uint64_t t_abort_epoch = 0;
 // watchdog cooldowns are denominated in these ticks so they need no
 // wall-clock reads on the fast path.
 //
-// Ticks are claimed in thread-local batches of `episode_clock_batch`: the
+// Ticks are claimed in thread-local batches of kEpisodeClockBatch: the
 // shared fetch_add runs once per batch instead of once per episode, so the
 // clock's cache line is written O(episodes / batch) times. A thread's
 // in-hand ticks lag the frontier by < threads * batch — see the skew
-// analysis on OptiConfig::episode_clock_batch.
+// analysis on kEpisodeClockBatch.
 std::atomic<uint64_t> g_episode_clock{0};
 
 // Bumped by ResetHardeningState to invalidate every thread's cached tick
@@ -127,13 +141,13 @@ struct ClockCache {
   uint64_t epoch = 0;
 };
 
-uint64_t NextEpisodeTick(int batch) {
+uint64_t NextEpisodeTick() {
   thread_local ClockCache cache;
   const uint64_t epoch = g_clock_epoch.load(std::memory_order_relaxed);
   if (cache.next >= cache.end || cache.epoch != epoch) {
-    const uint64_t n = batch < 1 ? 1 : static_cast<uint64_t>(batch);
-    cache.next = g_episode_clock.fetch_add(n, std::memory_order_relaxed);
-    cache.end = cache.next + n;
+    cache.next = g_episode_clock.fetch_add(kEpisodeClockBatch,
+                                           std::memory_order_relaxed);
+    cache.end = cache.next + kEpisodeClockBatch;
     cache.epoch = epoch;
   }
   return ++cache.next;  // ticks are 1-based, matching the unbatched clock
@@ -154,9 +168,10 @@ inline void Bump(int slot, uint64_t delta = 1) {
 
 // Deterministic per-thread jitter stream for backoff.
 SplitMix64& BackoffRng() {
+  constexpr uint64_t kBackoffSeed = 0x6f707469'6c6f636bULL;
   static std::atomic<uint64_t> thread_counter{0};
   thread_local SplitMix64 rng(
-      GetOptiConfig().backoff_seed ^
+      kBackoffSeed ^
       SplitMix64(thread_counter.fetch_add(1, std::memory_order_relaxed) + 1)
           .Next());
   return rng;
@@ -168,13 +183,6 @@ bool OptiConfig::DefaultTraceEpisodes() {
   // Resolved once per process: GOCC_OBS_TRACE turns tracing on for every
   // config default-constructed afterwards (including the global).
   static const bool kDefault = support::EnvBool("GOCC_OBS_TRACE", false);
-  return kDefault;
-}
-
-bool OptiConfig::DefaultSiteCache() {
-  // Resolved once per process; default on — the cached paths preserve every
-  // counter and training semantic of the uncached decision sequence.
-  static const bool kDefault = support::EnvBool("GOCC_SITE_CACHE", true);
   return kDefault;
 }
 
@@ -199,40 +207,14 @@ int OptiConfig::DefaultMultilockSpeculateMax() {
   return kDefault;
 }
 
-OptiConfig& MutableOptiConfig() {
-  // Reclaim direct mode: the caller is about to write the direct store,
-  // which requires episode quiescence anyway, so no snapshot can be
-  // mid-read in either store when the flag flips. The epoch bump retires
-  // every cached per-site verdict and cached config snapshot minted under
-  // the outgoing configuration.
-  g_config_published.store(false, std::memory_order_release);
-  g_site_cache.BumpEpoch();
-  return g_direct_config;
-}
-const OptiConfig& GetOptiConfig() {
-  // Cold-path readers (save/restore harnesses, per-thread seed derivation)
-  // read the direct store; a concurrently *published* overlay is visible
-  // only to episode snapshots. The one internal consumer this skew can
-  // touch is the backoff-jitter seed, where staleness is harmless.
-  return g_direct_config;
-}
+OptiConfig GetOptiConfig() { return LiveConfig().Read(); }
 
 void PublishOptiConfig(const OptiConfig& next) {
-  uint64_t raw[kConfigWords];
-  std::memset(raw, 0, sizeof(raw));  // deterministic tail padding
-  std::memcpy(raw, &next, sizeof(OptiConfig));
-  const uint64_t seq = g_config_seq.load(std::memory_order_relaxed);
-  g_config_seq.store(seq + 1, std::memory_order_relaxed);  // odd: in flight
-  std::atomic_thread_fence(std::memory_order_release);
-  for (size_t i = 0; i < kConfigWords; ++i) {
-    g_config_words[i].store(raw[i], std::memory_order_relaxed);
-  }
-  g_config_seq.store(seq + 2, std::memory_order_release);
-  g_config_published.store(true, std::memory_order_release);
-  // Ordered after the publish (release bump / acquire epoch read): an
-  // episode that starts under the new epoch re-snapshots and sees the new
-  // config; one that raced and kept the old epoch keeps the old verdicts
-  // with the old config — coherent either way.
+  LiveConfig().Write(next);
+  // Ordered after the write (release bump / acquire epoch read): an episode
+  // that starts under the new epoch re-snapshots and sees the new config;
+  // one that raced and kept the old epoch keeps the old verdicts with the
+  // old config — coherent either way.
   g_site_cache.BumpEpoch();
 }
 
@@ -438,27 +420,17 @@ void OptiLock::PrepareCommon() {
       AbandonEpisode();
     }
   }
-  // Decision epoch for this episode: keys the site-cache consult and, in
-  // published mode, the config-snapshot cache below. The acquire read pairs
-  // with the release bump at the end of PublishOptiConfig, so observing a
-  // new epoch implies the new config words are visible.
-  cache_epoch_ = g_site_cache.Epoch();
-  // One snapshot per episode; the episode never re-reads the global. In
-  // direct mode this is a plain copy under the quiescence contract — and it
-  // is re-copied every episode, because the test/bench idiom holds the
-  // mutable reference and edits fields without another MutableOptiConfig()
-  // call. Once a config has been published it is a seqlock-validated atomic
-  // copy, elided while the decision epoch is unchanged (every publish bumps
-  // it), so a concurrent PublishOptiConfig yields a clean old-or-new
-  // snapshot, never a torn mix — and the steady state pays one compare.
-  if (g_config_published.load(std::memory_order_acquire)) {
-    if (cfg_epoch_ != cache_epoch_) {
-      LoadPublishedConfig(&cfg_);
-      cfg_epoch_ = cache_epoch_;
-    }
-  } else {
-    cfg_ = g_direct_config;
-    cfg_epoch_ = 0;
+  // Decision epoch for this episode: keys the site-cache consult and the
+  // config snapshot. The acquire read pairs with the release bump at the end
+  // of PublishOptiConfig, so observing a new epoch implies the new config
+  // words are visible. Every publish bumps the epoch, so the seqlock copy
+  // runs only when it has moved (a concurrent PublishOptiConfig yields a
+  // clean old-or-new snapshot, never a torn mix) and the steady state pays
+  // one compare.
+  const uint64_t epoch = g_site_cache.Epoch();
+  if (epoch != cache_epoch_) [[unlikely]] {
+    cfg_ = LiveConfig().Read();
+    cache_epoch_ = epoch;
   }
   owner_ = ThreadAnchor();
   flags_ &= kFlagBackendPinned;  // a pin outlives the whole flattened nest
@@ -720,34 +692,21 @@ bool OptiLock::DecideElide() {
   // admission checks must run every episode — the steady-state decision is
   // one epoch-tagged load. Both cached paths reproduce the uncached
   // counter and training semantics exactly: a cached lock verdict keeps
-  // feeding the slow-streak decay, a cached elide verdict still attempts,
+  // feeding the slow-streak decay, a cached elide verdict skips only the
+  // perceptron consult and still pins, checks eligibility, attempts,
   // subscribes, and validates a real transaction (and its commit still
   // rewards the perceptron), so the cache can cost at most one wasted
   // attempt, never soundness.
-  if (cfg_.site_cache && !hardening) [[likely]] {
+  bool cached_elide = false;
+  if (!hardening) [[likely]] {
     const SiteCache::Decision d =
         g_site_cache.Lookup(indices_.mutex_cell, cache_epoch_);
     if (d.verdict == SiteCache::kElide &&
         d.backend == static_cast<uint32_t>(htm::ActiveBackend()))
         [[likely]] {
       Bump(OptiStats::kSiteCacheHits);
-      if (!htm::ThreadBackendPinned()) {
-        htm::PinThreadBackend(htm::ActiveBackend());
-        SetFlag(kFlagBackendPinned);
-      }
-      const htm::Backend backend = htm::CurrentBackend();
-      if (backend != htm::Backend::kRtm && !SoftwareEligible(backend))
-          [[unlikely]] {
-        // A hash collision can alias an ineligible site onto an elide
-        // cell; SubscribeOrAbort's explicit-abort backstop would keep this
-        // sound, but degrading here skips the abort detour.
-        TakeSlowPath();
-        return false;
-      }
-      SetFlag(kFlagPredictedHtm | kFlagSiteCacheHit);
-      return true;
-    }
-    if (d.verdict == SiteCache::kLock) {
+      cached_elide = true;
+    } else if (d.verdict == SiteCache::kLock) {
       // Cached pessimistic verdict: skip the dot-product but keep the
       // slow-decision cadence — the streak decay is the path by which a
       // site whose contention went away earns back its elision.
@@ -765,7 +724,7 @@ bool OptiLock::DecideElide() {
   }
 
   if (hardening) [[unlikely]] {
-    episode_now_ = NextEpisodeTick(cfg_.episode_clock_batch);
+    episode_now_ = NextEpisodeTick();
     // Episode watchdog: during a declared abort storm every decision
     // goes straight to the lock. Episodes already past this point (in a
     // transaction or on the slow path) are untouched, so hot-degrading
@@ -777,12 +736,14 @@ bool OptiLock::DecideElide() {
       return false;
     }
   }
-  if (cfg_.use_perceptron) {
+  // A cached elide verdict stands in for the perceptron; the watchdog above
+  // and the breaker below never see one (the cache is off while hardening).
+  if (cfg_.use_perceptron && !cached_elide) {
     if (!g_perceptron.Predict(indices_)) {
       Bump(OptiStats::kPerceptronSlowDecisions);
       if (g_perceptron.NoteSlowDecision(indices_)) {
         Bump(OptiStats::kPerceptronResets);
-      } else if (cfg_.site_cache && !hardening) {
+      } else if (!hardening) {
         // Memoize the pessimistic verdict — but not when the decay just
         // reset the cell's weights, so the next episode re-probes elision
         // exactly like the uncached flow.
@@ -835,14 +796,17 @@ bool OptiLock::DecideElide() {
     SetFlag(kFlagBackendPinned);
   }
   const htm::Backend backend = htm::CurrentBackend();
-  if (backend != htm::Backend::kRtm && !SoftwareEligible(backend)) {
+  if (backend != htm::Backend::kRtm && !SoftwareEligible(backend))
+      [[unlikely]] {
     // The software backend cannot soundly elide this target (untracked
-    // mutex, or an RWMutex write section under sw-OCC); the lock is the
-    // correct degradation.
+    // mutex, or an RWMutex write section under sw-OCC; on a cached elide,
+    // a hash collision aliasing an ineligible site onto an elide cell);
+    // the lock is the correct degradation.
     TakeSlowPath();
     return false;
   }
-  SetFlag(kFlagPredictedHtm);
+  SetFlag(cached_elide ? kFlagPredictedHtm | kFlagSiteCacheHit
+                       : kFlagPredictedHtm);
   return true;
 }
 
@@ -1140,7 +1104,7 @@ void OptiLock::FinishFastEpisode() {
             g_storm_streak.load(std::memory_order_relaxed) != 0) {
           g_storm_streak.store(0, std::memory_order_relaxed);
         }
-      } else if (cfg_.site_cache && !HasFlag(kFlagSiteCacheHit)) {
+      } else if (!HasFlag(kFlagSiteCacheHit)) {
         // A committed speculation is the proof an elide verdict wants:
         // memoize it for this site under the episode's epoch. Hits never
         // re-install (the cell already says exactly this), so the steady
@@ -1165,13 +1129,11 @@ void OptiLock::FinishSlowEpisode() {
       // (Listing 19: "if htm fails, decrease perceptron weights").
       g_perceptron.PenalizeHtm(indices_);
     }
-    if (cfg_.site_cache) {
-      // The elide verdict (cached or fresh) failed: evict the cell so the
-      // next episode re-derives its decision against the newly-penalized
-      // weights instead of replaying a prediction the world just refuted.
-      if (g_site_cache.Invalidate(indices_.mutex_cell)) {
-        Bump(OptiStats::kSiteCacheInvalidations);
-      }
+    // The elide verdict (cached or fresh) failed: evict the cell so the
+    // next episode re-derives its decision against the newly-penalized
+    // weights instead of replaying a prediction the world just refuted.
+    if (g_site_cache.Invalidate(indices_.mutex_cell)) {
+      Bump(OptiStats::kSiteCacheInvalidations);
     }
   }
   if (HasFlag(kFlagPredictedHtm) && HasFlag(kFlagExhausted)) {

@@ -56,17 +56,6 @@ struct OptiConfig {
   bool use_perceptron = true;
   // Skip HTM entirely when GOMAXPROCS==1 (§5.4.2).
   bool single_proc_bypass = true;
-  // Per-site inline decision cache (site_cache.h, DESIGN.md §4.11): while
-  // the breaker and watchdog are off, a committed elide decision is
-  // memoized per call-site cell and the next episode's decision is one
-  // epoch-tagged load instead of the perceptron dot-product. Any config
-  // publish/reclaim, watchdog trip, or RTM demotion bumps the decision
-  // epoch, invalidating every cell in O(1). Perceptron training and every
-  // existing counter keep their exact uncached semantics (cached-lock
-  // verdicts still feed the slow-streak decay; commits still reward).
-  // GOCC_SITE_CACHE overrides the default (on).
-  bool site_cache = DefaultSiteCache();
-  static bool DefaultSiteCache();
   // Retries after a LockHeld abort (Listing 19's MAX_ATTEMPTS).
   int max_attempts = 3;
   // Extra retries after conflict/capacity/spurious aborts (paper: 0 — any
@@ -103,8 +92,6 @@ struct OptiConfig {
   // backoff_base_pauses up to backoff_cap_pauses. 0 disables the wait.
   int backoff_base_pauses = 16;
   int backoff_cap_pauses = 2048;
-  // Seed for the per-thread jitter streams (deterministic per thread).
-  uint64_t backoff_seed = 0x6f707469'6c6f636bULL;
 
   // Per-(mutex, call-site) circuit breaker (see breaker.h): `threshold`
   // consecutive exhausted-budget fallbacks quarantine the pair's elision for
@@ -139,16 +126,6 @@ struct OptiConfig {
   bool trace_episodes = DefaultTraceEpisodes();
   static bool DefaultTraceEpisodes();
 
-  // Episode-clock ticks a thread claims per refill (see NextEpisodeTick in
-  // optilock.cc). 1 reproduces the unbatched global fetch_add exactly;
-  // larger values amortize the shared RMW over `batch` episodes at the cost
-  // of bounded cross-thread tick skew: a thread's current tick lags the
-  // clock's frontier by at most `threads * batch` ticks. Breaker/watchdog
-  // cooldowns tolerate that skew (a stale trip tick can only *shorten* an
-  // observed quarantine by the skew bound, never extend it or un-quarantine
-  // a cell before `cooldown - threads*batch` episodes have passed).
-  int episode_clock_batch = 64;
-
   // Episode snapshot of the lock-API misuse policy (support/misuse.h):
   // governs recovery for misuse detected *inside* episodes (double
   // FastLock, unpaired/cross-thread unlocks, wrong-mode slow unlocks).
@@ -158,12 +135,14 @@ struct OptiConfig {
   support::MisusePolicy misuse_policy = support::DefaultMisusePolicy();
 };
 
-// The live configuration. Direct writes through MutableOptiConfig() are the
-// test/bench idiom and require episode quiescence (a concurrent episode
-// snapshot would race the non-atomic fields); use PublishOptiConfig to
-// change configuration while episodes are running.
-OptiConfig& MutableOptiConfig();
-const OptiConfig& GetOptiConfig();
+// The live configuration, by value: OptiConfig{} until the first
+// PublishOptiConfig, then the last published config. To change one knob,
+// read, edit and publish:
+//
+//   OptiConfig cfg = GetOptiConfig();
+//   cfg.use_perceptron = false;
+//   PublishOptiConfig(cfg);
+OptiConfig GetOptiConfig();
 
 // Atomically publishes `next` as the configuration for every episode that
 // *starts* after the call (in-flight episodes keep the snapshot they took).
@@ -173,8 +152,7 @@ const OptiConfig& GetOptiConfig();
 // the old or the new config, never a torn mix — with no reader-lifetime
 // hazard (a reader preempted mid-copy simply retries; there is no slot that
 // can be reused out from under it). Publishers must be externally
-// serialized. A later MutableOptiConfig() call reclaims the direct store:
-// the next quiescent write wins over anything previously published.
+// serialized.
 void PublishOptiConfig(const OptiConfig& next);
 
 // Runtime counters, sharded per thread (support/sharded.h): an episode's
@@ -320,15 +298,21 @@ void ResetHardeningState();
 using BreakerTripListener = void (*)(const void* mutex, uint64_t episode_now);
 void SetBreakerTripListener(BreakerTripListener listener);
 
+// Episode-clock ticks a thread claims per refill: a thread's current tick
+// lags the clock's frontier by at most `threads * kEpisodeClockBatch`.
+// Breaker/watchdog cooldowns tolerate that skew (a stale trip tick can only
+// *shorten* an observed quarantine, never below `cooldown - threads *
+// batch` episodes).
+inline constexpr int kEpisodeClockBatch = 64;
+
 // Frontier of the process-wide episode clock: the next unclaimed tick
-// (test/bench observability; threads may hold claimed-but-unused ticks
-// below it, bounded by threads * episode_clock_batch).
+// (test/bench observability).
 uint64_t EpisodeClockFrontier();
 
 // O(1) invalidation of every per-site cached decision (epoch bump). Called
-// internally by PublishOptiConfig, MutableOptiConfig, watchdog trips, RTM
-// demotions, and ResetHardeningState; exposed for tests and for external
-// reconfiguration that bypasses those paths.
+// internally by PublishOptiConfig, watchdog trips, RTM demotions, and
+// ResetHardeningState; exposed for tests. Every bump also makes each
+// OptiLock re-copy its config snapshot at its next episode.
 void InvalidateSiteDecisionCaches();
 
 // The current decision epoch (monotone, starts at 1; test observability).
@@ -596,21 +580,16 @@ class OptiLock {
   // Previous lock-order watermark, restored when the slow-path set
   // releases (the watermark is a thread-local; nesting restores outward).
   uintptr_t saved_watermark_ = 0;
-  // Decision epoch observed at episode start: keys this episode's site-
-  // cache lookups and installs (a concurrent bump makes both dead, never
-  // wrong).
+  // Decision epoch observed at episode start (0 = no episode yet; epochs
+  // start at 1): keys this episode's site-cache lookups and installs (a
+  // concurrent bump makes both dead, never wrong) and tags cfg_ below.
   uint64_t cache_epoch_ = 0;
-  // Epoch the cfg_ snapshot below was copied under, published mode only
-  // (0 = direct-mode snapshot, never reusable: the caller may hold the
-  // mutable reference and edit fields between episodes).
-  uint64_t cfg_epoch_ = 0;
-  // Config snapshot taken once in PrepareCommon: the episode's decisions
-  // all read this copy, so a concurrent config edit can never be observed
-  // half-applied within one episode (and the hot path re-reads no globals).
-  // In published mode the copy is skipped while the decision epoch is
-  // unchanged — the OptiLock objects real workloads use are long-lived
-  // (thread_local per site), so the ~9-word seqlock copy amortizes to one
-  // epoch compare per episode.
+  // Config snapshot, re-copied in PrepareCommon only when the decision
+  // epoch has moved: the episode's decisions all read this copy, so a
+  // concurrent publish can never be observed half-applied within one
+  // episode (and the hot path re-reads no globals). The OptiLock objects
+  // real workloads use are long-lived (thread_local per site), so the copy
+  // amortizes to one epoch compare per episode.
   OptiConfig cfg_;
 };
 

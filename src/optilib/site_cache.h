@@ -8,11 +8,12 @@
 //
 // Coherence is by global epoch, not per-cell invalidation protocols: every
 // cell word carries the decision epoch it was minted under, and any event
-// that could change a verdict — PublishOptiConfig, MutableOptiConfig
-// reclaiming direct mode, a watchdog trip, an RTM demotion, test resets —
-// bumps the epoch, invalidating all 4096 cells in O(1). Stale cells can
-// never match again (the epoch is monotone and never reused; epoch 0 is a
-// permanent never-valid sentinel).
+// that could change a verdict — PublishOptiConfig, a watchdog trip, an RTM
+// demotion, ResetHardeningState, InvalidateSiteDecisionCaches — bumps the
+// epoch, invalidating all 4096 cells in O(1). Stale cells can never match
+// again (the epoch is monotone and never reused; epoch 0 is a permanent
+// never-valid sentinel). The same epoch keys each OptiLock's config
+// snapshot, so a bump also makes every episode re-read the live config.
 //
 // The cache is strictly a performance hint, never a soundness carrier:
 //  * An elide verdict only short-circuits the *decision*; the episode still

@@ -44,7 +44,7 @@ class AbortStormTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    MutableOptiConfig() = OptiConfig{};
+    PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
     GlobalPerceptron().Reset();
     ResetHardeningState();
@@ -66,11 +66,12 @@ class AbortStormTest : public ::testing::Test {
 };
 
 TEST_F(AbortStormTest, BackoffEngagesBetweenConflictRetries) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
   cfg.conflict_retries = 3;
   cfg.backoff_base_pauses = 8;
   cfg.backoff_cap_pauses = 64;
+  PublishOptiConfig(cfg);
 
   FaultPlan plan;
   plan.seed = seed_;
@@ -95,10 +96,11 @@ TEST_F(AbortStormTest, BackoffEngagesBetweenConflictRetries) {
 }
 
 TEST_F(AbortStormTest, BackoffDisabledWaitsZero) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
   cfg.conflict_retries = 3;
   cfg.backoff_base_pauses = 0;  // retry immediately
+  PublishOptiConfig(cfg);
 
   FaultPlan plan;
   plan.seed = seed_;
@@ -119,10 +121,11 @@ TEST_F(AbortStormTest, BackoffDisabledWaitsZero) {
 // pair trips its breaker; other pairs keep committing on the fast path; the
 // quarantined pair re-probes after the cooldown and recovers.
 TEST_F(AbortStormTest, BreakerQuarantinesOnePairAndReprobes) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;  // isolate the breaker layer
   cfg.breaker_threshold = 4;
   cfg.breaker_cooldown_episodes = 16;
+  PublishOptiConfig(cfg);
 
   gosync::Mutex mu_victim;
   OptiLock ol_victim;
@@ -191,10 +194,11 @@ TEST_F(AbortStormTest, BreakerQuarantinesOnePairAndReprobes) {
 }
 
 TEST_F(AbortStormTest, FailedReprobeReopensBreaker) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
   cfg.breaker_threshold = 2;
   cfg.breaker_cooldown_episodes = 5;
+  PublishOptiConfig(cfg);
 
   FaultPlan plan;
   plan.seed = seed_;
@@ -221,10 +225,11 @@ TEST_F(AbortStormTest, FailedReprobeReopensBreaker) {
 }
 
 TEST_F(AbortStormTest, WatchdogHotDegradesAndRecovers) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
   cfg.watchdog_threshold = 8;
   cfg.watchdog_cooldown_episodes = 50;
+  PublishOptiConfig(cfg);
 
   // RTM dies mid-run: every begin refuses from now on.
   FaultPlan plan;
@@ -263,11 +268,12 @@ TEST_F(AbortStormTest, WatchdogHotDegradesAndRecovers) {
 // must not deadlock in-flight episodes or lose any increments, and the
 // breaker+watchdog must bound speculation while it lasts.
 TEST_F(AbortStormTest, MidRunStormKeepsFullThroughputCorrect) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.breaker_threshold = 4;
   cfg.breaker_cooldown_episodes = 64;
   cfg.watchdog_threshold = 16;
   cfg.watchdog_cooldown_episodes = 256;
+  PublishOptiConfig(cfg);
 
   constexpr int kThreads = 4;
   constexpr int kItersPerPhase = 2000;

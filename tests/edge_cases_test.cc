@@ -25,7 +25,7 @@ class EdgeCaseTest : public ::testing::Test {
     htm::ForceSimBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    optilib::MutableOptiConfig() = optilib::OptiConfig{};
+    optilib::PublishOptiConfig(optilib::OptiConfig{});
     optilib::GlobalOptiStats().Reset();
     optilib::GlobalPerceptron().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);
@@ -204,8 +204,10 @@ TEST_F(EdgeCaseTest, PerceptronDecayRecoversAfterPhaseChange) {
 }
 
 TEST_F(EdgeCaseTest, ConflictRetryConfigRetriesBeforeFallback) {
-  optilib::MutableOptiConfig().conflict_retries = 5;
-  optilib::MutableOptiConfig().use_perceptron = false;  // isolate the retry knob
+  optilib::OptiConfig cfg = optilib::GetOptiConfig();
+  cfg.conflict_retries = 5;
+  cfg.use_perceptron = false;  // isolate the retry knob
+  optilib::PublishOptiConfig(cfg);
   htm::MutableConfig().spurious_abort_probability = 0.9;
   gosync::Mutex mu;
   htm::Shared<int64_t> value(0);

@@ -59,7 +59,7 @@ class FastPathStatsTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    MutableOptiConfig() = OptiConfig{};
+    PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
     GlobalPerceptron().Reset();
     ResetHardeningState();
@@ -151,10 +151,11 @@ TEST_F(FastPathStatsTest, ConservationUnderChaosInjection) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 1500;
 
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.conflict_retries = 2;
   cfg.backoff_base_pauses = 4;
   cfg.backoff_cap_pauses = 32;
+  PublishOptiConfig(cfg);
 
   FaultPlan plan;
   plan.seed = seed_;
@@ -224,8 +225,9 @@ TEST_F(FastPathStatsTest, ConservationWithNestedEpisodes) {
 // --- 2. Reset hygiene -------------------------------------------------------
 
 TEST_F(FastPathStatsTest, ResetClearsAllShardsAndClockResidue) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.breaker_threshold = 4;  // enable hardening so the clock ticks
+  PublishOptiConfig(cfg);
   gosync::Mutex mu;
   htm::Shared<uint64_t> value{0};
 
@@ -267,9 +269,10 @@ TEST_F(FastPathStatsTest, BackToBackRunsStartIdentical) {
   // The same single-threaded workload, run twice with a full reset between,
   // must produce byte-identical counters — any stale shard slot or cached
   // tick batch from run 1 would skew run 2.
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.breaker_threshold = 4;
   cfg.watchdog_threshold = 8;
+  PublishOptiConfig(cfg);
 
   gosync::Mutex mu;
   htm::Shared<uint64_t> value{0};
@@ -317,15 +320,15 @@ void TripBreakerOnce(OptiLock& ol, gosync::Mutex& mu, uint64_t seed) {
 
 TEST_F(FastPathStatsTest, BreakerCooldownNeverEndsEarlyUnderBatchedClock) {
   constexpr uint64_t kCooldown = 400;
-  constexpr int kBatch = 64;
+  constexpr int kBatch = kEpisodeClockBatch;
   constexpr int kThreads = 2;  // main + one frontier-advancing helper
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
   cfg.max_attempts = 1;
   cfg.conflict_retries = 0;
   cfg.breaker_threshold = 1;
   cfg.breaker_cooldown_episodes = kCooldown;
-  cfg.episode_clock_batch = kBatch;
+  PublishOptiConfig(cfg);
 
   gosync::Mutex mu;
   OptiLock ol;  // breaker cells key on (mutex, call site); keep both fixed
@@ -377,15 +380,15 @@ TEST_F(FastPathStatsTest, BreakerCooldownNeverEndsEarlyUnderBatchedClock) {
 
 TEST_F(FastPathStatsTest, WatchdogCooldownNeverEndsEarlyUnderBatchedClock) {
   constexpr uint64_t kCooldown = 400;
-  constexpr int kBatch = 64;
+  constexpr int kBatch = kEpisodeClockBatch;
   constexpr int kThreads = 2;
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
   cfg.max_attempts = 1;
   cfg.conflict_retries = 0;
   cfg.watchdog_threshold = 2;
   cfg.watchdog_cooldown_episodes = kCooldown;
-  cfg.episode_clock_batch = kBatch;
+  PublishOptiConfig(cfg);
 
   gosync::Mutex mu;
   OptiLock ol;
@@ -434,19 +437,19 @@ TEST_F(FastPathStatsTest, WatchdogCooldownNeverEndsEarlyUnderBatchedClock) {
             0u);
 }
 
-// Single-thread tick streams are exact: with any batch size, N hardening
-// episodes consume ticks 1..N and the frontier advances in whole batches.
+// Single-thread tick streams are exact: N hardening episodes consume ticks
+// 1..N and the frontier advances in whole batches.
 TEST_F(FastPathStatsTest, FrontierAdvancesInWholeBatches) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.breaker_threshold = 4;  // enable the clock
-  cfg.episode_clock_batch = 32;
+  PublishOptiConfig(cfg);
   gosync::Mutex mu;
   OptiLock ol;
   for (int i = 0; i < 100; ++i) {
     ol.WithLock(&mu, [] {});
   }
-  // 100 episodes with batch 32 → 4 refills claimed (ceil(100/32) = 4).
-  EXPECT_EQ(EpisodeClockFrontier(), 4u * 32u);
+  // 100 episodes with batch 64 → 2 refills claimed (ceil(100/64) = 2).
+  EXPECT_EQ(EpisodeClockFrontier(), 2u * kEpisodeClockBatch);
 }
 
 }  // namespace

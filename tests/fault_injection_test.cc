@@ -46,7 +46,7 @@ class FaultInjectionTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    MutableOptiConfig() = OptiConfig{};
+    PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
     GlobalPerceptron().Reset();
     ResetHardeningState();
@@ -90,7 +90,9 @@ TEST_F(FaultInjectionTest, ScheduledCommitAbortsAreExact) {
 
   gosync::Mutex mu;
   htm::Shared<int64_t> value(0);
-  MutableOptiConfig().use_perceptron = false;  // keep the schedule exact
+  OptiConfig cfg = GetOptiConfig();
+  cfg.use_perceptron = false;  // keep the schedule exact
+  PublishOptiConfig(cfg);
   OptiLock ol;
   for (int i = 0; i < 50; ++i) {
     ol.WithLock(&mu, [&] { value.Add(1); });
@@ -112,7 +114,9 @@ TEST_F(FaultInjectionTest, ScheduleSkipThenAbortComposes) {
 
   gosync::Mutex mu;
   htm::Shared<int64_t> value(0);
-  MutableOptiConfig().use_perceptron = false;  // keep the schedule exact
+  OptiConfig cfg = GetOptiConfig();
+  cfg.use_perceptron = false;  // keep the schedule exact
+  PublishOptiConfig(cfg);
   OptiLock ol;
   for (int i = 0; i < 10; ++i) {
     ol.WithLock(&mu, [&] { value.Add(1); });
@@ -133,7 +137,9 @@ TEST_F(FaultInjectionTest, BeginInjectionModelsRtmRefusal) {
 
   gosync::Mutex mu;
   htm::Shared<int64_t> value(0);
-  MutableOptiConfig().use_perceptron = false;  // keep probing, keep failing
+  OptiConfig cfg = GetOptiConfig();
+  cfg.use_perceptron = false;  // keep probing, keep failing
+  PublishOptiConfig(cfg);
   OptiLock ol;
   for (int i = 0; i < 100; ++i) {
     ol.WithLock(&mu, [&] { value.Add(1); });
@@ -148,7 +154,9 @@ TEST_F(FaultInjectionTest, SameSeedReplaysIdenticalInjections) {
   gosync::Mutex mu;
   htm::Shared<int64_t> value(0);
   // Disable learning so both runs drive the identical operation sequence.
-  MutableOptiConfig().use_perceptron = false;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.use_perceptron = false;
+  PublishOptiConfig(cfg);
   auto run = [&]() -> uint64_t {
     FaultPlan plan;
     plan.seed = seed_;
@@ -378,7 +386,9 @@ TEST_F(RWMismatchTest, FastRUnlockWrongMutexRecovers) {
   // Keep speculating even after repeated fallbacks so every episode opens a
   // transaction (the perceptron would otherwise route straight to the lock
   // and the mismatch would never be observed transactionally).
-  MutableOptiConfig().use_perceptron = false;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.use_perceptron = false;
+  PublishOptiConfig(cfg);
 
   gosync::RWMutex outer;
   gosync::RWMutex inner;
@@ -424,7 +434,9 @@ TEST_F(RWMismatchTest, FastWUnlockWrongMutexRecovers) {
   plan.seed = seed_;
   plan.WithRule(Site::kStore, 0.25, htm::AbortCode::kConflict);
   htm::fault::Arm(plan);
-  MutableOptiConfig().use_perceptron = false;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.use_perceptron = false;
+  PublishOptiConfig(cfg);
 
   gosync::RWMutex outer;
   gosync::RWMutex inner;

@@ -72,8 +72,9 @@ TEST(LintRuntimeCrosscheck, StaticLintFlagsTheAbbaFixture) {
 TEST(LintRuntimeCrosscheck, RuntimeCountsTheSameHazardAndSortedSetsFixIt) {
   htm::ForceSoftwareBackend();
   htm::MutableConfig() = htm::TxConfig{};
-  optilib::MutableOptiConfig() = optilib::OptiConfig{};
-  optilib::MutableOptiConfig().misuse_policy = MisusePolicy::kRecoverAndCount;
+  optilib::OptiConfig cfg;
+  cfg.misuse_policy = MisusePolicy::kRecoverAndCount;
+  optilib::PublishOptiConfig(cfg);
   support::SetMisusePolicy(MisusePolicy::kRecoverAndCount);
   support::ResetMisuseCounters();
   int prev_procs = gosync::SetMaxProcs(1);  // every episode slow-held

@@ -39,8 +39,9 @@ class MisuseTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    MutableOptiConfig() = OptiConfig{};
-    MutableOptiConfig().misuse_policy = MisusePolicy::kRecoverAndCount;
+    OptiConfig cfg;
+    cfg.misuse_policy = MisusePolicy::kRecoverAndCount;
+    PublishOptiConfig(cfg);
     GlobalOptiStats().Reset();
     GlobalPerceptron().Reset();
     ResetHardeningState();
@@ -379,7 +380,9 @@ TEST_F(MisuseTest, FastPathWrongModeStaysTransactionalThenCorrects) {
   // and the episode re-executes on the slow path, where the same-object
   // wrong-mode unlock is classified as misuse and releases the held mode.
   gosync::RWMutex rw;
-  MutableOptiConfig().use_perceptron = false;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.use_perceptron = false;
+  PublishOptiConfig(cfg);
   OptiLock ol;
   OPTI_FAST_RLOCK(ol, &rw);
   ol.FastWUnlock(&rw);  // first pass: fast, aborts; second pass: slow
@@ -448,7 +451,9 @@ TEST_F(MisuseTest, EpisodeSnapshotAbortPolicyDiesOnDoubleFastLock) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        MutableOptiConfig().misuse_policy = MisusePolicy::kAbortProcess;
+        OptiConfig cfg = GetOptiConfig();
+        cfg.misuse_policy = MisusePolicy::kAbortProcess;
+        PublishOptiConfig(cfg);
         gosync::Mutex mu;
         OptiLock ol;
         OPTI_FAST_LOCK(ol, &mu);

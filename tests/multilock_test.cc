@@ -46,11 +46,12 @@ class MultiLockTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    MutableOptiConfig() = OptiConfig{};
-    MutableOptiConfig().misuse_policy = MisusePolicy::kRecoverAndCount;
+    OptiConfig cfg;
+    cfg.misuse_policy = MisusePolicy::kRecoverAndCount;
     // The perceptron starts untrained; pin the decision to "attempt" so the
     // fast/slow assertions below are exact rather than predictor-dependent.
-    MutableOptiConfig().use_perceptron = false;
+    cfg.use_perceptron = false;
+    PublishOptiConfig(cfg);
     GlobalOptiStats().Reset();
     GlobalPerceptron().Reset();
     ResetHardeningState();
@@ -219,7 +220,9 @@ TEST_F(MultiLockTest, SingleProcBypassTakesSortedSlowPath) {
 }
 
 TEST_F(MultiLockTest, SpeculateMaxGateForcesSortedSlowPath) {
-  MutableOptiConfig().multilock_speculate_max = 2;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.multilock_speculate_max = 2;
+  PublishOptiConfig(cfg);
   gosync::Mutex a, b, c;
   OptiLock ol;
   // Three distinct members > the ceiling: straight to sorted 2PL, no
@@ -260,7 +263,9 @@ TEST_F(MultiLockTest, OversizedOrEmptySetAbortsProcess) {
 TEST_F(MultiLockTest, SubscriptionFaultBlamesExactMember) {
   // kMultiLockSubscribe is checked once per member in sorted order, so a
   // schedule with skip=2 forces the conflict on exactly the third lock.
-  MutableOptiConfig().conflict_retries = 2;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.conflict_retries = 2;
+  PublishOptiConfig(cfg);
   gosync::Mutex mus[3];
   htm::Shared<int64_t> v(0);
   htm::fault::FaultPlan plan;
@@ -286,7 +291,9 @@ TEST_F(MultiLockTest, CommitFaultWithNoMovedWordLandsUnattributed) {
   // inference path; with no member word actually moved there is nothing to
   // blame and the abort must land in the unattributed bucket, not on a
   // scapegoat member.
-  MutableOptiConfig().conflict_retries = 2;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.conflict_retries = 2;
+  PublishOptiConfig(cfg);
   gosync::Mutex a, b;
   htm::Shared<int64_t> v(0);
   htm::fault::FaultPlan plan;
@@ -308,7 +315,9 @@ TEST_F(MultiLockTest, ConcurrentSlowTransitionIsBlamedViaInference) {
   // A pessimistic Lock/Unlock of one member between subscription and commit
   // bumps that member's stripe: validation fails, and the inference path
   // must name exactly that member from its moved version word.
-  MutableOptiConfig().conflict_retries = 2;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.conflict_retries = 2;
+  PublishOptiConfig(cfg);
   gosync::Mutex mus[3];
   htm::Shared<int64_t> v(0);
   std::atomic<int> phase{0};
@@ -477,8 +486,10 @@ TEST_F(MultiLockTest, MismatchedValidatingUnlockRecoversViaSlowPath) {
 // --- breaker / watchdog attribution under set-abort storms ------------------
 
 TEST_F(MultiLockTest, BreakerQuarantinesStormingLockSetOnly) {
-  MutableOptiConfig().breaker_threshold = 2;
-  MutableOptiConfig().backoff_base_pauses = 0;  // keep the storm fast
+  OptiConfig cfg = GetOptiConfig();
+  cfg.breaker_threshold = 2;
+  cfg.backoff_base_pauses = 0;  // keep the storm fast
+  PublishOptiConfig(cfg);
   gosync::Mutex a, b, c, d;
   htm::fault::FaultPlan plan;
   plan.WithRule(htm::fault::Site::kMultiLockSubscribe, 1.0,
@@ -511,8 +522,10 @@ TEST_F(MultiLockTest, BreakerQuarantinesStormingLockSetOnly) {
 }
 
 TEST_F(MultiLockTest, WatchdogHotDegradesSetEpisodesDuringStorm) {
-  MutableOptiConfig().watchdog_threshold = 2;
-  MutableOptiConfig().backoff_base_pauses = 0;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.watchdog_threshold = 2;
+  cfg.backoff_base_pauses = 0;
+  PublishOptiConfig(cfg);
   gosync::Mutex a, b, c, d;
   htm::fault::FaultPlan plan;
   plan.WithRule(htm::fault::Site::kMultiLockSubscribe, 1.0,

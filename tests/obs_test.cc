@@ -7,13 +7,14 @@
 //      multi-threaded, and under chaos-seeded fault injection — this binary
 //      is part of the `ctest -L chaos` seed battery.
 //   3. Exports: the Chrome trace JSON is well-formed and carries the site
-//      names; the Prometheus snapshot exposes the episode counters.
+//      names; the Prometheus snapshot exposes every OptiStats slot.
 //   4. Loop closure: a set-corpus workload run self-collects a profile,
 //      Profile::Parse accepts it, and the pipeline's hot/cold pair fates
 //      match the shipped corpus/set/set.profile baseline end to end.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -45,11 +46,12 @@ namespace {
 
 using htm::fault::FaultPlan;
 using htm::fault::Site;
+using optilib::GetOptiConfig;
 using optilib::GlobalOptiStats;
-using optilib::MutableOptiConfig;
 using optilib::OptiConfig;
 using optilib::OptiLock;
 using optilib::OptiStats;
+using optilib::PublishOptiConfig;
 
 uint64_t ChaosSeed() {
   const char* env = std::getenv("GOCC_CHAOS_SEED");
@@ -72,7 +74,7 @@ class ObsTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    MutableOptiConfig() = OptiConfig{};
+    PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
     optilib::GlobalPerceptron().Reset();
     optilib::ResetHardeningState();
@@ -177,7 +179,9 @@ TEST_F(ObsTest, ScopedSiteRestoresAndRegistryInterns) {
 // --- trace conservation against the episode outcome counters ---------------
 
 TEST_F(ObsTest, TraceConservationMultiThread) {
-  MutableOptiConfig().trace_episodes = true;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.trace_episodes = true;
+  PublishOptiConfig(cfg);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 2000;
   struct Slot {
@@ -249,10 +253,12 @@ TEST_F(ObsTest, TraceConservationMultiThread) {
 }
 
 TEST_F(ObsTest, TraceConservationUnderChaosInjection) {
-  MutableOptiConfig().trace_episodes = true;
-  MutableOptiConfig().conflict_retries = 2;
-  MutableOptiConfig().backoff_base_pauses = 4;
-  MutableOptiConfig().backoff_cap_pauses = 32;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.trace_episodes = true;
+  cfg.conflict_retries = 2;
+  cfg.backoff_base_pauses = 4;
+  cfg.backoff_cap_pauses = 32;
+  PublishOptiConfig(cfg);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 1500;
 
@@ -323,7 +329,9 @@ TEST_F(ObsTest, ThreadChurnRecyclesRingsWithoutLosingEvents) {
   // Sequential short-lived tracer threads: each exiting thread retires its
   // ring (events and count intact) and the next thread adopts it, so the
   // ring registry tracks peak concurrency while conservation still holds.
-  MutableOptiConfig().trace_episodes = true;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.trace_episodes = true;
+  PublishOptiConfig(cfg);
   const size_t rings_before = TraceRingCount();
   const uint64_t retired_before = TraceRingsRetired();
   constexpr int kChurn = 12;
@@ -360,7 +368,9 @@ TEST_F(ObsTest, AdoptionSkipsBackloggedRingsInsteadOfOverwriting) {
   // over events a pending drain still expects. Adoption must skip rings
   // backlogged past half capacity (they stay drainable on the free list)
   // and hand the late thread a fresh ring, so the drain stays lossless.
-  MutableOptiConfig().trace_episodes = true;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.trace_episodes = true;
+  PublishOptiConfig(cfg);
   DiscardTrace();
   const size_t rings_before = TraceRingCount();
   constexpr uint64_t kBacklog = kDefaultRingCapacity / 2 + 64;
@@ -391,7 +401,9 @@ TEST_F(ObsTest, AdoptionSkipsBackloggedRingsInsteadOfOverwriting) {
 }
 
 TEST_F(ObsTest, UnwindOutcomeIsTraced) {
-  MutableOptiConfig().trace_episodes = true;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.trace_episodes = true;
+  PublishOptiConfig(cfg);
   gosync::Mutex mu;
   OptiLock ol;
   bool caught = false;
@@ -446,7 +458,9 @@ void CheckJsonStructure(const std::string& json) {
 }
 
 TEST_F(ObsTest, ChromeTraceJsonIsWellFormed) {
-  MutableOptiConfig().trace_episodes = true;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.trace_episodes = true;
+  PublishOptiConfig(cfg);
   const uint32_t site = RegisterSite("Trace.\"Quoted\\Site\"");
   {
     ScopedSite scoped(site);
@@ -476,7 +490,9 @@ TEST_F(ObsTest, ChromeTraceJsonIsWellFormed) {
 }
 
 TEST_F(ObsTest, PrometheusSnapshotExposesEpisodeCounters) {
-  MutableOptiConfig().trace_episodes = true;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.trace_episodes = true;
+  PublishOptiConfig(cfg);
   gosync::Mutex mu;
   htm::Shared<uint64_t> value{0};
   OptiLock ol;
@@ -510,6 +526,41 @@ TEST_F(ObsTest, PrometheusSnapshotExposesEpisodeCounters) {
   EXPECT_NE(text.find("gocc_opti_episode_aborts_total{code=\"Conflict\"}"),
             std::string::npos);
   EXPECT_NE(text.find("gocc_tx_commits_total"), std::string::npos);
+
+  // Every OptiStats slot reaches exactly one gocc_opti_* counter sample:
+  // give each slot of this thread's shard its own power of two (no sum of
+  // other slots can forge it) and count the samples that carry it.
+  static_assert(OptiStats::kNumSlots + 4 < 53, "values stay exact doubles");
+  auto slot_value = [](int slot) {
+    return static_cast<double>(uint64_t{1} << (slot + 4));
+  };
+  GlobalOptiStats().Reset();
+  std::atomic<uint64_t>* shard = GlobalOptiStats().LocalShard();
+  for (int slot = 0; slot < OptiStats::kNumSlots; ++slot) {
+    shard[slot].store(static_cast<uint64_t>(slot_value(slot)),
+                      std::memory_order_relaxed);
+  }
+  std::vector<double> opti_samples;
+  for (const Metric& m : CollectRuntimeMetrics()) {
+    if (m.name.rfind("gocc_opti_", 0) == 0 &&
+        std::string(m.type) == "counter") {
+      for (const MetricSample& sample : m.samples) {
+        opti_samples.push_back(sample.value);
+      }
+    }
+  }
+  // The kNone abort code is never delivered to an episode.
+  const int unused_slot = OptiStats::kEpisodeAbortsBase +
+                          static_cast<int>(htm::AbortCode::kNone);
+  for (int slot = 0; slot < OptiStats::kNumSlots; ++slot) {
+    if (slot == unused_slot) {
+      continue;
+    }
+    EXPECT_EQ(std::count(opti_samples.begin(), opti_samples.end(),
+                         slot_value(slot)),
+              1)
+        << "OptiStats slot " << slot;
+  }
 }
 
 // --- self-profile round trip and loop closure ------------------------------

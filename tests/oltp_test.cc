@@ -36,9 +36,9 @@ class OltpTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    optilib::MutableOptiConfig() = optilib::OptiConfig{};
-    optilib::MutableOptiConfig().misuse_policy =
-        support::MisusePolicy::kRecoverAndCount;
+    optilib::OptiConfig cfg;
+    cfg.misuse_policy = support::MisusePolicy::kRecoverAndCount;
+    optilib::PublishOptiConfig(cfg);
     optilib::GlobalOptiStats().Reset();
     optilib::GlobalPerceptron().Reset();
     optilib::ResetHardeningState();

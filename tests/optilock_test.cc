@@ -1,5 +1,6 @@
 // OptiLock end-to-end: elision fast path, slow-path fallback and interop,
-// mismatch recovery, nesting, perceptron gating, single-P bypass.
+// mismatch recovery, nesting, perceptron gating, single-P bypass, and the
+// live config store.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,9 @@
 #include "src/htm/config.h"
 #include "src/htm/shared.h"
 #include "src/htm/stats.h"
+#include "src/obs/recorder.h"
 #include "src/optilib/optilock.h"
+#include "src/support/misuse.h"
 
 namespace gocc::optilib {
 namespace {
@@ -24,7 +27,7 @@ class OptiLockTest : public ::testing::Test {
     htm::ForceSimBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    MutableOptiConfig() = OptiConfig{};
+    PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
     GlobalPerceptron().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);
@@ -117,7 +120,9 @@ TEST_F(OptiLockTest, FastAndSlowPathsInteroperate) {
 TEST_F(OptiLockTest, LockHeldAtFastLockFallsBackAndCompletes) {
   gosync::Mutex mu;
   htm::Shared<int64_t> value(0);
-  MutableOptiConfig().spin_pauses_while_locked = 1;  // don't out-wait holder
+  OptiConfig cfg = GetOptiConfig();
+  cfg.spin_pauses_while_locked = 1;  // don't out-wait holder
+  PublishOptiConfig(cfg);
   mu.Lock();
   std::thread contender([&] {
     OptiLock ol;
@@ -176,8 +181,10 @@ TEST_F(OptiLockTest, NestedWithHeldInnerLockAbortsAndRecovers) {
   gosync::Mutex outer;
   gosync::Mutex inner;
   htm::Shared<int64_t> value(0);
-  MutableOptiConfig().spin_pauses_while_locked = 1;
-  MutableOptiConfig().max_attempts = 1;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.spin_pauses_while_locked = 1;
+  cfg.max_attempts = 1;
+  PublishOptiConfig(cfg);
 
   inner.Lock();  // a third party holds the inner lock
   std::thread worker([&] {
@@ -229,7 +236,9 @@ TEST_F(OptiLockTest, PerceptronLearnsToAvoidHostileCriticalSection) {
 }
 
 TEST_F(OptiLockTest, NoPerceptronKeepsAttemptingHtm) {
-  MutableOptiConfig().use_perceptron = false;
+  OptiConfig cfg = GetOptiConfig();
+  cfg.use_perceptron = false;
+  PublishOptiConfig(cfg);
   htm::MutableConfig().write_capacity_lines = 2;
   gosync::Mutex mu;
   struct alignas(64) Line {
@@ -440,6 +449,60 @@ TEST_F(OptiLockTest, SlowPathFlagVisibleInsideCriticalSection) {
   bool observed_slow = false;
   ol.WithLock(&mu, [&] { observed_slow = ol.on_slow_path(); });
   EXPECT_TRUE(observed_slow);
+}
+
+TEST_F(OptiLockTest, GetOptiConfigReturnsPublishedConfig) {
+  OptiConfig c;
+  c.use_perceptron = false;
+  c.single_proc_bypass = false;
+  c.max_attempts = 7;
+  c.conflict_retries = 2;
+  c.spin_pauses_while_locked = 5;
+  c.occ_max_retries = 9;
+  c.multilock_speculate_max = 3;
+  c.backoff_base_pauses = 4;
+  c.backoff_cap_pauses = 32;
+  c.breaker_threshold = 6;
+  c.breaker_cooldown_episodes = 77;
+  c.watchdog_threshold = 11;
+  c.watchdog_cooldown_episodes = 99;
+  c.trace_episodes = !OptiConfig{}.trace_episodes;
+  c.misuse_policy = support::MisusePolicy::kRecoverAndCount;
+  PublishOptiConfig(c);
+  const OptiConfig got = GetOptiConfig();
+  EXPECT_EQ(got.use_perceptron, c.use_perceptron);
+  EXPECT_EQ(got.single_proc_bypass, c.single_proc_bypass);
+  EXPECT_EQ(got.max_attempts, c.max_attempts);
+  EXPECT_EQ(got.conflict_retries, c.conflict_retries);
+  EXPECT_EQ(got.spin_pauses_while_locked, c.spin_pauses_while_locked);
+  EXPECT_EQ(got.occ_max_retries, c.occ_max_retries);
+  EXPECT_EQ(got.multilock_speculate_max, c.multilock_speculate_max);
+  EXPECT_EQ(got.backoff_base_pauses, c.backoff_base_pauses);
+  EXPECT_EQ(got.backoff_cap_pauses, c.backoff_cap_pauses);
+  EXPECT_EQ(got.breaker_threshold, c.breaker_threshold);
+  EXPECT_EQ(got.breaker_cooldown_episodes, c.breaker_cooldown_episodes);
+  EXPECT_EQ(got.watchdog_threshold, c.watchdog_threshold);
+  EXPECT_EQ(got.watchdog_cooldown_episodes, c.watchdog_cooldown_episodes);
+  EXPECT_EQ(got.trace_episodes, c.trace_episodes);
+  EXPECT_EQ(got.misuse_policy, c.misuse_policy);
+
+  // An OptiLock keeps its config snapshot until the decision epoch moves:
+  // a publish from another thread must reach its very next episode.
+  OptiConfig untraced;
+  untraced.trace_episodes = false;
+  PublishOptiConfig(untraced);
+  gosync::Mutex mu;
+  OptiLock ol;
+  ol.WithLock(&mu, [] {});  // snapshot taken, untraced
+  obs::DiscardTrace();
+  std::thread publisher([] {
+    OptiConfig traced = GetOptiConfig();
+    traced.trace_episodes = true;
+    PublishOptiConfig(traced);
+  });
+  publisher.join();
+  ol.WithLock(&mu, [] {});
+  EXPECT_EQ(obs::DrainTrace().size(), 1u);
 }
 
 // Stress sweep across thread counts: exact counting under mixed conflicts.

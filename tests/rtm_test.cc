@@ -30,7 +30,7 @@ class RtmTest : public ::testing::Test {
       GTEST_SKIP() << "RTM unavailable on this host";
     }
     GlobalTxStats().Reset();
-    optilib::MutableOptiConfig() = optilib::OptiConfig{};
+    optilib::PublishOptiConfig(optilib::OptiConfig{});
     optilib::GlobalOptiStats().Reset();
     optilib::GlobalPerceptron().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);

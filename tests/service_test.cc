@@ -83,7 +83,7 @@ class ServiceTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    optilib::MutableOptiConfig() = optilib::OptiConfig{};
+    optilib::PublishOptiConfig(optilib::OptiConfig{});
     optilib::GlobalOptiStats().Reset();
     optilib::GlobalPerceptron().Reset();
     optilib::ResetHardeningState();
@@ -547,10 +547,11 @@ TEST_F(ServiceTest, BreakerTripEscalatesShardHealth) {
   // The runtime's own distress signal feeds the ladder: a persistent abort
   // storm on one shard's mutex trips the per-(mutex,site) breaker, whose
   // listener degrades that shard — and only that shard.
-  optilib::OptiConfig& ocfg = optilib::MutableOptiConfig();
+  optilib::OptiConfig ocfg = optilib::GetOptiConfig();
   ocfg.use_perceptron = false;
   ocfg.breaker_threshold = 2;
   ocfg.breaker_cooldown_episodes = 1u << 20;  // no re-probe mid-test
+  optilib::PublishOptiConfig(ocfg);
 
   ServiceConfig cfg = TestConfig(2);
   ElidedService svc(cfg);

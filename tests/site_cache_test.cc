@@ -66,7 +66,7 @@ class SiteCacheTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    MutableOptiConfig() = OptiConfig{};
+    PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
     GlobalPerceptron().Reset();
     ResetHardeningState();
@@ -80,17 +80,7 @@ class SiteCacheTest : public ::testing::Test {
   void TearDown() override {
     htm::fault::Disarm();
     ResetHardeningState();
-    // Reclaim the direct config store so later fixtures that poke
-    // MutableOptiConfig are not shadowed by this suite's published configs.
-    MutableOptiConfig() = OptiConfig{};
     gosync::SetMaxProcs(prev_procs_);
-  }
-
-  // Published production config: cache on, no hardening.
-  static OptiConfig BaseConfig() {
-    OptiConfig cfg;
-    cfg.site_cache = true;
-    return cfg;
   }
 
   int prev_procs_ = 1;
@@ -100,7 +90,6 @@ class SiteCacheTest : public ::testing::Test {
 // --- 1. epoch bumps retire every verdict -----------------------------------
 
 TEST_F(SiteCacheTest, EpochBumpInvalidatesCachedVerdicts) {
-  PublishOptiConfig(BaseConfig());
   gosync::Mutex mu;
   htm::Shared<uint64_t> value{0};
   OptiLock ol;
@@ -117,7 +106,7 @@ TEST_F(SiteCacheTest, EpochBumpInvalidatesCachedVerdicts) {
   // Re-publishing (even an identical config) bumps the decision epoch:
   // the stale cell must not be served again.
   const uint64_t epoch_before = SiteDecisionCacheEpoch();
-  PublishOptiConfig(BaseConfig());
+  PublishOptiConfig(OptiConfig{});
   EXPECT_GT(SiteDecisionCacheEpoch(), epoch_before);
 
   ol.WithLock(&mu, [&] { value.Add(1); });  // miss: re-derive + re-install
@@ -139,7 +128,7 @@ TEST_F(SiteCacheTest, EpochBumpInvalidatesCachedVerdicts) {
 // --- 2. hardening bypasses the cache in both directions --------------------
 
 TEST_F(SiteCacheTest, HardeningDisablesServingAndInstalling) {
-  OptiConfig hardened = BaseConfig();
+  OptiConfig hardened;
   hardened.breaker_threshold = 64;  // breaker enabled => hardening active
   PublishOptiConfig(hardened);
 
@@ -157,7 +146,7 @@ TEST_F(SiteCacheTest, HardeningDisablesServingAndInstalling) {
   EXPECT_EQ(Installs(), 0u);
 
   // Turning hardening off re-enables the cache for the same site.
-  PublishOptiConfig(BaseConfig());
+  PublishOptiConfig(OptiConfig{});
   ol.WithLock(&mu, [&] { value.Add(1); });
   ol.WithLock(&mu, [&] { value.Add(1); });
   EXPECT_EQ(Installs(), 1u);
@@ -168,7 +157,6 @@ TEST_F(SiteCacheTest, HardeningDisablesServingAndInstalling) {
 // --- 3. a refuted elide verdict evicts the cell ----------------------------
 
 TEST_F(SiteCacheTest, SlowPathFallbackInvalidatesElideVerdict) {
-  PublishOptiConfig(BaseConfig());
   gosync::Mutex mu;
   htm::Shared<uint64_t> value{0};
   OptiLock ol;
@@ -207,7 +195,6 @@ TEST_F(SiteCacheTest, SlowPathFallbackInvalidatesElideVerdict) {
 // --- 4. churn + live publishing never break coherence (TSan target) --------
 
 TEST_F(SiteCacheTest, ChurnWithLivePublishingKeepsConservation) {
-  PublishOptiConfig(BaseConfig());
   constexpr int kThreads = 8;
   constexpr int kWaves = 3;
   constexpr int kPerThread = 2000;
@@ -225,7 +212,7 @@ TEST_F(SiteCacheTest, ChurnWithLivePublishingKeepsConservation) {
     bool perceptron = true;
     uint64_t flips = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      OptiConfig cfg = BaseConfig();
+      OptiConfig cfg;
       perceptron = !perceptron;
       cfg.use_perceptron = perceptron;
       PublishOptiConfig(cfg);
@@ -234,7 +221,7 @@ TEST_F(SiteCacheTest, ChurnWithLivePublishingKeepsConservation) {
       }
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
-    PublishOptiConfig(BaseConfig());
+    PublishOptiConfig(OptiConfig{});
   });
 
   Slot hot;
@@ -282,7 +269,6 @@ TEST_F(SiteCacheTest, ChurnWithLivePublishingKeepsConservation) {
 // --- 5. cached lock verdicts keep the decay cadence ------------------------
 
 TEST_F(SiteCacheTest, LockVerdictFeedsDecayAndReprobesAfterReset) {
-  PublishOptiConfig(BaseConfig());
   gosync::Mutex mu;
   htm::Shared<uint64_t> value{0};
   OptiLock ol;

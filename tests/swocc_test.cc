@@ -52,7 +52,7 @@ class SwOccTest : public ::testing::Test {
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     htm::GlobalSwOccWordStats().Reset();
-    MutableOptiConfig() = OptiConfig{};
+    PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
     GlobalPerceptron().Reset();
     ResetHardeningState();
@@ -202,9 +202,10 @@ TEST_F(SwOccTest, MidEpisodePoisonDetectedAtValidation) {
 // --- livelock guard: bounded validation retries, then the real lock ---
 
 TEST_F(SwOccTest, LivelockGuardBoundsValidationRetries) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
   cfg.occ_max_retries = 2;
+  PublishOptiConfig(cfg);
 
   FaultPlan plan;
   plan.seed = seed_;
@@ -229,6 +230,7 @@ TEST_F(SwOccTest, LivelockGuardBoundsValidationRetries) {
   // A zero budget falls back on the first validation failure: the knob is a
   // hard bound, not a hint.
   cfg.occ_max_retries = 0;
+  PublishOptiConfig(cfg);
   ol.WithLock(&mu, [&] { value.Add(1); });
   htm::fault::Disarm();
   EXPECT_EQ(value.Load(), 2);
@@ -240,11 +242,12 @@ TEST_F(SwOccTest, LivelockGuardBoundsValidationRetries) {
 // --- validation-failure storm: trips the breaker, then recovers ---
 
 TEST_F(SwOccTest, ValidationStormTripsBreakerAndRecovers) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
   cfg.breaker_threshold = 4;
   cfg.breaker_cooldown_episodes = 16;
   // Default occ_max_retries (4): 5 validation failures exhaust one episode.
+  PublishOptiConfig(cfg);
 
   FaultPlan plan;
   plan.seed = seed_;
@@ -322,8 +325,9 @@ TEST_F(SwOccTest, StarvedWriterRaisesPendingFlagAndWins) {
 // --- publish-window chaos: version skew and delayed unlock ---
 
 TEST_F(SwOccTest, PublishVersionSkewTolerated) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
+  PublishOptiConfig(cfg);
   FaultPlan plan;
   plan.seed = seed_;
   plan.WithRule(Site::kOccPublish, 1.0);  // every release skips a version
@@ -350,8 +354,9 @@ TEST_F(SwOccTest, PublishVersionSkewTolerated) {
 }
 
 TEST_F(SwOccTest, DelayedPublishStallIsBoundedAndCounted) {
-  OptiConfig& cfg = MutableOptiConfig();
+  OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
+  PublishOptiConfig(cfg);
   FaultPlan plan;
   plan.seed = seed_;
   plan.WithStallAt(Site::kOccPublish, 1.0, 64);

@@ -25,7 +25,7 @@ class WorkloadsTest : public ::testing::Test {
   void SetUp() override {
     htm::ForceSimBackend();
     htm::MutableConfig() = htm::TxConfig{};
-    optilib::MutableOptiConfig() = optilib::OptiConfig{};
+    optilib::PublishOptiConfig(optilib::OptiConfig{});
     optilib::GlobalPerceptron().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);
   }
