@@ -80,27 +80,34 @@ BENCHMARK(BM_TxReadWritePerAccess)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
 
 // Read-set sweep: one thread, one writing transaction that reads n distinct
 // cells and stores their sum into the first. Each cell has its own cache
-// line and hashes to its own stripe (bar rare collisions), so the read set
-// holds ~n stripes. Each read re-checks every stripe read before it, so the
-// per-transaction cost grows as n^2 once that scan outweighs the fixed
-// per-access work; the commit validates the n stripes once more.
+// line and version word, so the read set holds n version words. Each read
+// re-checks every word read before it, so the per-transaction cost grows as
+// n^2 once that scan outweighs the fixed per-access work; the commit
+// validates the n words once more.
+struct alignas(64) SweepLine {
+  gocc::htm::Shared<int64_t> cell;
+};
+
+// One sweep transaction. It plants its setjmp checkpoint in its own frame,
+// so none of the benchmark loop's state lives across it.
+[[gnu::noinline]] void SweepOnce(std::vector<SweepLine>* lines) {
+  std::jmp_buf env;
+  gocc::htm::BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    int64_t sum = 0;
+    for (SweepLine& line : *lines) {
+      sum += line.cell.Load();
+    }
+    (*lines)[0].cell.Store(sum);
+    gocc::htm::TxCommit();
+  }
+}
+
 void BM_TxReadSetSweep(benchmark::State& state) {
   gocc::htm::ForceSimBackend();
-  struct alignas(64) Line {
-    gocc::htm::Shared<int64_t> cell;
-  };
-  std::vector<Line> lines(static_cast<size_t>(state.range(0)));
-  std::jmp_buf env;
+  std::vector<SweepLine> lines(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    gocc::htm::BeginStatus status = GOCC_TX_BEGIN(env);
-    if (status.started) {
-      int64_t sum = 0;
-      for (Line& line : lines) {
-        sum += line.cell.Load();
-      }
-      lines[0].cell.Store(sum);
-      gocc::htm::TxCommit();
-    }
+    SweepOnce(&lines);
   }
 }
 BENCHMARK(BM_TxReadSetSweep)->RangeMultiplier(2)->Range(2, 1024);

@@ -4,9 +4,10 @@
 // hardware, so Go code needs no annotations. SimTM cannot intercept raw
 // loads, so shared data that critical sections touch lives in Shared<T>
 // cells, whose accessors route through the active transaction's read/write
-// sets (and degrade to plain stripe-aware atomics outside transactions).
-// This is the only API difference the software substitution imposes on
-// workload code; see DESIGN.md §4.1.
+// sets (and degrade to atomics that respect the cell's version lock outside
+// transactions). Each cell is a TxCell: the value plus its SimTM version
+// word, 16 B on one cache line. This is the only API difference the
+// software substitution imposes on workload code; see DESIGN.md §4.1.
 //
 // T must be trivially copyable and at most 8 bytes (int, pointer, double,
 // small structs). Larger shared state is expressed as arrays of Shared
@@ -26,6 +27,11 @@
 
 namespace gocc::htm {
 
+// A 16-B cell aligned to 16 B can never straddle a 64-B line: the version
+// word SimTM validates always sits on the value's line.
+static_assert(sizeof(TxCell) == 16 && alignof(TxCell) == 16,
+              "a cell's version word and value must share one cache line");
+
 template <typename T>
 class Shared {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -34,13 +40,13 @@ class Shared {
                 "Shared<T> cells hold at most 8 bytes");
 
  public:
-  Shared() : cell_(0) {}
-  explicit Shared(T initial) : cell_(Pack(initial)) {}
+  Shared() = default;
+  explicit Shared(T initial) : cell_{0, Pack(initial)} {}
 
   Shared(const Shared&) = delete;
   Shared& operator=(const Shared&) = delete;
 
-  // Transactional (or stripe-aware plain) load.
+  // Transactional (or lock-respecting plain) load.
   T Load() const { return Unpack(TxLoad(&cell_)); }
 
   // Transactional (or strongly-atomic plain) store.
@@ -74,14 +80,14 @@ class Shared {
   // Direct unversioned access for initialization before the cell becomes
   // visible to concurrent code.
   void StoreRelaxedInit(T value) {
-    cell_.store(Pack(value), std::memory_order_relaxed);
+    cell_.value.store(Pack(value), std::memory_order_relaxed);
   }
   T LoadRelaxed() const {
-    return Unpack(cell_.load(std::memory_order_relaxed));
+    return Unpack(cell_.value.load(std::memory_order_relaxed));
   }
 
-  // The underlying cell (used by tests to address stripes).
-  const std::atomic<uint64_t>* cell() const { return &cell_; }
+  // The underlying cell (used by tests to address its version word).
+  TxCell* cell() { return &cell_; }
 
  private:
   static uint64_t Pack(T value) {
@@ -95,8 +101,10 @@ class Shared {
     return value;
   }
 
-  mutable std::atomic<uint64_t> cell_;
+  TxCell cell_;
 };
+
+static_assert(sizeof(Shared<int64_t>) == sizeof(TxCell));
 
 }  // namespace gocc::htm
 

@@ -109,7 +109,7 @@ inline constexpr int kOccWriterStarvationSpins = 64;
 // is a briefly-publishing OCC committer). Spins with pause; raises the
 // pending flag past kOccWriterStarvationSpins failed rounds. The CASes are
 // seq_cst: each is the holder's side of the Dekker pair with a SimTM
-// committer that locks its write stripes and then validates this word
+// committer that locks its written cells and then validates this word
 // (DESIGN.md §4.2).
 void OccWordAcquireExclusive(std::atomic<uint64_t>* word);
 

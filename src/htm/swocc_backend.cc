@@ -390,9 +390,10 @@ uint64_t SwOccLoad(const std::atomic<uint64_t>* addr) {
   SwOccContext& tx = Tls();
   if (tx.depth == 0) {
     // Non-transactional read. sw-OCC is weakly atomic here (unlike SimTM's
-    // stripe wait): a read racing an in-flight publish can observe a partial
-    // write set. Data protected by a lock must be read under that lock —
-    // exactly Go's contract — and unprotected data never conflicts.
+    // wait on the cell's version lock): a read racing an in-flight publish
+    // can observe a partial write set. Data protected by a lock must be
+    // read under that lock — exactly Go's contract — and unprotected data
+    // never conflicts.
     return addr->load(std::memory_order_acquire);
   }
   if (const OccWrite* w = FindWrite(tx, addr)) {

@@ -2,7 +2,7 @@
 //
 // A TSX-independent optimistic backend in the classical versioned-lock-word
 // OCC style: transactional reads are *invisible* (no shared store, no
-// striped metadata — nothing for other threads to conflict on), writes are
+// per-cell metadata — nothing for other threads to conflict on), writes are
 // buffered thread-locally, and correctness comes entirely from validating
 // the subscribed occ words (swocc.h) — at every transactional read (opacity:
 // a torn read aborts before the critical section can act on it) and again at
@@ -14,7 +14,7 @@
 // version.
 //
 // Relationship to the other backends: SimTM validates the same occ words
-// plus a striped version table covering *all* of memory; sw-OCC validates
+// plus the version word of every Shared cell it reads; sw-OCC validates
 // only the elided locks' occ words, so it needs the gosync acquire/release
 // transitions to maintain those words (they do, for every tracked mutex).
 // Raw GOCC_TX_BEGIN transactions with no subscription get no isolation

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -10,7 +11,6 @@
 #include "src/htm/fault.h"
 #include "src/htm/rtm_backend.h"
 #include "src/htm/stats.h"
-#include "src/htm/stripe_table.h"
 #include "src/htm/swocc_backend.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
@@ -18,28 +18,31 @@
 namespace gocc::htm {
 namespace {
 
-constexpr int kStripeLockSpins = 256;
+constexpr int kCommitLockSpins = 256;
 
 inline uintptr_t CacheLineOf(const void* addr) {
   return reinterpret_cast<uintptr_t>(addr) >> 6;
 }
 
-// A read-set entry: a stripe, or a subscribed lock word (TxSubscribe),
-// and the value it held when first read. Both kinds validate by value
-// equality.
+// The unlocked word that releases a cell locked from `unlocked_word` after
+// a write under its lock: the cell's own next version.
+inline uint64_t Bumped(uint64_t unlocked_word) {
+  return (CellVersion(unlocked_word) + 1) << 1;
+}
+
+// A read-set entry: a cell's version word, or a subscribed lock word
+// (TxSubscribe), and the value it held when first read. Both kinds
+// validate by value equality.
 struct ReadEntry {
   const std::atomic<uint64_t>* word;
   uint64_t seen;
 };
 
 struct WriteEntry {
-  std::atomic<uint64_t>* addr;
+  TxCell* cell;
   uint64_t value;
-};
-
-struct LockedStripe {
-  std::atomic<uint64_t>* stripe;
-  uint64_t pre_lock_word;  // unlocked word the commit's CAS replaced
+  uint64_t pre_lock_word;  // once the commit holds the cell: the unlocked
+                           // version word its lock CAS replaced
 };
 
 // Dedup set tuned for SimTM's common case: a transformed critical section
@@ -93,21 +96,20 @@ struct TxContext {
   int depth = 0;
   std::jmp_buf* env = nullptr;
 
-  // One entry per distinct stripe or lock word read (RecheckReads dedups).
+  // One entry per distinct version or lock word read (RecheckReads dedups).
   std::vector<ReadEntry> reads;
+  // One entry per distinct cell written.
   std::vector<WriteEntry> writes;
   // Populated only once the write set spills past SmallSet::kSpill entries;
   // below that, write lookups linear-scan `writes` directly.
-  std::unordered_map<const std::atomic<uint64_t>*, size_t> write_index;
+  std::unordered_map<const TxCell*, size_t> write_index;
   bool writes_spilled = false;
   SmallSet<uintptr_t> read_lines;
   SmallSet<uintptr_t> write_lines;
 
-  // Stripes locked during an in-progress commit; released on abort.
-  std::vector<LockedStripe> locked;
-  // Scratch for CommitOutermost's sorted stripe list (reused capacity —
-  // a per-commit local vector would malloc/free every episode).
-  std::vector<std::atomic<uint64_t>*> commit_stripes;
+  // During a commit, writes[0, locked) are the cells it holds (released on
+  // abort).
+  size_t locked = 0;
 
   SplitMix64 rng{0};
   bool rng_seeded = false;
@@ -121,22 +123,22 @@ struct TxContext {
     }
     read_lines.clear();
     write_lines.clear();
-    locked.clear();
+    locked = 0;
   }
 };
 
-// The write-set entry for `addr`, or nullptr. Linear scan below the spill
+// The write-set entry for `cell`, or nullptr. Linear scan below the spill
 // threshold, hash lookup above it.
-WriteEntry* FindWrite(TxContext& tx, const std::atomic<uint64_t>* addr) {
+WriteEntry* FindWrite(TxContext& tx, const TxCell* cell) {
   if (!tx.writes_spilled) {
     for (WriteEntry& w : tx.writes) {
-      if (w.addr == addr) {
+      if (w.cell == cell) {
         return &w;
       }
     }
     return nullptr;
   }
-  auto it = tx.write_index.find(addr);
+  auto it = tx.write_index.find(cell);
   return it == tx.write_index.end() ? nullptr : &tx.writes[it->second];
 }
 
@@ -167,13 +169,14 @@ inline void BumpSlot(std::atomic<uint64_t>* shard, int slot) {
 }
 inline void BumpSlot(int slot) { BumpSlot(g_stats.LocalShard(), slot); }
 
-// Rollback half of an abort: releases stripes held by an in-progress
-// commit, records the abort, and clears all transaction state. Shared by
+// Rollback half of an abort: releases cells held by an in-progress commit,
+// records the abort, and clears all transaction state. Shared by
 // AbortInternal (which then long-jumps) and TxCancel (which returns so a
 // C++ exception can keep unwinding).
 void RollbackInternal(TxContext& tx, AbortCode code) {
-  for (const LockedStripe& ls : tx.locked) {
-    ls.stripe->store(ls.pre_lock_word, std::memory_order_release);
+  for (size_t i = 0; i < tx.locked; ++i) {
+    tx.writes[i].cell->version.store(tx.writes[i].pre_lock_word,
+                                     std::memory_order_release);
   }
   g_stats.RecordAbort(code);
   tx.depth = 0;
@@ -212,20 +215,20 @@ void MaybeSpuriousAbort(TxContext& tx) {
   }
 }
 
-// Locks `stripe` for commit; returns false after bounded spinning. The CAS
-// is seq_cst: it and the seq_cst validation loads that follow are all that
-// orders this commit against another thread's stripe lock and later loads
-// (the Dekker pairs of DESIGN.md §4.2).
-bool LockStripeForCommit(TxContext& tx, std::atomic<uint64_t>* stripe) {
-  for (int spin = 0; spin < kStripeLockSpins; ++spin) {
-    uint64_t word = stripe->load(std::memory_order_relaxed);
-    if (!StripeIsLocked(word)) {
-      if (stripe->compare_exchange_weak(word, word | kStripeLockedBit,
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        tx.locked.push_back({stripe, word});
-        return true;
-      }
+// Locks `w`'s cell for commit; returns false after bounded spinning. The
+// CAS is seq_cst: it and the seq_cst validation loads that follow are all
+// that orders this commit against another thread's cell lock and later
+// loads (the Dekker pairs of DESIGN.md §4.2).
+bool LockCellForCommit(WriteEntry& w) {
+  std::atomic<uint64_t>& version = w.cell->version;
+  for (int spin = 0; spin < kCommitLockSpins; ++spin) {
+    uint64_t word = version.load(std::memory_order_relaxed);
+    if (!CellIsLocked(word) &&
+        version.compare_exchange_weak(word, word | kCellLockedBit,
+                                      std::memory_order_seq_cst,
+                                      std::memory_order_relaxed)) {
+      w.pre_lock_word = word;
+      return true;
     }
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_ia32_pause();
@@ -248,55 +251,47 @@ void CommitOutermost(TxContext& tx) {
     return;
   }
 
-  // Lock the stripes covering the write set in address order (prevents
-  // deadlock between committers). A single write — the common transformed
-  // critical section — has nothing to sort.
-  if (tx.writes.size() == 1) {
-    if (!LockStripeForCommit(tx, StripeFor(tx.writes[0].addr))) {
+  // Lock the written cells in address order (prevents deadlock between
+  // committers). The write set holds each cell once, so ordering it is the
+  // whole job; a single write has nothing to sort. The sort leaves
+  // write_index stale, which is harmless: the transaction ends here.
+  if (tx.writes.size() > 1) {
+    std::sort(tx.writes.begin(), tx.writes.end(),
+              [](const WriteEntry& a, const WriteEntry& b) {
+                return std::less<>{}(a.cell, b.cell);
+              });
+  }
+  for (WriteEntry& w : tx.writes) {
+    if (!LockCellForCommit(w)) {
       AbortInternal(tx, AbortCode::kConflict);
     }
-  } else {
-    std::vector<std::atomic<uint64_t>*>& stripes = tx.commit_stripes;
-    stripes.clear();
-    for (const WriteEntry& w : tx.writes) {
-      stripes.push_back(StripeFor(w.addr));
-    }
-    std::sort(stripes.begin(), stripes.end());
-    stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-    for (std::atomic<uint64_t>* stripe : stripes) {
-      if (!LockStripeForCommit(tx, stripe)) {
-        AbortInternal(tx, AbortCode::kConflict);
-      }
-    }
+    ++tx.locked;
   }
 
   // Validate the read set: every entry must still hold the value first
-  // observed (a stripe: unlocked at that version; a lock word: no holder
-  // since) — or be a stripe this commit locked at that version. A
-  // write-only stripe may carry any version (we hold its lock).
+  // observed (a cell: unlocked at that version; a lock word: no holder
+  // since) — or be a cell this commit locked at that version. A write-only
+  // cell may carry any version (we hold its lock).
   for (const ReadEntry& r : tx.reads) {
     const uint64_t now = r.word->load(std::memory_order_seq_cst);
     if (now == r.seen) {
       continue;
     }
     auto it = std::find_if(
-        tx.locked.begin(), tx.locked.end(),
-        [&](const LockedStripe& ls) { return ls.stripe == r.word; });
-    if (it == tx.locked.end() || it->pre_lock_word != r.seen) {
+        tx.writes.begin(), tx.writes.end(),
+        [&](const WriteEntry& w) { return &w.cell->version == r.word; });
+    if (it == tx.writes.end() || it->pre_lock_word != r.seen) {
       AbortInternal(tx, AbortCode::kConflict);
     }
   }
 
-  // Publish the buffered writes, then release each stripe at its own next
-  // version. The release fence orders the stripe locks before the value
+  // Publish each buffered write and release its cell at the cell's own next
+  // version. The release fence orders the cell locks before the value
   // stores for ValidatedRead's seqlock-style readers.
   std::atomic_thread_fence(std::memory_order_release);
   for (const WriteEntry& w : tx.writes) {
-    w.addr->store(w.value, std::memory_order_relaxed);
-  }
-  for (const LockedStripe& ls : tx.locked) {
-    ls.stripe->store(StripeBumped(ls.pre_lock_word),
-                     std::memory_order_release);
+    w.cell->value.store(w.value, std::memory_order_relaxed);
+    w.cell->version.store(Bumped(w.pre_lock_word), std::memory_order_release);
   }
 
   BumpSlot(TxStats::kCommits);
@@ -334,70 +329,69 @@ void AccountReadLine(TxContext& tx, const void* addr) {
   }
 }
 
-// Validated read of `addr`, the core of every transactional data load. The
+// Validated read of `cell`, the core of every transactional data load. The
 // w1/value/fence/w2 sequence returns a value that was current while the
-// stripe sat unlocked at one version; RecheckReads then makes it current
+// cell sat unlocked at one version; RecheckReads then makes it current
 // together with every earlier read.
-uint64_t ValidatedRead(TxContext& tx, const std::atomic<uint64_t>* addr) {
-  std::atomic<uint64_t>* stripe = StripeFor(addr);
-  const uint64_t w1 = stripe->load(std::memory_order_acquire);
-  if (StripeIsLocked(w1)) [[unlikely]] {
+uint64_t ValidatedRead(TxContext& tx, const TxCell* cell) {
+  const uint64_t w1 = cell->version.load(std::memory_order_acquire);
+  if (CellIsLocked(w1)) [[unlikely]] {
     AbortInternal(tx, AbortCode::kConflict);
   }
-  const uint64_t value = addr->load(std::memory_order_relaxed);
+  const uint64_t value = cell->value.load(std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_acquire);
-  if (stripe->load(std::memory_order_relaxed) != w1) [[unlikely]] {
+  if (cell->version.load(std::memory_order_relaxed) != w1) [[unlikely]] {
     AbortInternal(tx, AbortCode::kConflict);
   }
-  RecheckReads(tx, stripe, w1);
+  RecheckReads(tx, &cell->version, w1);
   return value;
 }
 
 // Non-transactional read with strong atomicity: a committer publishes its
-// write set while holding the stripes, so waiting for an unlocked stripe
-// guarantees we read the final committed value, never an in-flight one.
-// (Real RTM commits atomically at xend, making this window impossible in
-// hardware.) The wait load is seq_cst: a pessimistic lock holder's
-// version-word RMW and this load pair with a committer's stripe-lock CAS
-// and validation load (DESIGN.md §4.2).
-uint64_t NonTxLoad(const std::atomic<uint64_t>* addr) {
-  const std::atomic<uint64_t>* stripe = StripeFor(addr);
-  while (StripeIsLocked(stripe->load(std::memory_order_seq_cst))) {
+// write set while holding the written cells, so waiting for an unlocked
+// cell guarantees we read the final committed value, never an in-flight
+// one. (Real RTM commits atomically at xend, making this window impossible
+// in hardware.) The wait load is seq_cst: a pessimistic lock holder's
+// version-word RMW and this load pair with a committer's cell-lock CAS and
+// validation load (DESIGN.md §4.2).
+uint64_t NonTxLoad(const TxCell* cell) {
+  while (CellIsLocked(cell->version.load(std::memory_order_seq_cst))) {
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_ia32_pause();
 #endif
   }
-  return addr->load(std::memory_order_acquire);
+  return cell->value.load(std::memory_order_acquire);
 }
 
 // The one non-transactional write protocol — TxStore/TxFetchAdd outside a
-// transaction and StripeGuardedUpdate: lock `stripe`, run `fn`, release
-// the stripe at its own next version, so every transaction that read the
-// stripe fails its next validation. The seq_cst CAS is this side of the
-// Dekker pairs LockStripeForCommit describes; the release fence orders the
-// lock before `fn`'s stores, as in LockStripeForCommit's publish.
+// transaction and StripeGuardedUpdate: lock `cell`'s version word, run
+// `fn`, release the word at the cell's next version, so every transaction
+// that read the cell fails its next validation. The seq_cst CAS is this
+// side of the Dekker pairs LockCellForCommit describes; the release fence
+// orders the lock before `fn`'s stores, as in CommitOutermost's publish.
 template <typename Fn>
-void UnderStripeLock(std::atomic<uint64_t>* stripe, Fn&& fn) {
-  uint64_t word = stripe->load(std::memory_order_relaxed);
-  while (StripeIsLocked(word) ||
-         !stripe->compare_exchange_weak(word, word | kStripeLockedBit,
+void UnderCellLock(TxCell* cell, Fn&& fn) {
+  std::atomic<uint64_t>& version = cell->version;
+  uint64_t word = version.load(std::memory_order_relaxed);
+  while (CellIsLocked(word) ||
+         !version.compare_exchange_weak(word, word | kCellLockedBit,
                                         std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
-    word = stripe->load(std::memory_order_relaxed);
+    word = version.load(std::memory_order_relaxed);
   }
   std::atomic_thread_fence(std::memory_order_release);
   fn();
-  stripe->store(StripeBumped(word), std::memory_order_release);
+  version.store(Bumped(word), std::memory_order_release);
 }
 
 // Appends a new write-set entry, indexing the set once it spills.
-void AppendWrite(TxContext& tx, std::atomic<uint64_t>* addr, uint64_t value) {
-  tx.writes.push_back({addr, value});
+void AppendWrite(TxContext& tx, TxCell* cell, uint64_t value) {
+  tx.writes.push_back({cell, value, 0});
   if (tx.writes_spilled) {
-    tx.write_index.emplace(addr, tx.writes.size() - 1);
+    tx.write_index.emplace(cell, tx.writes.size() - 1);
   } else if (tx.writes.size() > SmallSet<uintptr_t>::kSpill) {
     for (size_t i = 0; i < tx.writes.size(); ++i) {
-      tx.write_index.emplace(tx.writes[i].addr, i);
+      tx.write_index.emplace(tx.writes[i].cell, i);
     }
     tx.writes_spilled = true;
   }
@@ -578,59 +572,59 @@ void TxCancel(AbortCode code) {
   RollbackInternal(tx, code);
 }
 
-uint64_t TxLoad(const std::atomic<uint64_t>* addr) {
+uint64_t TxLoad(const TxCell* cell) {
   if (CurrentBackend() == Backend::kSwOcc) {
-    return SwOccLoad(addr);
+    return SwOccLoad(&cell->value);
   }
   if (CurrentBackend() == Backend::kRtm) {
     // Inside an RTM transaction the hardware versions this load; outside,
     // it is a plain shared read.
-    return addr->load(std::memory_order_acquire);
+    return cell->value.load(std::memory_order_acquire);
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
-    return NonTxLoad(addr);
+    return NonTxLoad(cell);
   }
-  if (const WriteEntry* w = FindWrite(tx, addr)) {
+  if (const WriteEntry* w = FindWrite(tx, cell)) {
     return w->value;
   }
-  const uint64_t value = ValidatedRead(tx, addr);
-  AccountReadLine(tx, addr);
+  const uint64_t value = ValidatedRead(tx, cell);
+  AccountReadLine(tx, cell);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeSpuriousAbort(tx);
   return value;
 }
 
-void TxStore(std::atomic<uint64_t>* addr, uint64_t value) {
+void TxStore(TxCell* cell, uint64_t value) {
   if (CurrentBackend() == Backend::kSwOcc) {
-    SwOccStore(addr, value);
+    SwOccStore(&cell->value, value);
     return;
   }
   if (CurrentBackend() == Backend::kRtm) {
     if (RtmInTx()) {
-      addr->store(value, std::memory_order_relaxed);
+      cell->value.store(value, std::memory_order_relaxed);
     } else {
-      addr->store(value, std::memory_order_release);
+      cell->value.store(value, std::memory_order_release);
     }
     return;
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
-    // Strong atomicity: the stripe bump makes the non-transactional store
+    // Strong atomicity: the version bump makes the non-transactional store
     // visible to concurrent transactions' validation.
-    UnderStripeLock(StripeFor(addr),
-                    [&] { addr->store(value, std::memory_order_relaxed); });
+    UnderCellLock(cell,
+                  [&] { cell->value.store(value, std::memory_order_relaxed); });
     return;
   }
 
-  if (tx.write_lines.insert(CacheLineOf(addr)) &&
+  if (tx.write_lines.insert(CacheLineOf(cell)) &&
       tx.write_lines.size() > Config().write_capacity_lines) {
     AbortInternal(tx, AbortCode::kCapacity);
   }
-  if (WriteEntry* w = FindWrite(tx, addr)) {
+  if (WriteEntry* w = FindWrite(tx, cell)) {
     w->value = value;
   } else {
-    AppendWrite(tx, addr, value);
+    AppendWrite(tx, cell, value);
   }
   MaybeInjectedAbort(tx, fault::Site::kStore);
   MaybeSpuriousAbort(tx);
@@ -647,63 +641,64 @@ uint64_t TxSubscribe(const std::atomic<uint64_t>* word) {
   return SimSubscribe(Tls(), word);
 }
 
-uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta) {
+uint64_t TxFetchAdd(TxCell* cell, uint64_t delta) {
+  std::atomic<uint64_t>& word = cell->value;
   if (CurrentBackend() == Backend::kSwOcc) {
-    return SwOccFetchAdd(addr, delta);
+    return SwOccFetchAdd(&word, delta);
   }
   if (CurrentBackend() == Backend::kRtm) {
     if (RtmInTx()) {
-      uint64_t next = addr->load(std::memory_order_relaxed) + delta;
-      addr->store(next, std::memory_order_relaxed);
+      uint64_t next = word.load(std::memory_order_relaxed) + delta;
+      word.store(next, std::memory_order_relaxed);
       return next;
     }
-    return addr->fetch_add(delta, std::memory_order_acq_rel) + delta;
+    return word.fetch_add(delta, std::memory_order_acq_rel) + delta;
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
-    // Non-transactional RMW under the stripe lock: strongly atomic against
+    // Non-transactional RMW under the cell's lock: strongly atomic against
     // both committing transactions and other non-transactional updaters.
     uint64_t next = 0;
-    UnderStripeLock(StripeFor(addr), [&] {
-      next = addr->load(std::memory_order_relaxed) + delta;
-      addr->store(next, std::memory_order_relaxed);
+    UnderCellLock(cell, [&] {
+      next = word.load(std::memory_order_relaxed) + delta;
+      word.store(next, std::memory_order_relaxed);
     });
     return next;
   }
 
-  if (WriteEntry* w = FindWrite(tx, addr)) {
+  if (WriteEntry* w = FindWrite(tx, cell)) {
     // The cell is already ours: the buffered value is the transaction-local
-    // truth, no stripe validation or set accounting is needed.
+    // truth, no validation or set accounting is needed.
     w->value += delta;
     MaybeInjectedAbort(tx, fault::Site::kStore);
     MaybeSpuriousAbort(tx);
     return w->value;
   }
 
-  uint64_t value = ValidatedRead(tx, addr);
-  AccountReadLine(tx, addr);
-  if (tx.write_lines.insert(CacheLineOf(addr)) &&
+  uint64_t value = ValidatedRead(tx, cell);
+  AccountReadLine(tx, cell);
+  if (tx.write_lines.insert(CacheLineOf(cell)) &&
       tx.write_lines.size() > Config().write_capacity_lines) {
     AbortInternal(tx, AbortCode::kCapacity);
   }
   value += delta;
-  AppendWrite(tx, addr, value);
+  AppendWrite(tx, cell, value);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeInjectedAbort(tx, fault::Site::kStore);
   MaybeSpuriousAbort(tx);
   return value;
 }
 
-void StripeGuardedUpdate(const void* addr, void (*fn)(void*), void* arg) {
+void StripeGuardedUpdate(TxCell* cell, void (*fn)(void*), void* arg) {
   const Backend backend = CurrentBackend();
   if (backend == Backend::kRtm || backend == Backend::kSwOcc) {
     // Real RTM gets strong atomicity from cache coherence. Under sw-OCC
-    // nothing validates against the stripes, so the guarded update is just
-    // the update.
+    // nothing validates against cell version words, so the guarded update
+    // is just the update.
     fn(arg);
     return;
   }
-  UnderStripeLock(StripeFor(addr), [&] { fn(arg); });
+  UnderCellLock(cell, [&] { fn(arg); });
 }
 
 }  // namespace gocc::htm

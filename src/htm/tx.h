@@ -3,12 +3,12 @@
 // Two backends implement this API (selected at runtime, see config.h):
 //
 //  * SimTM — a software transactional backend: lazy versioning (writes
-//    buffered until commit), a striped version-lock table whose stripes
-//    count their own versions, incremental validation (each read re-checks
-//    every stripe read before it), commit-time write-stripe locking +
-//    read-set validation, capacity aborts modelled on cache geometry, flat
-//    nesting (like RTM, an abort anywhere rolls back to the outermost
-//    begin).
+//    buffered until commit), a version lock in every cell (TxCell) that
+//    counts the cell's own versions, incremental validation (each read
+//    re-checks every version word read before it), commit-time locking of
+//    the written cells + read-set validation, capacity aborts modelled on
+//    cache geometry, flat nesting (like RTM, an abort anywhere rolls back
+//    to the outermost begin).
 //  * RTM — real xbegin/xend/xabort (rtm_backend.cc) when the hardware probe
 //    succeeds; transactional loads/stores degrade to plain atomics because
 //    the hardware versions memory itself.
@@ -38,6 +38,26 @@
 
 namespace gocc::htm {
 
+// A transactional memory cell: a 64-bit value and the SimTM version lock
+// that guards it. The version word encodes `version << 1 | locked`; whoever
+// locks it and writes the value releases it at its version + 1. 16-B
+// alignment keeps both words on one cache line, so a SimTM access touches
+// the line the data lives on and nothing else. sw-OCC and RTM use only the
+// value word.
+struct alignas(16) TxCell {
+  std::atomic<uint64_t> version{0};
+  std::atomic<uint64_t> value{0};
+};
+
+inline constexpr uint64_t kCellLockedBit = 1;
+
+inline bool CellIsLocked(uint64_t version_word) {
+  return (version_word & kCellLockedBit) != 0;
+}
+inline uint64_t CellVersion(uint64_t version_word) {
+  return version_word >> 1;
+}
+
 // True while the calling thread has an open transaction.
 bool InTx();
 
@@ -51,7 +71,7 @@ int TxDepth();
 BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env);
 
 // Commits the innermost transaction. For the outermost level this performs
-// write-stripe locking, read-set validation and write-back; on validation
+// written-cell locking, read-set validation and write-back; on validation
 // failure it aborts (control returns to the checkpoint).
 void TxCommit();
 
@@ -70,45 +90,46 @@ void TxCommit();
 // SimTM state.
 void TxCancel(AbortCode code);
 
-// Transactional load of a 64-bit cell. Outside a transaction this is a plain
-// acquire load.
-uint64_t TxLoad(const std::atomic<uint64_t>* addr);
+// Transactional load of a cell's value. Outside a transaction SimTM waits
+// for the cell to be unlocked; the other backends load plainly.
+uint64_t TxLoad(const TxCell* cell);
 
-// Transactional store of a 64-bit cell. Outside a transaction the store is
-// stripe-guarded so concurrent transactions observe it (strong atomicity).
-void TxStore(std::atomic<uint64_t>* addr, uint64_t value);
+// Transactional store of a cell's value. Outside a transaction the store
+// is made under the cell's version lock so concurrent transactions observe
+// it (strong atomicity).
+void TxStore(TxCell* cell, uint64_t value);
 
 // Subscribes the open transaction to a lock word and returns the word's
 // value; the caller decides from it whether the lock is available. SimTM
 // records the word itself as a read-set entry checked by value equality:
 // every later read and a writing commit re-check it, so any RMW a lock
 // holder makes on the word aborts the transaction (DESIGN.md §4.2). There
-// is no stripe and no lock-bit test. sw-OCC records it as a subscription,
-// and under RTM it is a plain load into the hardware read set. Outside a
-// transaction this is a plain acquire load.
+// is no lock-bit test. sw-OCC records it as a subscription, and under RTM
+// it is a plain load into the hardware read set. Outside a transaction
+// this is a plain acquire load.
 uint64_t TxSubscribe(const std::atomic<uint64_t>* word);
 
-// Fused transactional read-modify-write: semantically TxStore(addr,
-// TxLoad(addr) + delta) (2^64 wrapping add in the bit domain), but performs
-// the write-set lookup, stripe validation, and capacity accounting once.
-// Outside a transaction the whole RMW happens under the stripe lock, so —
+// Fused transactional read-modify-write: semantically TxStore(cell,
+// TxLoad(cell) + delta) (2^64 wrapping add in the bit domain), but performs
+// the write-set lookup, validation, and capacity accounting once. Outside a
+// transaction the whole RMW happens under the cell's version lock, so —
 // unlike a separate Load/Store pair — it is atomic against concurrent
 // non-transactional updaters too. Returns the new value.
-uint64_t TxFetchAdd(std::atomic<uint64_t>* addr, uint64_t delta);
+uint64_t TxFetchAdd(TxCell* cell, uint64_t delta);
 
-// Runs `fn` as a stripe-guarded non-transactional update of `addr`:
-// lock stripe -> fn() -> release the stripe at its version + 1. An
-// in-flight transaction that read `addr` aborts at its next read or, if it
-// writes, at commit; a read-only one that reads nothing more serializes
-// before the update. This is the strong-atomicity hook for
-// non-transactional writes to memory transactions watch.
-void StripeGuardedUpdate(const void* addr, void (*fn)(void*), void* arg);
+// Runs `fn` as a guarded non-transactional update of `cell`: lock its
+// version word -> fn() -> release it at its version + 1. An in-flight
+// transaction that read `cell` aborts at its next read or, if it writes,
+// at commit; a read-only one that reads nothing more serializes before the
+// update. This is the strong-atomicity hook for non-transactional writes to
+// memory transactions watch.
+void StripeGuardedUpdate(TxCell* cell, void (*fn)(void*), void* arg);
 
 // Convenience overload for capturing lambdas.
 template <typename Fn>
-void StripeGuardedUpdate(const void* addr, Fn&& fn) {
+void StripeGuardedUpdate(TxCell* cell, Fn&& fn) {
   StripeGuardedUpdate(
-      addr, [](void* raw) { (*static_cast<Fn*>(raw))(); }, &fn);
+      cell, [](void* raw) { (*static_cast<Fn*>(raw))(); }, &fn);
 }
 
 }  // namespace gocc::htm

@@ -325,7 +325,7 @@ std::string OptiStats::ToString() const {
           site_cache_invalidations.load(std::memory_order_relaxed)));
   out += StrFormat(
       " multilock{episodes=%llu fast_commits=%llu slow_acquires=%llu "
-      "unattributed_aborts=%llu}",
+      "unattributed_aborts=%llu abort_member=[",
       static_cast<unsigned long long>(
           multilock_episodes.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
@@ -334,6 +334,12 @@ std::string OptiStats::ToString() const {
           multilock_slow_acquires.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           multilock_aborts_unattributed.load(std::memory_order_relaxed)));
+  for (int i = 0; i < OptiLock::kMaxLockSet; ++i) {
+    out += StrFormat(
+        "%s%llu", i == 0 ? "" : " ",
+        static_cast<unsigned long long>(MultiLockAbortsOnMember(i)));
+  }
+  out += "]}";
   out += StrFormat(
       " unwind{cancels=%llu slow_unlocks=%llu} misuse{%s}",
       static_cast<unsigned long long>(
@@ -891,9 +897,9 @@ bool OptiLock::SoftwareEligible(htm::Backend backend) const {
       // section must validate reader_count_ by value instead. That is sound
       // under SimTM only: a reader still inside its section at commit
       // leaves the count nonzero, and one that came and went is serialized
-      // by the data stripes it touched. sw-OCC's depth-0 accesses touch no
-      // stripes, so there a write elision could publish under a reader's
-      // feet: sw-OCC takes the lock.
+      // by the version words of the cells it touched. sw-OCC's depth-0
+      // accesses touch no version words, so there a write elision could
+      // publish under a reader's feet: sw-OCC takes the lock.
       return backend == htm::Backend::kSim && AsRW()->elision_tracked();
     case Target::kMutexSet:
       // Every member must maintain its version word; one untracked member

@@ -129,13 +129,13 @@ class Perceptron {
                std::memory_order_relaxed);
   }
 
-  // Zeroes every cell (benchmark isolation).
+  // Zeroes every cell (benchmark isolation). Cells already zero are only
+  // read, so a reset neither dirties their lines nor faults in table pages
+  // no episode has touched.
   void Reset() {
     for (uint32_t i = 0; i < kTableSize; ++i) {
-      mutex_table_[i].weight.store(0, std::memory_order_relaxed);
-      mutex_table_[i].slow_streak.store(0, std::memory_order_relaxed);
-      context_table_[i].weight.store(0, std::memory_order_relaxed);
-      context_table_[i].slow_streak.store(0, std::memory_order_relaxed);
+      ClearCell(mutex_table_[i]);
+      ClearCell(context_table_[i]);
     }
   }
 
@@ -176,6 +176,13 @@ class Perceptron {
     if (cell.slow_streak.load(std::memory_order_relaxed) != 0) {
       cell.slow_streak.store(0, std::memory_order_relaxed);
     }
+  }
+
+  static void ClearCell(Cell& cell) {
+    if (cell.weight.load(std::memory_order_relaxed) != 0) {
+      cell.weight.store(0, std::memory_order_relaxed);
+    }
+    ClearStreak(cell);
   }
 
   static bool NoteSlowOnCell(Cell& cell) {

@@ -269,8 +269,10 @@ class CacheService {
 
     // Deadline, checked at the lock boundary: the budget (including
     // upstream lag) must still be open or the critical section is wasted
-    // work for a response nobody reads.
-    if (NowNs() >= deadline) {
+    // work for a response nobody reads. Nothing since `start` waits except
+    // a hedge's snapshot probe, so only a hedged request reads the clock
+    // again.
+    if ((res.hedged ? NowNs() : start) >= deadline) {
       stats_.Bump(Outcome::kShedDeadline);
       stats_.deadline_in_shard.fetch_add(1, std::memory_order_relaxed);
       res.outcome = Outcome::kShedDeadline;

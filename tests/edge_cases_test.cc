@@ -98,12 +98,14 @@ TEST_F(EdgeCaseTest, ReuseOfOneOptiLockAcrossEpisodes) {
   optilib::OptiLock ol;
   // Sequential episodes on different mutexes through one OptiLock (the
   // transformed code reuses the function-local variable the same way).
-  for (int i = 0; i < 50; ++i) {
+  volatile int episodes = 0;  // lives across OPTI_FAST_LOCK's checkpoint
+  while (episodes < 50) {
     ol.WithLock(&a, [&] { value.Add(1); });
     ol.WithLock(&b, [&] { value.Add(2); });
     OPTI_FAST_LOCK(ol, &a);
     value.Add(3);
     ol.FastUnlock(&a);
+    episodes = episodes + 1;
   }
   EXPECT_EQ(value.Load(), 50 * 6);
 }
@@ -221,8 +223,9 @@ TEST_F(EdgeCaseTest, ConflictRetryConfigRetriesBeforeFallback) {
 }
 
 TEST_F(EdgeCaseTest, SharedCellStressAcrossManyStripes) {
-  // Hammer cells that collide on stripes with transactions and raw access.
-  constexpr int kCells = 257;  // not a power of two: uneven stripe spread
+  // Hammer many cells, each with its own version word, from elided
+  // episodes on four threads.
+  constexpr int kCells = 257;
   std::vector<std::unique_ptr<htm::Shared<int64_t>>> cells;
   for (int i = 0; i < kCells; ++i) {
     cells.push_back(std::make_unique<htm::Shared<int64_t>>(0));

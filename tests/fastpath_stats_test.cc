@@ -305,6 +305,16 @@ TEST_F(FastPathStatsTest, BackToBackRunsStartIdentical) {
   EXPECT_EQ(EpisodeClockFrontier(), first_frontier);
 }
 
+// ToString prints the per-member multi-lock abort histogram that /metrics
+// exports, one figure per sorted member position.
+TEST_F(FastPathStatsTest, ToStringPrintsMultiLockMemberHistogram) {
+  GlobalOptiStats().multilock_abort_member[3].fetch_add(
+      2, std::memory_order_relaxed);
+  const std::string text = GlobalOptiStats().ToString();
+  EXPECT_NE(text.find("abort_member=[0 0 0 2 0 0 0 0]"), std::string::npos)
+      << text;
+}
+
 // --- 3. Cooldown behaviour under the batched clock --------------------------
 
 // Trips the breaker for (mu, ol) deterministically: with threshold 1 and no

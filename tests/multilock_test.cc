@@ -313,8 +313,8 @@ TEST_F(MultiLockTest, CommitFaultWithNoMovedWordLandsUnattributed) {
 
 TEST_F(MultiLockTest, ConcurrentSlowTransitionIsBlamedViaInference) {
   // A pessimistic Lock/Unlock of one member between subscription and commit
-  // bumps that member's stripe: validation fails, and the inference path
-  // must name exactly that member from its moved version word.
+  // bumps that member's version word: validation fails, and the inference
+  // path must name exactly that member from the moved word.
   OptiConfig cfg = GetOptiConfig();
   cfg.conflict_retries = 2;
   PublishOptiConfig(cfg);
@@ -412,7 +412,7 @@ TEST_F(MultiLockTest, MemberDestroyedMidFastEpisodeUnwindsWithoutCommit) {
   // Fast path: the member is only subscribed, not held, so its destruction
   // mid-episode is clean teardown — but the episode must NOT commit over
   // it. Unwinding out abandons the transaction with every buffered write
-  // rolled back; the poisoned stripe left behind is what defeats any
+  // rolled back; the poisoned lock word left behind is what defeats any
   // episode still subscribed (word-level poison semantics are covered by
   // the swocc/simtm suites).
   gosync::Mutex a;

@@ -102,6 +102,27 @@ TEST_F(PerceptronTest, ResetZeroesEverything) {
   EXPECT_TRUE(p_.Predict(idx_));
 }
 
+// Reset skips cells that already read zero, so it must still clear every
+// dirtied one: each cell's weight and slow streak, in both tables.
+TEST_F(PerceptronTest, ResetZeroesEveryCell) {
+  for (uint32_t i = 0; i < Perceptron::kTableSize; ++i) {
+    if (i % 3 != 0) {  // leave some cells clean
+      p_.PenalizeHtm({i, i});
+      p_.NoteSlowDecision({i, i});
+    }
+  }
+  p_.Reset();
+  for (uint32_t i = 0; i < Perceptron::kTableSize; ++i) {
+    ASSERT_EQ(p_.WeightSum({i, i}), 0) << "cell " << i;
+    // A streak left at 1 would reach the threshold one decision early.
+    bool reset = false;
+    for (uint32_t n = 0; n + 1 < Perceptron::kDecayThreshold; ++n) {
+      reset |= p_.NoteSlowDecision({i, i});
+    }
+    ASSERT_FALSE(reset) << "cell " << i << " kept its slow streak";
+  }
+}
+
 // Learning dynamics: under a workload where HTM fails p fraction of the
 // time, the predictor must converge to "lock" for high p and stay at "HTM"
 // for low p.

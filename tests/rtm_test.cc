@@ -45,7 +45,7 @@ class RtmTest : public ::testing::Test {
 TEST_F(RtmTest, HardwareTransactionCommits) {
   Shared<int64_t> cell(0);
   std::jmp_buf env;
-  int attempts = 0;
+  volatile int attempts = 0;  // lives across the setjmp checkpoint
   while (attempts < 1000000) {
     BeginStatus status = GOCC_TX_BEGIN(env);
     if (status.started) {
@@ -53,7 +53,7 @@ TEST_F(RtmTest, HardwareTransactionCommits) {
       TxCommit();
       break;
     }
-    ++attempts;
+    attempts = attempts + 1;
   }
   if (attempts >= 1000000) {
     // TSX is best-effort: on a loaded single-CPU host timer interrupts can
@@ -69,7 +69,8 @@ TEST_F(RtmTest, ExplicitAbortRollsBackHardwareState) {
   std::jmp_buf env;
   // Explicit aborts are deterministic: the first started transaction
   // aborts with our code.
-  for (int i = 0; i < 1000; ++i) {
+  volatile int tries = 0;  // lives across the setjmp checkpoint
+  while (tries < 1000) {
     BeginStatus status = GOCC_TX_BEGIN(env);
     if (status.started) {
       cell.Store(99);
@@ -80,6 +81,7 @@ TEST_F(RtmTest, ExplicitAbortRollsBackHardwareState) {
       return;
     }
     // Spurious abort before our explicit one: retry.
+    tries = tries + 1;
   }
   GTEST_SKIP() << "could not start a transaction (all spurious aborts)";
 }

@@ -179,7 +179,7 @@ TEST_F(SwOccTest, MidEpisodePoisonDetectedAtValidation) {
   // episode): the next validated read must classify it as use-after-destroy
   // rather than an ordinary conflict.
   std::atomic<uint64_t> word{0};
-  std::atomic<uint64_t> data{7};
+  htm::Shared<int64_t> data(7);
   std::jmp_buf env;
   volatile bool poisoned = false;
   auto status = GOCC_TX_BEGIN(env);
@@ -189,7 +189,7 @@ TEST_F(SwOccTest, MidEpisodePoisonDetectedAtValidation) {
       poisoned = true;
       word.store(htm::kOccPoison, std::memory_order_release);
     }
-    htm::TxLoad(&data);  // validated read: must notice the poison
+    (void)data.Load();  // validated read: must notice the poison
     ADD_FAILURE() << "validated read of a poisoned subscription must abort";
     htm::TxCommit();
   } else {
