@@ -116,9 +116,8 @@ void PerceptronOverheadExperiment() {
     perceptron.RewardHtm(idx);
   }
   double update_ns = (NowNs() - t0) / kMicroIters;
-  if (sink) {
-    std::printf("");  // keep the compiler from dropping the loop
-  }
+  // A volatile store of the result keeps the compiler from dropping the loop.
+  [[maybe_unused]] volatile bool keep = sink;
 
   std::printf("  CS cost without perceptron: %.0f ns/episode\n", without_ns);
   std::printf("  prediction overhead: %.2f ns/episode = %.2f%%  (paper: "

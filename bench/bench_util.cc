@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -229,7 +230,10 @@ JsonReport::~JsonReport() {
 }
 
 void JsonReport::Config(const std::string& key, const std::string& value) {
-  config_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  std::string quoted = "\"";
+  quoted += JsonEscape(value);
+  quoted += '"';
+  config_.emplace_back(key, std::move(quoted));
 }
 
 void JsonReport::Config(const std::string& key, double value) {
@@ -310,14 +314,17 @@ void RunMeasured(const std::string& figure,
   }
   std::printf("\n[measured] %s — real optiLib runtime (%s backend)\n",
               figure.c_str(), backend);
-  if (hw < 8) {
+  const bool oversubscribed =
+      std::any_of(thread_counts.begin(), thread_counts.end(),
+                  [hw](int threads) { return threads > static_cast<int>(hw); });
+  if (oversubscribed) {
     std::printf(
-        "  NOTE: host has %u hardware thread(s); threads time-share, so "
-        "wall-clock\n  scaling is not meaningful here — see the [simulated] "
-        "section for scaling\n  shapes. This section validates the runtime "
-        "end to end. On the software\n  backends (SimTM, sw-OCC) the GOCC "
-        "column additionally pays per-access\n  instrumentation (~10ns) "
-        "that real RTM does not.\n",
+        "  NOTE: host has %u hardware thread(s); cells with more threads "
+        "time-share,\n  so their wall-clock scaling is not meaningful — see "
+        "the [simulated]\n  section for scaling shapes. This section "
+        "validates the runtime end to end.\n  On the software backends "
+        "(SimTM, sw-OCC) the GOCC column additionally pays\n  per-access "
+        "instrumentation (~10ns) that real RTM does not.\n",
         hw);
   }
   std::printf("  %-24s %8s %12s %12s %10s\n", "benchmark", "threads",

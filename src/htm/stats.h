@@ -14,8 +14,10 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/htm/abort.h"
+#include "src/support/counter_table.h"
 #include "src/support/sharded.h"
 
 namespace gocc::htm {
@@ -31,40 +33,11 @@ struct TxStats {
     kNumSlots = kAbortsBase + kNumAbortCodes,
   };
 
-  TxStats()
-      : begins(&shards_, kBegins),
-        commits(&shards_, kCommits),
-        read_only_commits(&shards_, kReadOnlyCommits),
-        aborts_conflict(&shards_, kAbortsBase +
-                                      static_cast<int>(AbortCode::kConflict)),
-        aborts_capacity(&shards_, kAbortsBase +
-                                      static_cast<int>(AbortCode::kCapacity)),
-        aborts_explicit(&shards_, kAbortsBase +
-                                      static_cast<int>(AbortCode::kExplicit)),
-        aborts_lock_held(&shards_, kAbortsBase +
-                                       static_cast<int>(AbortCode::kLockHeld)),
-        aborts_mutex_mismatch(
-            &shards_,
-            kAbortsBase + static_cast<int>(AbortCode::kMutexMismatch)),
-        aborts_spurious(&shards_, kAbortsBase +
-                                      static_cast<int>(AbortCode::kSpurious)),
-        aborts_occ_validate(
-            &shards_,
-            kAbortsBase + static_cast<int>(AbortCode::kOccValidateFail)) {}
+  support::ShardedCounter begins{&shards_, kBegins};
+  support::ShardedCounter commits{&shards_, kCommits};
+  support::ShardedCounter read_only_commits{&shards_, kReadOnlyCommits};
 
-  support::ShardedCounter begins;
-  support::ShardedCounter commits;
-  support::ShardedCounter read_only_commits;
-  support::ShardedCounter aborts_conflict;
-  support::ShardedCounter aborts_capacity;
-  support::ShardedCounter aborts_explicit;
-  support::ShardedCounter aborts_lock_held;
-  support::ShardedCounter aborts_mutex_mismatch;
-  support::ShardedCounter aborts_spurious;
-  support::ShardedCounter aborts_occ_validate;
-
-  // Substrate aborts recorded for one code (the named members above cover
-  // the same slots; this form lets exporters iterate the histogram).
+  // Substrate aborts recorded for one code.
   uint64_t Aborts(AbortCode code) const {
     if (code == AbortCode::kNone) {
       return 0;
@@ -91,12 +64,34 @@ struct TxStats {
   // Slot). The TM hot path bumps this directly.
   std::atomic<uint64_t>* LocalShard() { return shards_.Local(); }
 
+  // Every slot's count, indexed by Slot (the values kTxStatsRows reads).
+  std::vector<uint64_t> Counts() const { return shards_.Sums(); }
+
   void Reset() { shards_.ResetAll(); }
 
   std::string ToString() const;
 
  private:
   support::ShardedCounters shards_{kNumSlots};
+};
+
+// Counter row of an abort-code histogram whose kNone slot is `none_slot`:
+// kNone is never recorded, so the row starts at kConflict.
+constexpr support::CounterRow AbortCodeRow(int none_slot, const char* name,
+                                           const char* help) {
+  return {none_slot + 1, kNumAbortCodes - 1, name, help, "code",
+          [](int bucket) {
+            return AbortCodeName(static_cast<AbortCode>(bucket + 1));
+          }};
+}
+
+inline constexpr support::CounterRow kTxStatsRows[] = {
+    {TxStats::kBegins, 1, "begins", "Transactions begun (outermost only)."},
+    {TxStats::kCommits, 1, "commits", "Transactions committed."},
+    {TxStats::kReadOnlyCommits, 1, "read_only_commits",
+     "Commits whose write set was empty."},
+    AbortCodeRow(TxStats::kAbortsBase, "aborts",
+                 "Substrate aborts, by abort code."),
 };
 
 // Global statistics instance.

@@ -35,7 +35,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
+#include <vector>
+
+#include "src/support/counter_table.h"
 
 namespace gocc::htm {
 
@@ -81,20 +83,45 @@ inline constexpr uint64_t OccAcquired(uint64_t word) {
 // optilib, so these cannot live in OptiStats). Plain shared atomics: every
 // path that bumps them already paid a contended CAS.
 struct SwOccWordStats {
+  enum Slot : int {
+    kWriterWaits = 0,
+    kWriterPendingSets,
+    kOccPublishes,
+    kNumSlots,
+  };
+
+  std::atomic<uint64_t> slots[kNumSlots] = {};
   // Pessimistic acquirers that found the word held by an OCC committer and
   // had to spin for it.
-  std::atomic<uint64_t> writer_waits{0};
+  std::atomic<uint64_t>& writer_waits = slots[kWriterWaits];
   // Spins that crossed the starvation threshold and raised the pending flag.
-  std::atomic<uint64_t> writer_pending_sets{0};
+  std::atomic<uint64_t>& writer_pending_sets = slots[kWriterPendingSets];
   // Read-write OCC commits that published through the word.
-  std::atomic<uint64_t> occ_publishes{0};
+  std::atomic<uint64_t>& occ_publishes = slots[kOccPublishes];
+
+  // Every slot's count, indexed by Slot (the values kSwOccWordRows reads).
+  std::vector<uint64_t> Counts() const {
+    std::vector<uint64_t> counts(kNumSlots);
+    for (int i = 0; i < kNumSlots; ++i) {
+      counts[i] = slots[i].load(std::memory_order_relaxed);
+    }
+    return counts;
+  }
 
   void Reset() {
-    writer_waits.store(0, std::memory_order_relaxed);
-    writer_pending_sets.store(0, std::memory_order_relaxed);
-    occ_publishes.store(0, std::memory_order_relaxed);
+    for (std::atomic<uint64_t>& slot : slots) {
+      slot.store(0, std::memory_order_relaxed);
+    }
   }
-  std::string ToString() const;
+};
+
+inline constexpr support::CounterRow kSwOccWordRows[] = {
+    {SwOccWordStats::kWriterWaits, 1, "writer_waits",
+     "Pessimistic acquirers that spun on a word held by an OCC committer."},
+    {SwOccWordStats::kWriterPendingSets, 1, "writer_pending_sets",
+     "Starved acquirers that raised the writer-pending flag."},
+    {SwOccWordStats::kOccPublishes, 1, "occ_publishes",
+     "Read-write OCC commits published through a word."},
 };
 
 SwOccWordStats& GlobalSwOccWordStats();

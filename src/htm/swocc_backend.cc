@@ -12,20 +12,8 @@
 #include "src/htm/swocc.h"
 #include "src/support/misuse.h"
 #include "src/support/rng.h"
-#include "src/support/strings.h"
 
 namespace gocc::htm {
-
-std::string SwOccWordStats::ToString() const {
-  return StrFormat(
-      "swocc{writer_waits=%llu pending_sets=%llu publishes=%llu}",
-      static_cast<unsigned long long>(
-          writer_waits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          writer_pending_sets.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          occ_publishes.load(std::memory_order_relaxed)));
-}
 
 SwOccWordStats& GlobalSwOccWordStats() {
   static SwOccWordStats stats;

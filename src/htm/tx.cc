@@ -13,7 +13,6 @@
 #include "src/htm/stats.h"
 #include "src/htm/swocc_backend.h"
 #include "src/support/rng.h"
-#include "src/support/strings.h"
 
 namespace gocc::htm {
 namespace {
@@ -364,7 +363,7 @@ uint64_t NonTxLoad(const TxCell* cell) {
 }
 
 // The one non-transactional write protocol — TxStore/TxFetchAdd outside a
-// transaction and StripeGuardedUpdate: lock `cell`'s version word, run
+// transaction and CellGuardedUpdate: lock `cell`'s version word, run
 // `fn`, release the word at the cell's next version, so every transaction
 // that read the cell fails its next validation. The seq_cst CAS is this
 // side of the Dekker pairs LockCellForCommit describes; the release fence
@@ -417,28 +416,7 @@ uint64_t SimSubscribe(TxContext& tx, const std::atomic<uint64_t>* word) {
 TxStats& GlobalTxStats() { return g_stats; }
 
 std::string TxStats::ToString() const {
-  return StrFormat(
-      "begins=%llu commits=%llu (ro=%llu) aborts{conflict=%llu capacity=%llu "
-      "explicit=%llu lock_held=%llu mismatch=%llu spurious=%llu "
-      "occ_validate=%llu}",
-      static_cast<unsigned long long>(begins.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(commits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          read_only_commits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          aborts_conflict.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          aborts_capacity.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          aborts_explicit.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          aborts_lock_held.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          aborts_mutex_mismatch.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          aborts_spurious.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          aborts_occ_validate.load(std::memory_order_relaxed)));
+  return support::RenderCounters(kTxStatsRows, Counts());
 }
 
 bool InTx() {
@@ -689,7 +667,7 @@ uint64_t TxFetchAdd(TxCell* cell, uint64_t delta) {
   return value;
 }
 
-void StripeGuardedUpdate(TxCell* cell, void (*fn)(void*), void* arg) {
+void CellGuardedUpdate(TxCell* cell, void (*fn)(void*), void* arg) {
   const Backend backend = CurrentBackend();
   if (backend == Backend::kRtm || backend == Backend::kSwOcc) {
     // Real RTM gets strong atomicity from cache coherence. Under sw-OCC

@@ -123,12 +123,12 @@ uint64_t TxFetchAdd(TxCell* cell, uint64_t delta);
 // at commit; a read-only one that reads nothing more serializes before the
 // update. This is the strong-atomicity hook for non-transactional writes to
 // memory transactions watch.
-void StripeGuardedUpdate(TxCell* cell, void (*fn)(void*), void* arg);
+void CellGuardedUpdate(TxCell* cell, void (*fn)(void*), void* arg);
 
 // Convenience overload for capturing lambdas.
 template <typename Fn>
-void StripeGuardedUpdate(TxCell* cell, Fn&& fn) {
-  StripeGuardedUpdate(
+void CellGuardedUpdate(TxCell* cell, Fn&& fn) {
+  CellGuardedUpdate(
       cell, [](void* raw) { (*static_cast<Fn*>(raw))(); }, &fn);
 }
 

@@ -1,9 +1,9 @@
 // Metrics registry + Prometheus-style text exposition (DESIGN.md §4.8).
 //
-// A snapshot-based exporter: CollectRuntimeMetrics() reads every runtime
-// counter family — every OptiStats slot, TxStats substrate
-// begins/commits/aborts, the sw-OCC version-word stats, the episode clock,
-// and the trace recorder's own bookkeeping — into a plain metric list, and
+// A snapshot-based exporter: CollectRuntimeMetrics() reads every row of the
+// runtime counter tables (OptiStats, the misuse kinds, TxStats and the
+// sw-OCC version-word stats; support/counter_table.h), the episode clock,
+// and the trace recorder's own bookkeeping into a plain metric list, and
 // RenderPrometheus() turns it into the text exposition format (`# HELP` /
 // `# TYPE` / samples) that Prometheus, VictoriaMetrics, and friends
 // scrape. Collection sums the per-thread stat shards (support/sharded.h),

@@ -17,7 +17,6 @@
 #include "src/support/env.h"
 #include "src/support/reprobe.h"
 #include "src/support/rng.h"
-#include "src/support/strings.h"
 
 namespace gocc::optilib {
 namespace {
@@ -221,133 +220,16 @@ void PublishOptiConfig(const OptiConfig& next) {
 OptiStats& GlobalOptiStats() { return g_stats; }
 Perceptron& GlobalPerceptron() { return g_perceptron; }
 
-OptiStats::OptiStats()
-    : fast_commits(&shards_, kFastCommits),
-      nested_fast_commits(&shards_, kNestedFastCommits),
-      slow_acquires(&shards_, kSlowAcquires),
-      htm_attempts(&shards_, kHtmAttempts),
-      perceptron_slow_decisions(&shards_, kPerceptronSlowDecisions),
-      perceptron_resets(&shards_, kPerceptronResets),
-      single_proc_bypasses(&shards_, kSingleProcBypasses),
-      mismatch_recoveries(&shards_, kMismatchRecoveries),
-      backoff_waits(&shards_, kBackoffWaits),
-      backoff_pauses(&shards_, kBackoffPauses),
-      breaker_trips(&shards_, kBreakerTrips),
-      breaker_short_circuits(&shards_, kBreakerShortCircuits),
-      breaker_reprobes(&shards_, kBreakerReprobes),
-      watchdog_trips(&shards_, kWatchdogTrips),
-      watchdog_bypasses(&shards_, kWatchdogBypasses),
-      unwind_cancels(&shards_, kUnwindCancels),
-      unwind_slow_unlocks(&shards_, kUnwindSlowUnlocks),
-      occ_fallbacks(&shards_, kOccFallbacks),
-      rtm_demotions(&shards_, kRtmDemotions),
-      site_cache_hits(&shards_, kSiteCacheHits),
-      site_cache_installs(&shards_, kSiteCacheInstalls),
-      site_cache_invalidations(&shards_, kSiteCacheInvalidations),
-      multilock_episodes(&shards_, kMultiLockEpisodes),
-      multilock_fast_commits(&shards_, kMultiLockFastCommits),
-      multilock_slow_acquires(&shards_, kMultiLockSlowAcquires),
-      multilock_aborts_unattributed(&shards_, kMultiLockAbortsUnattributed) {
-  static_assert(kEpisodeAbortsBase ==
-                    kMultiLockAbortMemberBase + OptiLock::kMaxLockSet,
-                "per-member abort histogram sized to the set limit");
-  for (int i = 0; i < OptiLock::kMaxLockSet; ++i) {
-    multilock_abort_member[i] =
-        support::ShardedCounter(&shards_, kMultiLockAbortMemberBase + i);
-  }
-  for (int i = 0; i < htm::kNumAbortCodes; ++i) {
-    episode_aborts[i] =
-        support::ShardedCounter(&shards_, kEpisodeAbortsBase + i);
-  }
-}
+static_assert(OptiStats::kEpisodeAbortsBase ==
+                  OptiStats::kMultiLockAbortMemberBase + OptiLock::kMaxLockSet,
+              "per-member abort histogram sized to the set limit");
 
 void OptiStats::Reset() { shards_.ResetAll(); }
 
 std::string OptiStats::ToString() const {
-  std::string out = StrFormat(
-      "fast_commits=%llu nested=%llu slow=%llu attempts=%llu "
-      "perceptron_slow=%llu perceptron_resets=%llu single_proc=%llu "
-      "mismatch=%llu",
-      static_cast<unsigned long long>(
-          fast_commits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          nested_fast_commits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          slow_acquires.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          htm_attempts.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          perceptron_slow_decisions.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          perceptron_resets.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          single_proc_bypasses.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          mismatch_recoveries.load(std::memory_order_relaxed)));
-  out += " episode_aborts{";
-  for (int i = 1; i < htm::kNumAbortCodes; ++i) {
-    out += StrFormat(
-        "%s%s=%llu", i == 1 ? "" : " ",
-        htm::AbortCodeName(static_cast<htm::AbortCode>(i)),
-        static_cast<unsigned long long>(
-            episode_aborts[i].load(std::memory_order_relaxed)));
-  }
-  out += StrFormat(
-      "} backoff{waits=%llu pauses=%llu} breaker{trips=%llu "
-      "short_circuits=%llu reprobes=%llu} watchdog{trips=%llu bypasses=%llu}",
-      static_cast<unsigned long long>(
-          backoff_waits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          backoff_pauses.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          breaker_trips.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          breaker_short_circuits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          breaker_reprobes.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          watchdog_trips.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          watchdog_bypasses.load(std::memory_order_relaxed)));
-  out += StrFormat(
-      " occ{fallbacks=%llu rtm_demotions=%llu}",
-      static_cast<unsigned long long>(
-          occ_fallbacks.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          rtm_demotions.load(std::memory_order_relaxed)));
-  out += StrFormat(
-      " site_cache{hits=%llu installs=%llu invalidations=%llu}",
-      static_cast<unsigned long long>(
-          site_cache_hits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          site_cache_installs.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          site_cache_invalidations.load(std::memory_order_relaxed)));
-  out += StrFormat(
-      " multilock{episodes=%llu fast_commits=%llu slow_acquires=%llu "
-      "unattributed_aborts=%llu abort_member=[",
-      static_cast<unsigned long long>(
-          multilock_episodes.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          multilock_fast_commits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          multilock_slow_acquires.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          multilock_aborts_unattributed.load(std::memory_order_relaxed)));
-  for (int i = 0; i < OptiLock::kMaxLockSet; ++i) {
-    out += StrFormat(
-        "%s%llu", i == 0 ? "" : " ",
-        static_cast<unsigned long long>(MultiLockAbortsOnMember(i)));
-  }
-  out += "]}";
-  out += StrFormat(
-      " unwind{cancels=%llu slow_unlocks=%llu} misuse{%s}",
-      static_cast<unsigned long long>(
-          unwind_cancels.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          unwind_slow_unlocks.load(std::memory_order_relaxed)),
-      support::MisuseCountsToString().c_str());
-  return out;
+  return support::RenderCounters(kOptiStatsRows, Counts()) + " " +
+         support::RenderCounters(support::kMisuseRows,
+                                 support::MisuseCounts());
 }
 
 // Breaker escalation listener (service tier health ladder). Relaxed atomic:

@@ -32,18 +32,22 @@
 #ifndef GOCC_SRC_OPTILIB_OPTILOCK_H_
 #define GOCC_SRC_OPTILIB_OPTILOCK_H_
 
+#include <array>
 #include <atomic>
 #include <csetjmp>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "src/gosync/mutex.h"
 #include "src/gosync/rwmutex.h"
 #include "src/htm/abort.h"
+#include "src/htm/stats.h"
 #include "src/htm/tx.h"
 #include "src/obs/event.h"
 #include "src/optilib/perceptron.h"
+#include "src/support/counter_table.h"
 #include "src/support/misuse.h"
 #include "src/support/sharded.h"
 
@@ -197,52 +201,46 @@ struct OptiStats {
     kNumSlots = kEpisodeAbortsBase + htm::kNumAbortCodes,
   };
 
-  OptiStats();
-
-  support::ShardedCounter fast_commits;
-  support::ShardedCounter nested_fast_commits;
-  support::ShardedCounter slow_acquires;
-  support::ShardedCounter htm_attempts;
-  support::ShardedCounter perceptron_slow_decisions;
-  support::ShardedCounter perceptron_resets;
-  support::ShardedCounter single_proc_bypasses;
-  support::ShardedCounter mismatch_recoveries;
-
-  // Per-AbortCode histogram of aborts delivered to episodes (indexed by
-  // htm::AbortCode; distinct from TxStats, which counts substrate aborts —
-  // this one counts what optiLib's retry policy actually had to handle).
-  support::ShardedCounter episode_aborts[htm::kNumAbortCodes];
+  support::ShardedCounter fast_commits{&shards_, kFastCommits};
+  support::ShardedCounter nested_fast_commits{&shards_, kNestedFastCommits};
+  support::ShardedCounter slow_acquires{&shards_, kSlowAcquires};
+  support::ShardedCounter htm_attempts{&shards_, kHtmAttempts};
+  support::ShardedCounter perceptron_slow_decisions{&shards_,
+                                                    kPerceptronSlowDecisions};
+  support::ShardedCounter perceptron_resets{&shards_, kPerceptronResets};
+  support::ShardedCounter single_proc_bypasses{&shards_, kSingleProcBypasses};
+  support::ShardedCounter mismatch_recoveries{&shards_, kMismatchRecoveries};
 
   // Backoff / breaker / watchdog observability.
-  support::ShardedCounter backoff_waits;
-  support::ShardedCounter backoff_pauses;
-  support::ShardedCounter breaker_trips;
-  support::ShardedCounter breaker_short_circuits;
-  support::ShardedCounter breaker_reprobes;
-  support::ShardedCounter watchdog_trips;
-  support::ShardedCounter watchdog_bypasses;
+  support::ShardedCounter backoff_waits{&shards_, kBackoffWaits};
+  support::ShardedCounter backoff_pauses{&shards_, kBackoffPauses};
+  support::ShardedCounter breaker_trips{&shards_, kBreakerTrips};
+  support::ShardedCounter breaker_short_circuits{&shards_,
+                                                 kBreakerShortCircuits};
+  support::ShardedCounter breaker_reprobes{&shards_, kBreakerReprobes};
+  support::ShardedCounter watchdog_trips{&shards_, kWatchdogTrips};
+  support::ShardedCounter watchdog_bypasses{&shards_, kWatchdogBypasses};
 
   // Exception-unwind observability (DESIGN.md §4.9): episodes ended by
   // AbandonEpisode instead of FastUnlock, split by which side of the
   // fast/slow fork they were on. Per-kind misuse counters live in
   // support/misuse.h (shared with the gosync destructors) and are appended
   // to ToString().
-  support::ShardedCounter unwind_cancels;
-  support::ShardedCounter unwind_slow_unlocks;
+  support::ShardedCounter unwind_cancels{&shards_, kUnwindCancels};
+  support::ShardedCounter unwind_slow_unlocks{&shards_, kUnwindSlowUnlocks};
 
   // sw-OCC hardening observability: episodes that exhausted the
   // occ_max_retries validation budget and fell back to the lock (a subset
-  // of slow_acquires), and mid-run RTM health re-probes that demoted the
-  // global backend to software (satellite of DESIGN.md §4.10).
-  support::ShardedCounter occ_fallbacks;
-  support::ShardedCounter rtm_demotions;
+  // of slow_acquires).
+  support::ShardedCounter occ_fallbacks{&shards_, kOccFallbacks};
 
   // Per-site decision-cache observability (§4.11): hits are decisions that
   // skipped the perceptron consult entirely; installs and invalidations
   // bound how often cells churn (steady state: hits >> installs).
-  support::ShardedCounter site_cache_hits;
-  support::ShardedCounter site_cache_installs;
-  support::ShardedCounter site_cache_invalidations;
+  support::ShardedCounter site_cache_hits{&shards_, kSiteCacheHits};
+  support::ShardedCounter site_cache_installs{&shards_, kSiteCacheInstalls};
+  support::ShardedCounter site_cache_invalidations{&shards_,
+                                                   kSiteCacheInvalidations};
 
   // Multi-lock episode observability (§4.12). The commit rate the OLTP
   // bench reports is multilock_fast_commits / multilock_episodes; the
@@ -250,19 +248,25 @@ struct OptiStats {
   // of the lock set killed the transaction (subscription-time conflicts
   // name the member exactly; commit-time conflicts are inferred from which
   // member's version word moved, or land in unattributed).
-  support::ShardedCounter multilock_episodes;
-  support::ShardedCounter multilock_fast_commits;
-  support::ShardedCounter multilock_slow_acquires;
-  support::ShardedCounter multilock_aborts_unattributed;
-  support::ShardedCounter multilock_abort_member[8];
+  support::ShardedCounter multilock_episodes{&shards_, kMultiLockEpisodes};
+  support::ShardedCounter multilock_fast_commits{&shards_,
+                                                 kMultiLockFastCommits};
+  support::ShardedCounter multilock_slow_acquires{&shards_,
+                                                  kMultiLockSlowAcquires};
+  support::ShardedCounter multilock_aborts_unattributed{
+      &shards_, kMultiLockAbortsUnattributed};
+  std::array<support::ShardedCounter, 8> multilock_abort_member =
+      support::ShardedCounterRange<8>(&shards_, kMultiLockAbortMemberBase);
 
   uint64_t MultiLockAbortsOnMember(int member) const {
     return multilock_abort_member[member].load(std::memory_order_relaxed);
   }
 
+  // Aborts delivered to episodes for one code (distinct from TxStats, which
+  // counts substrate aborts — this counts what optiLib's retry policy
+  // actually had to handle).
   uint64_t EpisodeAborts(htm::AbortCode code) const {
-    return episode_aborts[static_cast<int>(code)].load(
-        std::memory_order_relaxed);
+    return shards_.Sum(kEpisodeAbortsBase + static_cast<int>(code));
   }
 
   // The calling thread's private slot array (single-writer; index with
@@ -272,11 +276,77 @@ struct OptiStats {
   size_t FreeShardCount() const { return shards_.FreeShardCount(); }
   uint64_t RetiredShardTotal() const { return shards_.RetiredShardTotal(); }
 
+  // Every slot's count, indexed by Slot (the values kOptiStatsRows reads).
+  std::vector<uint64_t> Counts() const { return shards_.Sums(); }
+
   void Reset();
   std::string ToString() const;
 
  private:
   support::ShardedCounters shards_{kNumSlots};
+};
+
+// OptiStats' counter table (support/counter_table.h). ToString and /metrics
+// print the rows in this order, followed by support::kMisuseRows.
+inline constexpr support::CounterRow kOptiStatsRows[] = {
+    {OptiStats::kFastCommits, 1, "fast_commits",
+     "Episodes that committed on the HTM fast path."},
+    {OptiStats::kNestedFastCommits, 1, "nested_fast_commits",
+     "Nested elided sections subsumed into an enclosing transaction."},
+    {OptiStats::kSlowAcquires, 1, "slow_acquires",
+     "Episodes that fell back to the original lock."},
+    {OptiStats::kHtmAttempts, 1, "htm_attempts",
+     "Hardware/software transaction begin attempts."},
+    {OptiStats::kPerceptronSlowDecisions, 1, "perceptron_slow_decisions",
+     "Episodes the perceptron sent straight to the lock."},
+    {OptiStats::kPerceptronResets, 1, "perceptron_resets",
+     "Perceptron cells reset by weight decay (slow-streak threshold)."},
+    {OptiStats::kSingleProcBypasses, 1, "single_proc_bypasses",
+     "Episodes bypassed because GOMAXPROCS==1."},
+    {OptiStats::kMismatchRecoveries, 1, "mismatch_recoveries",
+     "MutexMismatch aborts recovered by slow-path re-execution."},
+    htm::AbortCodeRow(OptiStats::kEpisodeAbortsBase, "episode_aborts",
+                      "Aborts delivered to episodes, by abort code."),
+    {OptiStats::kBackoffWaits, 1, "backoff_waits",
+     "Backoff waits taken between conflict retries."},
+    {OptiStats::kBackoffPauses, 1, "backoff_pauses",
+     "Total pause-spins spent in backoff waits."},
+    {OptiStats::kBreakerTrips, 1, "breaker_trips",
+     "Circuit-breaker cells tripped into quarantine."},
+    {OptiStats::kBreakerShortCircuits, 1, "breaker_short_circuits",
+     "Episodes short-circuited to the lock by an open breaker cell."},
+    {OptiStats::kBreakerReprobes, 1, "breaker_reprobes",
+     "Cooldown-expiry re-probes granted by the breaker."},
+    {OptiStats::kWatchdogTrips, 1, "watchdog_trips",
+     "Process-wide watchdog trips into slow-only mode."},
+    {OptiStats::kWatchdogBypasses, 1, "watchdog_bypasses",
+     "Episodes bypassed during a watchdog cooldown."},
+    {OptiStats::kSiteCacheHits, 1, "site_cache_hits",
+     "Episode decisions served from the per-site cache."},
+    {OptiStats::kSiteCacheInstalls, 1, "site_cache_installs",
+     "Verdicts installed into the per-site cache."},
+    {OptiStats::kSiteCacheInvalidations, 1, "site_cache_invalidations",
+     "Cached verdicts evicted after a refuting episode outcome."},
+    {OptiStats::kOccFallbacks, 1, "occ_fallbacks",
+     "Episodes that exhausted the sw-OCC validation-retry budget."},
+    {OptiStats::kRtmDemotions, 1, "rtm_demotions",
+     "RTM health re-probes that demoted the global backend to software."},
+    {OptiStats::kMultiLockEpisodes, 1, "multilock_episodes",
+     "WithLocks episodes over two or more distinct locks."},
+    {OptiStats::kMultiLockFastCommits, 1, "multilock_fast_commits",
+     "Multi-lock episodes that committed the whole set elided."},
+    {OptiStats::kMultiLockSlowAcquires, 1, "multilock_slow_acquires",
+     "Multi-lock episodes that ended on the sorted pessimistic path."},
+    {OptiStats::kMultiLockAbortsUnattributed, 1,
+     "multilock_aborts_unattributed",
+     "Multi-lock aborts that no member's version word explains."},
+    {OptiStats::kMultiLockAbortMemberBase, 8, "multilock_abort_member",
+     "Multi-lock aborts blamed on a member, by sorted member index.",
+     "member"},
+    {OptiStats::kUnwindCancels, 1, "unwind_cancels",
+     "Fast-path episodes cancelled because an exception unwound through."},
+    {OptiStats::kUnwindSlowUnlocks, 1, "unwind_slow_unlocks",
+     "Slow-path episodes whose lock was released during exception unwind."},
 };
 
 OptiStats& GlobalOptiStats();

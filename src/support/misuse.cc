@@ -3,9 +3,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "src/support/env.h"
-#include "src/support/strings.h"
 
 namespace gocc::support {
 namespace {
@@ -123,16 +123,12 @@ void ResetMisuseCounters() {
   }
 }
 
-std::string MisuseCountsToString() {
-  std::string out;
+std::vector<uint64_t> MisuseCounts() {
+  std::vector<uint64_t> counts(kNumMisuseKinds);
   for (int i = 0; i < kNumMisuseKinds; ++i) {
-    out += StrFormat(
-        "%s%s=%llu", i == 0 ? "" : " ",
-        MisuseKindName(static_cast<MisuseKind>(i)),
-        static_cast<unsigned long long>(
-            g_counts[i].load(std::memory_order_relaxed)));
+    counts[i] = g_counts[i].load(std::memory_order_relaxed);
   }
-  return out;
+  return counts;
 }
 
 }  // namespace gocc::support

@@ -58,7 +58,9 @@
 #define GOCC_SRC_SUPPORT_MISUSE_H_
 
 #include <cstdint>
-#include <string>
+#include <vector>
+
+#include "src/support/counter_table.h"
 
 namespace gocc::support {
 
@@ -115,8 +117,15 @@ uint64_t MisuseCount(MisuseKind kind);
 uint64_t TotalMisuse();
 void ResetMisuseCounters();
 
-// "kind=count kind=count ..." for embedding in stats dumps.
-std::string MisuseCountsToString();
+// Every kind's count, indexed by kind: the slots of kMisuseRows.
+std::vector<uint64_t> MisuseCounts();
+
+// The misuse family's one row (OptiStats::ToString and /metrics print it).
+inline constexpr CounterRow kMisuseRows[] = {
+    {0, kNumMisuseKinds, "misuse",
+     "API misuse occurrences detected and recovered, by kind.", "kind",
+     [](int kind) { return MisuseKindName(static_cast<MisuseKind>(kind)); }},
+};
 
 }  // namespace gocc::support
 

@@ -39,6 +39,7 @@
 #ifndef GOCC_SRC_SUPPORT_SHARDED_H_
 #define GOCC_SRC_SUPPORT_SHARDED_H_
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -134,6 +135,15 @@ class ShardedCounters {
       total += overflow_shard_->slots[idx].load(std::memory_order_relaxed);
     }
     return total;
+  }
+
+  // Sum(idx) of every slot, indexed by slot.
+  std::vector<uint64_t> Sums() const {
+    std::vector<uint64_t> totals(count_);
+    for (int i = 0; i < count_; ++i) {
+      totals[i] = Sum(i);
+    }
+    return totals;
   }
 
   // Zeroes every slot of every shard and the retired accumulator. Exact
@@ -277,7 +287,7 @@ class ShardedCounters {
 // Drop-in stand-in for the `std::atomic<uint64_t>` counter members the
 // stats structs used to expose: `load()` aggregates across shards,
 // `fetch_add()` bumps the calling thread's shard. Default-constructed
-// handles are unbound (for array members rebound in a ctor body).
+// handles are unbound until ShardedCounterRange binds them.
 class ShardedCounter {
  public:
   ShardedCounter() = default;
@@ -299,6 +309,18 @@ class ShardedCounter {
   ShardedCounters* domain_ = nullptr;
   int idx_ = 0;
 };
+
+// Handles for the `N` consecutive slots from `first` (one histogram's
+// buckets), for an in-class member initializer.
+template <size_t N>
+std::array<ShardedCounter, N> ShardedCounterRange(ShardedCounters* domain,
+                                                  int first) {
+  std::array<ShardedCounter, N> handles;
+  for (size_t i = 0; i < N; ++i) {
+    handles[i] = ShardedCounter(domain, first + static_cast<int>(i));
+  }
+  return handles;
+}
 
 }  // namespace gocc::support
 

@@ -76,7 +76,7 @@ TEST_F(EdgeCaseTest, SpuriousAbortsThroughOptiLockStayExact) {
     th.join();
   }
   EXPECT_EQ(counter.Load(), kThreads * kIters);
-  EXPECT_GT(htm::GlobalTxStats().aborts_spurious.load(), 0u);
+  EXPECT_GT(htm::GlobalTxStats().Aborts(htm::AbortCode::kSpurious), 0u);
   EXPECT_GT(optilib::GlobalOptiStats().slow_acquires.load(), 0u)
       << "spurious aborts must fall back to the lock and still finish";
 }

@@ -498,7 +498,7 @@ TEST_F(RWMismatchTest, WrongModeUnlockDetectedTransactionally) {
   }
   EXPECT_EQ(value.Load(), 1);
   EXPECT_EQ(GlobalOptiStats().mismatch_recoveries.load(), 1u);
-  EXPECT_EQ(htm::GlobalTxStats().aborts_mutex_mismatch.load(), 1u);
+  EXPECT_EQ(htm::GlobalTxStats().Aborts(htm::AbortCode::kMutexMismatch), 1u);
   // No lost unlocks: a writer can still get in.
   rw.Lock();
   rw.Unlock();

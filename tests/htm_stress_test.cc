@@ -167,7 +167,7 @@ TEST_F(HtmStressTest, SpuriousAbortInjectionDoesNotBreakAtomicity) {
     th.join();
   }
   EXPECT_EQ(counter.Load(), kThreads * kIncrements);
-  EXPECT_GT(GlobalTxStats().aborts_spurious.load(), 0u);
+  EXPECT_GT(GlobalTxStats().Aborts(AbortCode::kSpurious), 0u);
 }
 
 }  // namespace

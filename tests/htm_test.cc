@@ -107,7 +107,7 @@ TEST_F(HtmTest, AbortCodeLockHeldSurfaces) {
     TxAbort(AbortCode::kLockHeld);
   }
   EXPECT_EQ(status.abort_code, AbortCode::kLockHeld);
-  EXPECT_EQ(GlobalTxStats().aborts_lock_held.load(), 1u);
+  EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kLockHeld), 1u);
 }
 
 TEST_F(HtmTest, WriteCapacityAbort) {
@@ -223,7 +223,7 @@ TEST_F(HtmTest, NonTxWriteInvalidatesWritingReaderAtCommit) {
       pass = 1;
       // A "remote" strongly-atomic write to the subscribed cell (what a
       // slow-path mutex acquisition does to the subscribed lock word).
-      StripeGuardedUpdate(a.cell(), [&] {});
+      CellGuardedUpdate(a.cell(), [&] {});
     }
     TxCommit();  // first pass must fail read-set validation
     EXPECT_EQ(pass, 1);
@@ -246,7 +246,7 @@ TEST_F(HtmTest, ReadOnlyTxSerializesBeforeLaterRemoteWrite) {
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
     seen = a.Load();
-    StripeGuardedUpdate(a.cell(), [&] {});  // remote write after our read
+    CellGuardedUpdate(a.cell(), [&] {});  // remote write after our read
     TxCommit();
   }
   EXPECT_TRUE(status.started);
@@ -267,7 +267,7 @@ TEST_F(HtmTest, ReadAfterRemoteBumpAbortsEagerly) {
       (void)a.Load();
       state = 1;
       // A strongly-atomic remote write to the cell already read.
-      StripeGuardedUpdate(a.cell(), [&] { a.StoreRelaxedInit(1); });
+      CellGuardedUpdate(a.cell(), [&] { a.StoreRelaxedInit(1); });
       (void)b.Load();
       ADD_FAILURE() << "read after a remote write to the read set did not "
                        "abort";
@@ -281,7 +281,7 @@ TEST_F(HtmTest, ReadAfterRemoteBumpAbortsEagerly) {
   EXPECT_EQ(state, 2);
 }
 
-// With per-stripe versions there is no begin-time read version, so a remote
+// With per-cell versions there is no begin-time read version, so a remote
 // write that lands before the transaction's first read of the cell is no
 // conflict: the read returns the new value and the transaction commits.
 TEST_F(HtmTest, FirstReadAfterRemoteWriteCommitsWithNewValue) {
@@ -290,15 +290,15 @@ TEST_F(HtmTest, FirstReadAfterRemoteWriteCommitsWithNewValue) {
   std::jmp_buf env;
   BeginStatus status = GOCC_TX_BEGIN(env);
   ASSERT_TRUE(status.started) << "a first read after a remote write aborted";
-  StripeGuardedUpdate(a.cell(), [&] { a.StoreRelaxedInit(5); });
+  CellGuardedUpdate(a.cell(), [&] { a.StoreRelaxedInit(5); });
   out.Store(a.Load());
   TxCommit();
   EXPECT_EQ(out.Load(), 5);
-  EXPECT_EQ(GlobalTxStats().aborts_conflict.load(), 0u);
+  EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kConflict), 0u);
 }
 
 // A subscribed lock word is its own read-set entry, checked by value: a
-// holder's plain RMW on it (no stripe involved) aborts the subscriber at its
+// holder's plain RMW on it (no cell involved) aborts the subscriber at its
 // next read...
 TEST_F(HtmTest, SubscribedWordChangeAbortsNextRead) {
   std::atomic<uint64_t> word{0};
@@ -370,7 +370,7 @@ TEST_F(HtmTest, StatsCountCommitsAndAborts) {
   const TxStats& stats = GlobalTxStats();
   EXPECT_EQ(stats.commits.load(), 2u);
   EXPECT_EQ(stats.read_only_commits.load(), 1u);
-  EXPECT_EQ(stats.aborts_explicit.load(), 1u);
+  EXPECT_EQ(stats.Aborts(AbortCode::kExplicit), 1u);
   EXPECT_EQ(stats.begins.load(), 3u);
 }
 
@@ -381,7 +381,7 @@ TEST_F(HtmTest, StripeHelpers) {
   Shared<int64_t> cells[2];
   const uint64_t before = cells[0].cell()->version.load();
   const uint64_t neighbour = cells[1].cell()->version.load();
-  StripeGuardedUpdate(cells[0].cell(), [] {});
+  CellGuardedUpdate(cells[0].cell(), [] {});
   const uint64_t after = cells[0].cell()->version.load();
   EXPECT_EQ(CellVersion(after), CellVersion(before) + 1);
   EXPECT_FALSE(CellIsLocked(after));
@@ -408,7 +408,7 @@ TEST_F(HtmTest, AdjacentCellsDoNotConflict) {
     const int64_t seen = line.a.Load();
     if (pass == 1) {
       // A committed remote write to the adjacent cell.
-      StripeGuardedUpdate(line.b.cell(), [&] { line.b.StoreRelaxedInit(9); });
+      CellGuardedUpdate(line.b.cell(), [&] { line.b.StoreRelaxedInit(9); });
     }
     out.Store(seen + line.b.Load());
     TxCommit();
@@ -416,7 +416,7 @@ TEST_F(HtmTest, AdjacentCellsDoNotConflict) {
   EXPECT_TRUE(status.started) << "a write to the adjacent cell aborted us";
   EXPECT_EQ(pass, 1);
   EXPECT_EQ(out.Load(), 9);
-  EXPECT_EQ(GlobalTxStats().aborts_conflict.load(), 0u);
+  EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kConflict), 0u);
 }
 
 // Transaction size sweep: commits must succeed right up to the capacity

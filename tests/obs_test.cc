@@ -7,7 +7,8 @@
 //      multi-threaded, and under chaos-seeded fault injection — this binary
 //      is part of the `ctest -L chaos` seed battery.
 //   3. Exports: the Chrome trace JSON is well-formed and carries the site
-//      names; the Prometheus snapshot exposes every OptiStats slot.
+//      names; every counter row of every stats family reaches exactly one
+//      Prometheus sample and one ToString figure.
 //   4. Loop closure: a set-corpus workload run self-collects a profile,
 //      Profile::Parse accepts it, and the pipeline's hot/cold pair fates
 //      match the shipped corpus/set/set.profile baseline end to end.
@@ -18,6 +19,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -32,6 +36,7 @@
 #include "src/htm/fault.h"
 #include "src/htm/shared.h"
 #include "src/htm/stats.h"
+#include "src/htm/swocc.h"
 #include "src/obs/event.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
@@ -40,6 +45,8 @@
 #include "src/obs/trace_export.h"
 #include "src/optilib/optilock.h"
 #include "src/profile/profile.h"
+#include "src/support/counter_table.h"
+#include "src/support/misuse.h"
 
 namespace gocc::obs {
 namespace {
@@ -561,6 +568,125 @@ TEST_F(ObsTest, PrometheusSnapshotExposesEpisodeCounters) {
               1)
         << "OptiStats slot " << slot;
   }
+}
+
+// Counts the figures of `text` equal to `value`, where figures are the runs
+// between spaces, '=', brackets and braces.
+int CountFigure(const std::string& text, uint64_t value) {
+  const std::string want = std::to_string(value);
+  int count = 0;
+  size_t begin = 0;
+  while (begin <= text.size()) {
+    size_t end = text.find_first_of(" =[]{}", begin);
+    if (end == std::string::npos) {
+      end = text.size();
+    }
+    count += text.compare(begin, end - begin, want) == 0 ? 1 : 0;
+    begin = end + 1;
+  }
+  return count;
+}
+
+// Every counter is declared once, as a Slot entry plus a row, and every
+// exporter reads the rows. Each family's rows cover its slots exactly once
+// (only the never-recorded kNone abort slots stay out); with every slot and
+// misuse kind set to its own value, each value reaches exactly one
+// /metrics sample and exactly one figure of its family's ToString
+// (SwOccWordStats has none; its table is rendered directly).
+TEST_F(ObsTest, EveryCounterRowReachesEachExporterOnce) {
+  htm::SwOccWordStats& words = htm::GlobalSwOccWordStats();
+  words.Reset();
+  support::ResetMisuseCounters();
+  std::atomic<uint64_t>* opti_shard = GlobalOptiStats().LocalShard();
+  std::atomic<uint64_t>* tx_shard = htm::GlobalTxStats().LocalShard();
+  struct Family {
+    const char* name;
+    std::span<const support::CounterRow> rows;
+    int num_slots;
+    int unrecorded_slot;  // -1: every slot is recorded
+    std::function<void(int slot, uint64_t value)> set;
+    std::function<std::string()> to_string;
+  };
+  const Family families[] = {
+      {"OptiStats", optilib::kOptiStatsRows, OptiStats::kNumSlots,
+       OptiStats::kEpisodeAbortsBase,
+       [&](int slot, uint64_t v) { opti_shard[slot].store(v); },
+       [] { return GlobalOptiStats().ToString(); }},
+      {"misuse", support::kMisuseRows, support::kNumMisuseKinds, -1,
+       [](int kind, uint64_t v) {
+         for (uint64_t i = 0; i < v; ++i) {
+           support::ReportMisuse(static_cast<support::MisuseKind>(kind),
+                                 support::MisusePolicy::kRecoverAndCount,
+                                 nullptr, "counter-table guard");
+         }
+       },
+       [] { return GlobalOptiStats().ToString(); }},
+      {"TxStats", htm::kTxStatsRows, htm::TxStats::kNumSlots,
+       htm::TxStats::kAbortsBase,
+       [&](int slot, uint64_t v) { tx_shard[slot].store(v); },
+       [] { return htm::GlobalTxStats().ToString(); }},
+      {"SwOccWordStats", htm::kSwOccWordRows, htm::SwOccWordStats::kNumSlots,
+       -1, [&](int slot, uint64_t v) { words.slots[slot].store(v); },
+       [&] {
+         return support::RenderCounters(htm::kSwOccWordRows, words.Counts());
+       }},
+  };
+
+  // Distinct values: family f's slot s holds 1000 * (f + 1) + s, except
+  // that misuse kind k (family 1) is reported k + 1 times.
+  auto value_of = [](int family, int slot) {
+    return static_cast<uint64_t>(family == 1 ? slot + 1
+                                             : 1000 * (family + 1) + slot);
+  };
+  for (int f = 0; f < static_cast<int>(std::size(families)); ++f) {
+    const Family& family = families[f];
+    std::vector<int> rows_per_slot(family.num_slots, 0);
+    for (const support::CounterRow& row : family.rows) {
+      ASSERT_GE(row.slot, 0) << family.name << "." << row.name;
+      ASSERT_LE(row.slot + row.width, family.num_slots)
+          << family.name << "." << row.name;
+      for (int slot = row.slot; slot < row.slot + row.width; ++slot) {
+        ++rows_per_slot[slot];
+      }
+    }
+    for (int slot = 0; slot < family.num_slots; ++slot) {
+      EXPECT_EQ(rows_per_slot[slot], slot == family.unrecorded_slot ? 0 : 1)
+          << family.name << " slot " << slot;
+      if (slot != family.unrecorded_slot) {
+        family.set(slot, value_of(f, slot));
+      }
+    }
+  }
+
+  std::vector<double> samples;
+  for (const Metric& m : CollectRuntimeMetrics()) {
+    const bool table_family = m.name.rfind("gocc_opti_", 0) == 0 ||
+                              m.name.rfind("gocc_tx_", 0) == 0 ||
+                              m.name.rfind("gocc_swocc_", 0) == 0;
+    if (table_family && std::string(m.type) == "counter") {
+      for (const MetricSample& sample : m.samples) {
+        samples.push_back(sample.value);
+      }
+    }
+  }
+  for (int f = 0; f < static_cast<int>(std::size(families)); ++f) {
+    const Family& family = families[f];
+    const std::string text = family.to_string();
+    for (int slot = 0; slot < family.num_slots; ++slot) {
+      if (slot == family.unrecorded_slot) {
+        continue;
+      }
+      const uint64_t value = value_of(f, slot);
+      EXPECT_EQ(std::count(samples.begin(), samples.end(),
+                           static_cast<double>(value)),
+                1)
+          << family.name << " slot " << slot;
+      EXPECT_EQ(CountFigure(text, value), 1)
+          << family.name << " slot " << slot << " in " << text;
+    }
+  }
+  words.Reset();
+  support::ResetMisuseCounters();
 }
 
 // --- self-profile round trip and loop closure ------------------------------

@@ -156,7 +156,7 @@ TEST_F(OptiLockTest, MutexMismatchRecoversViaSlowPath) {
   EXPECT_FALSE(b.IsLocked());
   EXPECT_EQ(GlobalOptiStats().mismatch_recoveries.load(), 1u);
   EXPECT_GE(GlobalOptiStats().slow_acquires.load(), 1u);
-  EXPECT_EQ(htm::GlobalTxStats().aborts_mutex_mismatch.load(), 1u);
+  EXPECT_EQ(htm::GlobalTxStats().Aborts(htm::AbortCode::kMutexMismatch), 1u);
 }
 
 TEST_F(OptiLockTest, NestedElisionCommitsAtOutermost) {
@@ -390,7 +390,7 @@ TEST_F(OptiLockTest, SlowReaderDoesNotAbortElidedReader) {
   EXPECT_EQ(y, 2);
   EXPECT_EQ(GlobalOptiStats().htm_attempts.load(), 1u);
   EXPECT_EQ(GlobalOptiStats().fast_commits.load(), 1u);
-  EXPECT_EQ(htm::GlobalTxStats().aborts_conflict.load(), 0u);
+  EXPECT_EQ(htm::GlobalTxStats().Aborts(htm::AbortCode::kConflict), 0u);
 }
 
 // Elided RWMutex write sections beside pessimistic readers: slow readers
