@@ -6,10 +6,9 @@
 //       genuinely hostile sites; too large reacts slowly to phase changes.
 //       Modelled with a phase-change workload (hostile first, friendly
 //       after).
-//  A4/A5 — abort-storm hardening knobs, swept on the *real* optiLib runtime
+//  A4 — conflict-retry backoff shape, swept on the *real* optiLib runtime
 //       with deterministic fault injection (htm/fault.h) standing in for a
-//       contended machine: conflict-retry backoff shape, and the circuit
-//       breaker's trip threshold / cooldown economics.
+//       contended machine.
 
 #include <chrono>
 #include <cstdio>
@@ -140,7 +139,7 @@ void ConflictRetryAblation() {
   }
 }
 
-// --- real-runtime sweeps (A4/A5) -----------------------------------------
+// --- real-runtime sweep (A4) ---------------------------------------------
 
 // Fresh runtime state for one sweep point.
 void ResetRuntime() {
@@ -214,68 +213,6 @@ void BackoffSweep() {
               "past that, pauses are pure latency.)\n");
 }
 
-void BreakerSweep() {
-  std::printf("\n[A5] Circuit-breaker sweep — real runtime, 100%% injected "
-              "commit-abort storm on one (mutex, site) pair\n");
-  constexpr int kEpisodes = 20000;
-  auto run_point = [&](int threshold, uint64_t cooldown) {
-    ResetRuntime();
-    gocc::optilib::OptiConfig cfg = gocc::optilib::GetOptiConfig();
-    cfg.use_perceptron = false;  // isolate the breaker layer
-    cfg.breaker_threshold = threshold;
-    cfg.breaker_cooldown_episodes = cooldown;
-    gocc::optilib::PublishOptiConfig(cfg);
-    gocc::htm::fault::FaultPlan plan;
-    plan.seed = 0x42524b52u;
-    plan.WithRule(gocc::htm::fault::Site::kCommit, 1.0,
-                  gocc::htm::AbortCode::kConflict);
-    gocc::htm::fault::Arm(plan);
-
-    gocc::gosync::Mutex mu;
-    gocc::htm::Shared<int64_t> counter(0);
-    gocc::optilib::OptiLock ol;
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kEpisodes; ++i) {
-      ol.WithLock(&mu, [&] { counter.Add(1); });
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    gocc::htm::fault::Disarm();
-
-    const auto& st = gocc::optilib::GlobalOptiStats();
-    double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    std::printf("  %9d %9llu %12.1f %14.4f %8llu %9llu\n", threshold,
-                static_cast<unsigned long long>(cooldown),
-                ns / kEpisodes,
-                static_cast<double>(st.htm_attempts.load()) / kEpisodes,
-                static_cast<unsigned long long>(st.breaker_trips.load()),
-                static_cast<unsigned long long>(st.breaker_reprobes.load()));
-    EmitPoint("A5/breaker", "gocc", ns / kEpisodes, kEpisodes,
-              {{"threshold", static_cast<double>(threshold)},
-               {"cooldown", static_cast<double>(cooldown)},
-               {"trips", static_cast<double>(st.breaker_trips.load())},
-               {"reprobes", static_cast<double>(st.breaker_reprobes.load())}});
-  };
-
-  std::printf("  threshold sweep (cooldown=256):\n");
-  std::printf("  %9s %9s %12s %14s %8s %9s\n", "threshold", "cooldown",
-              "ns/episode", "attempts/ep", "trips", "reprobes");
-  for (int threshold : {0, 2, 4, 8, 16}) {
-    run_point(threshold, 256);
-  }
-  std::printf("  cooldown sweep (threshold=4):\n");
-  std::printf("  %9s %9s %12s %14s %8s %9s\n", "threshold", "cooldown",
-              "ns/episode", "attempts/ep", "trips", "reprobes");
-  for (uint64_t cooldown : {32ull, 128ull, 512ull, 2048ull}) {
-    run_point(4, cooldown);
-  }
-  std::printf("  (threshold 0 disables the breaker: every episode pays the "
-              "begin/abort tax.\n   Larger cooldowns re-probe a persistently "
-              "hostile pair less often; the cost\n   is slower recovery when "
-              "the storm ends.)\n");
-}
-
 }  // namespace
 
 int main() {
@@ -284,11 +221,10 @@ int main() {
   RetryBudgetSweep();
   DecayThresholdSweep();
   ConflictRetryAblation();
-  std::printf("\n== Abort-storm hardening ablations (real runtime + fault "
+  std::printf("\n== Conflict-retry backoff ablation (real runtime + fault "
               "injection) ==\n");
   int prev_procs = gocc::gosync::SetMaxProcs(4);
   BackoffSweep();
-  BreakerSweep();
   gocc::gosync::SetMaxProcs(prev_procs);
   return 0;
 }

@@ -266,7 +266,6 @@ CellOut RunServiceCell(const char* mode, int shards, int threads, double rate,
     diag("quarantines", st.quarantines);
     diag("recoveries", st.recoveries);
     diag("probes_admitted", st.probes_admitted);
-    diag("breaker_escalations", st.breaker_escalations);
     diag("shard_failures", st.shard_failures);
     rec.counters.emplace_back("oracle_ok", oracle_ok ? 1.0 : 0.0);
     AppendRuntimeCounters(&rec.counters);

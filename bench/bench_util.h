@@ -60,8 +60,8 @@ void RunSimulated(const std::string& figure,
                   const std::vector<int>& core_counts,
                   bool with_perceptron = true);
 
-// Resets global TM/optiLib state between cells (perceptron, stats,
-// hardening residue, batched-clock residue).
+// Resets global TM/optiLib state between cells (perceptron, stats, cached
+// site verdicts).
 void ResetRuntimeState();
 
 // Prints the accumulated optiLib and TM statistics for the section.

@@ -242,8 +242,6 @@ void TogglerBody(SoakState& st) {
     next.use_perceptron = (round & 2) == 0;
     next.conflict_retries = static_cast<int>(round % 3);
     next.backoff_base_pauses = (round & 4) != 0 ? 8 : 64;
-    next.breaker_threshold = (round & 8) != 0 ? 4 : 0;
-    next.watchdog_threshold = (round & 16) != 0 ? 16 : 0;
     optilib::PublishOptiConfig(next);
     st.config_publishes.fetch_add(1, std::memory_order_relaxed);
     ++round;

@@ -13,7 +13,7 @@
 //   * fault injection — the PR-1 probabilistic abort/stall plan stays armed
 //                      for the whole run,
 //   * config churn   — a toggler thread publishes live OptiConfig variants
-//                      (tracing, backoff, breaker, perceptron) mid-run via
+//                      (tracing, backoff, retries, perceptron) mid-run via
 //                      PublishOptiConfig.
 //
 // The harness owns its oracle: every critical section performs its shared-
@@ -76,7 +76,7 @@ struct SoakReport {
 };
 
 // Runs the soak to completion and returns the report. Resets the runtime
-// stats (OptiStats, TxStats, fault stats, misuse counters, hardening state)
+// stats (OptiStats, TxStats, fault stats, misuse counters, cached verdicts)
 // at entry, forces the recover-and-count misuse policy for the run, and
 // disarms the injector before returning. Aborts the process — with a
 // stats dump — only if the watchdog detects a hang.

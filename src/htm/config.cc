@@ -104,21 +104,4 @@ void ForceSoftwareBackend() {
 
 Backend ResolvedSoftwareBackend() { return SoftwareBackend(); }
 
-bool ReprobeRtmHealth() {
-  if (ActiveBackend() != Backend::kRtm) {
-    return false;
-  }
-  if (RtmProbe()) {
-    return false;  // hardware still commits; the storm has another cause
-  }
-  // TSX stopped committing mid-run. Demote to sw-OCC — the optimism-
-  // preserving fallback — unless GOCC_BACKEND pinned SimTM ("sim" cannot be
-  // reached here, since a pinned-software process never ran RTM; the check
-  // keeps the function total).
-  internal::g_backend.store(BackendPinnedSoftware() ? SoftwareBackend()
-                                                    : Backend::kSwOcc,
-                            std::memory_order_relaxed);
-  return true;
-}
-
 }  // namespace gocc::htm

@@ -27,9 +27,7 @@ enum class Backend {
   kRtm,
   // Software OCC on the mutexes' versioned lock words (swocc_backend.h):
   // invisible reads, thread-local write buffering, commit-time validation.
-  // Runs anywhere; selected via GOCC_BACKEND=swocc, per-episode by
-  // OptiLock's backend chooser, or as the demotion target when RTM dies
-  // mid-run.
+  // Runs anywhere; selected via GOCC_BACKEND=swocc or ForceSwOccBackend.
   kSwOcc,
 };
 
@@ -59,8 +57,9 @@ extern std::atomic<Backend> g_backend;
 // Per-thread backend pin (sentinel kUnpinned = follow g_backend). OptiLock
 // pins the backend it chose for the episode so every Tx* call inside —
 // including flat-nested critical sections — dispatches consistently even if
-// the global backend switches mid-episode (RTM demotion). Constant-
-// initialized: reads are a guard-free TLS load.
+// the global backend switches mid-episode (EnableRtmIfSupported or a
+// Force*Backend call on another thread). Constant-initialized: reads are a
+// guard-free TLS load.
 inline constexpr int kUnpinned = -1;
 extern constinit thread_local int t_backend_pin;
 }  // namespace internal
@@ -122,15 +121,6 @@ void ForceSoftwareBackend();
 
 // The software backend GOCC_BACKEND resolves to (no side effects).
 Backend ResolvedSoftwareBackend();
-
-// Re-probe hook for a latched RTM verdict (satellite of DESIGN.md §4.10):
-// when the active backend is kRtm and a breaker cooldown or watchdog trip
-// suggests the hardware may have died (VM migration, microcode update),
-// re-run the probe; on failure demote the global backend to sw-OCC (or to
-// the GOCC_BACKEND-pinned software backend) instead of stranding every call
-// site on dead hardware. Returns true when a demotion happened. In-flight
-// episodes are safe: they run on their thread's pinned backend.
-bool ReprobeRtmHealth();
 
 }  // namespace gocc::htm
 

@@ -23,7 +23,8 @@
 //   * kOccValidate — sw-OCC commit-time validation: the injected code is
 //     raised as if the read-set validation found a changed occ word. A 100%
 //     kOccValidate schedule models a validation-failure storm (the sw-OCC
-//     analogue of an HTM abort storm) and must trip the circuit breaker.
+//     analogue of an HTM abort storm): it must train the perceptron to send
+//     the site to the lock, and the site must elide again after the storm.
 //   * kOccPublish — sw-OCC commit publication: a stall rule holds the locked
 //     occ words exclusive mid-commit (delayed-unlock fault, starving
 //     concurrent subscribers); an abort-code rule injects version skew (an

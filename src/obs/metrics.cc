@@ -64,11 +64,7 @@ std::vector<Metric> CollectRuntimeMetrics() {
     }
   }
 
-  // --- episode clock & recorder -------------------------------------------
-  out.push_back(Gauge1(
-      "gocc_opti_episode_clock_frontier",
-      "Next unclaimed tick of the process-wide episode clock.",
-      static_cast<double>(optilib::EpisodeClockFrontier())));
+  // --- episode recorder ---------------------------------------------------
   out.push_back(Counter1(
       "gocc_obs_trace_events_recorded_total",
       "Episode trace events recorded since the last drain (all rings).",

@@ -12,10 +12,8 @@
 #include "src/htm/swocc.h"
 #include "src/obs/recorder.h"
 #include "src/obs/ticks.h"
-#include "src/optilib/breaker.h"
 #include "src/optilib/site_cache.h"
 #include "src/support/env.h"
-#include "src/support/reprobe.h"
 #include "src/support/rng.h"
 
 namespace gocc::optilib {
@@ -86,7 +84,6 @@ ConfigStore& LiveConfig() {
 
 OptiStats g_stats;
 Perceptron g_perceptron;
-BreakerTable g_breaker;
 SiteCache g_site_cache;
 
 // Per-thread identity for cross-thread unlock detection: constant
@@ -116,46 +113,6 @@ constinit thread_local int t_lock_order_depth = 0;
 // transaction aborts. That is the substrate's normal re-execution, not a
 // double-FastLock misuse.
 constinit thread_local uint64_t t_abort_epoch = 0;
-
-// Process-wide episode clock: one tick per elision decision (only taken
-// when the breaker or watchdog is enabled — with both off, cooldowns are
-// never consulted and the fast path skips the clock entirely). Breaker and
-// watchdog cooldowns are denominated in these ticks so they need no
-// wall-clock reads on the fast path.
-//
-// Ticks are claimed in thread-local batches of kEpisodeClockBatch: the
-// shared fetch_add runs once per batch instead of once per episode, so the
-// clock's cache line is written O(episodes / batch) times. A thread's
-// in-hand ticks lag the frontier by < threads * batch — see the skew
-// analysis on kEpisodeClockBatch.
-std::atomic<uint64_t> g_episode_clock{0};
-
-// Bumped by ResetHardeningState to invalidate every thread's cached tick
-// batch, so back-to-back runs restart from tick zero with no residue.
-std::atomic<uint64_t> g_clock_epoch{0};
-
-struct ClockCache {
-  uint64_t next = 0;
-  uint64_t end = 0;  // exclusive
-  uint64_t epoch = 0;
-};
-
-uint64_t NextEpisodeTick() {
-  thread_local ClockCache cache;
-  const uint64_t epoch = g_clock_epoch.load(std::memory_order_relaxed);
-  if (cache.next >= cache.end || cache.epoch != epoch) {
-    cache.next = g_episode_clock.fetch_add(kEpisodeClockBatch,
-                                           std::memory_order_relaxed);
-    cache.end = cache.next + kEpisodeClockBatch;
-    cache.epoch = epoch;
-  }
-  return ++cache.next;  // ticks are 1-based, matching the unbatched clock
-}
-
-// Watchdog state: consecutive exhausted-budget fallbacks with no fast commit
-// in between, and the episode tick until which slow-only mode holds.
-std::atomic<uint64_t> g_storm_streak{0};
-std::atomic<uint64_t> g_slow_only_until{0};
 
 // Single-writer bump of the calling thread's stat shard (see sharded.h:
 // relaxed load+store, no lock-prefixed RMW, no shared cache line).
@@ -188,8 +145,8 @@ bool OptiConfig::DefaultTraceEpisodes() {
 int OptiConfig::DefaultOccMaxRetries() {
   // Resolved once per process. Default 4: enough retries to ride out a
   // burst of committers on the same word, small enough that a persistent
-  // validation storm reaches the lock (and the breaker) within a few
-  // microseconds of backoff.
+  // validation storm reaches the lock (and trains the perceptron toward
+  // it) within a few microseconds of backoff.
   static const int kDefault = static_cast<int>(
       support::EnvInt("GOCC_OCC_MAX_RETRIES", 4, 0, 1 << 20));
   return kDefault;
@@ -232,46 +189,7 @@ std::string OptiStats::ToString() const {
                                  support::MisuseCounts());
 }
 
-// Breaker escalation listener (service tier health ladder). Relaxed atomic:
-// registration happens at service construction, trips are cold.
-static std::atomic<BreakerTripListener> g_breaker_trip_listener{nullptr};
-
-// One shared gate for every "is RTM healthy again?" probe — the breaker's
-// half-open admission and the watchdog's storm trip used to each fire
-// ReprobeRtmHealth on their own cadence; both now draw from this single
-// GOCC_REPROBE_MS budget (support/reprobe.h). ForceNext on reset so tests
-// and back-to-back bench runs start with a probe available.
-static support::Reprobe& RtmReprobeGate() {
-  static support::Reprobe* gate = new support::Reprobe();
-  return *gate;
-}
-
-void SetBreakerTripListener(BreakerTripListener listener) {
-  g_breaker_trip_listener.store(listener, std::memory_order_release);
-}
-
-void ResetHardeningState() {
-  RtmReprobeGate().ForceNext();
-  g_breaker.Reset();
-  g_storm_streak.store(0, std::memory_order_relaxed);
-  g_slow_only_until.store(0, std::memory_order_relaxed);
-  // Rewind the episode clock and invalidate every thread's cached batch
-  // (the epoch bump makes stale in-hand ticks unusable). Safe because the
-  // consumers of old ticks — breaker cells and the watchdog window — are
-  // cleared in the same call.
-  g_episode_clock.store(0, std::memory_order_relaxed);
-  g_clock_epoch.fetch_add(1, std::memory_order_relaxed);
-  // Cached verdicts were learned under the hardening state being cleared;
-  // retire them too (this also gives back-to-back bench/test runs a cold
-  // cache, since bench_util's ResetRuntimeState lands here).
-  g_site_cache.BumpEpoch();
-}
-
-uint64_t EpisodeClockFrontier() {
-  return g_episode_clock.load(std::memory_order_relaxed);
-}
-
-void InvalidateSiteDecisionCaches() { g_site_cache.BumpEpoch(); }
+void ResetHardeningState() { g_site_cache.BumpEpoch(); }
 
 uint64_t SiteDecisionCacheEpoch() { return g_site_cache.Epoch(); }
 
@@ -326,7 +244,6 @@ void OptiLock::PrepareCommon() {
   conflict_retries_left_ = cfg_.conflict_retries;
   occ_retries_left_ = cfg_.occ_max_retries;
   backoff_exponent_ = 0;
-  episode_now_ = 0;
   obs_retries_ = 0;
   obs_last_abort_ = htm::AbortCode::kNone;
   if (cfg_.trace_episodes) {
@@ -444,7 +361,7 @@ void OptiLock::HandleAbort(htm::AbortCode code) {
       // LockHeld aborts while trials remain; the retry already pause-spins
       // on the lock word, so no extra backoff is layered here).
       if (attempts_left_-- <= 0) {
-        SetFlag(kFlagExhausted | kFlagForceSlow);
+        SetFlag(kFlagForceSlow);
       }
       return;
     case htm::AbortCode::kOccValidateFail:
@@ -460,10 +377,10 @@ void OptiLock::HandleAbort(htm::AbortCode code) {
       }
       // Retry on a separate budget (occ_max_retries) with jittered backoff;
       // when it runs dry the episode pins itself to the real lock — the
-      // livelock guard. An exhausted budget counts toward the breaker and
-      // watchdog exactly like an HTM abort storm.
+      // livelock guard — and the slow finish penalizes the perceptron like
+      // any other failed speculation.
       if (occ_retries_left_-- <= 0) {
-        SetFlag(kFlagExhausted | kFlagForceSlow | kFlagOccFallback);
+        SetFlag(kFlagForceSlow | kFlagOccFallback);
       } else {
         BackoffBeforeRetry();
       }
@@ -475,7 +392,7 @@ void OptiLock::HandleAbort(htm::AbortCode code) {
       // re-speculating so contenders de-synchronize instead of re-colliding
       // (the lemming cascade).
       if (conflict_retries_left_-- <= 0) {
-        SetFlag(kFlagExhausted | kFlagForceSlow);
+        SetFlag(kFlagForceSlow);
       } else {
         BackoffBeforeRetry();
       }
@@ -570,115 +487,33 @@ bool OptiLock::DecideElide() {
   } else {
     indices_ = Perceptron::IndicesFor(target_, this);
   }
-  // The episode clock only exists to denominate breaker/watchdog
-  // cooldowns: with both disabled (the default) no tick is claimed and
-  // the decision path touches no shared clock state at all.
-  const bool hardening =
-      cfg_.breaker_threshold > 0 || cfg_.watchdog_threshold > 0;
-
-  // Per-site decision cache (site_cache.h): while hardening is off — its
-  // admission checks must run every episode — the steady-state decision is
-  // one epoch-tagged load. Both cached paths reproduce the uncached
-  // counter and training semantics exactly: a cached lock verdict keeps
-  // feeding the slow-streak decay, a cached elide verdict skips only the
-  // perceptron consult and still pins, checks eligibility, attempts,
-  // subscribes, and validates a real transaction (and its commit still
-  // rewards the perceptron), so the cache can cost at most one wasted
-  // attempt, never soundness.
-  bool cached_elide = false;
-  if (!hardening) [[likely]] {
-    const SiteCache::Decision d =
-        g_site_cache.Lookup(indices_.mutex_cell, cache_epoch_);
-    if (d.verdict == SiteCache::kElide &&
-        d.backend == static_cast<uint32_t>(htm::ActiveBackend()))
-        [[likely]] {
-      Bump(OptiStats::kSiteCacheHits);
-      cached_elide = true;
-    } else if (d.verdict == SiteCache::kLock) {
-      // Cached pessimistic verdict: skip the dot-product but keep the
-      // slow-decision cadence — the streak decay is the path by which a
-      // site whose contention went away earns back its elision.
-      Bump(OptiStats::kSiteCacheHits);
-      Bump(OptiStats::kPerceptronSlowDecisions);
-      if (g_perceptron.NoteSlowDecision(indices_)) {
-        Bump(OptiStats::kPerceptronResets);
-        if (g_site_cache.Invalidate(indices_.mutex_cell)) {
-          Bump(OptiStats::kSiteCacheInvalidations);
-        }
-      }
-      TakeSlowPath();
-      return false;
+  // Per-site decision cache (site_cache.h): an elide verdict memoized by an
+  // earlier commit at this cell stands in for the perceptron consult; the
+  // episode still pins, checks eligibility, attempts, subscribes and
+  // validates a real transaction, and its commit still rewards the
+  // perceptron, so a stale verdict costs at most one wasted attempt, never
+  // soundness. Lock verdicts are never cached: every slow decision runs the
+  // dot-product, so a site goes back to speculating as soon as its summed
+  // weights do, and every one feeds the slow-streak decay (§5.4.1).
+  const bool cached_elide = g_site_cache.HoldsElide(
+      indices_.mutex_cell, cache_epoch_,
+      static_cast<uint32_t>(htm::ActiveBackend()));
+  if (cached_elide) [[likely]] {
+    Bump(OptiStats::kSiteCacheHits);
+  } else if (cfg_.use_perceptron && !g_perceptron.Predict(indices_)) {
+    Bump(OptiStats::kPerceptronSlowDecisions);
+    if (g_perceptron.NoteSlowDecision(indices_)) {
+      Bump(OptiStats::kPerceptronResets);
     }
-  }
-
-  if (hardening) [[unlikely]] {
-    episode_now_ = NextEpisodeTick();
-    // Episode watchdog: during a declared abort storm every decision
-    // goes straight to the lock. Episodes already past this point (in a
-    // transaction or on the slow path) are untouched, so hot-degrading
-    // can never deadlock in-flight work.
-    if (cfg_.watchdog_threshold > 0 &&
-        episode_now_ < g_slow_only_until.load(std::memory_order_relaxed)) {
-      Bump(OptiStats::kWatchdogBypasses);
-      TakeSlowPath();
-      return false;
-    }
-  }
-  // A cached elide verdict stands in for the perceptron; the watchdog above
-  // and the breaker below never see one (the cache is off while hardening).
-  if (cfg_.use_perceptron && !cached_elide) {
-    if (!g_perceptron.Predict(indices_)) {
-      Bump(OptiStats::kPerceptronSlowDecisions);
-      if (g_perceptron.NoteSlowDecision(indices_)) {
-        Bump(OptiStats::kPerceptronResets);
-      } else if (!hardening) {
-        // Memoize the pessimistic verdict — but not when the decay just
-        // reset the cell's weights, so the next episode re-probes elision
-        // exactly like the uncached flow.
-        g_site_cache.Install(indices_.mutex_cell, cache_epoch_,
-                             SiteCache::kLock, 0);
-        Bump(OptiStats::kSiteCacheInstalls);
-      }
-      TakeSlowPath();
-      return false;
-    }
-  }
-  // Circuit breaker, layered after the perceptron: it only ever sees
-  // episodes the perceptron was still willing to speculate on, so the
-  // paper's predictor statistics keep their semantics.
-  if (cfg_.breaker_threshold > 0) [[unlikely]] {
-    switch (g_breaker.Admit(indices_.mutex_cell, episode_now_,
-                            cfg_.breaker_threshold)) {
-      case BreakerDecision::kOpen:
-        Bump(OptiStats::kBreakerShortCircuits);
-        TakeSlowPath();
-        return false;
-      case BreakerDecision::kReprobe:
-        Bump(OptiStats::kBreakerReprobes);
-        // A cooldown just expired for this cell — the one moment the
-        // runtime revisits a latched verdict. If the global backend is
-        // RTM, re-run the hardware probe too: TSX vanishing mid-run
-        // (microcode update, VM migration) would otherwise feed every
-        // re-probe to dead hardware forever. On a failed probe the
-        // process demotes to sw-OCC and this episode speculates there.
-        // The probe itself is rate-limited by the shared GOCC_REPROBE_MS
-        // gate: many cells leaving cooldown together (storm end) must not
-        // hammer dead hardware with one probe transaction each.
-        if (RtmReprobeGate().Due() && htm::ReprobeRtmHealth()) {
-          Bump(OptiStats::kRtmDemotions);
-          g_site_cache.BumpEpoch();
-        }
-        break;
-      case BreakerDecision::kClosed:
-        break;
-    }
+    TakeSlowPath();
+    return false;
   }
   // Pin this thread's Tx dispatch to the backend chosen now, so every
   // substrate call of the episode — begin, loads, the commit in
   // FastUnlock, flat-nested sections — lands on one backend even if the
-  // global switches mid-episode (RTM demotion). One TLS store here, one
-  // in ResetEpisode; Tx ops pay a guard-free TLS load they already
-  // paid for the context pointer.
+  // global switches mid-episode (EnableRtmIfSupported, Force*Backend). One
+  // TLS store here, one in ResetEpisode; Tx ops pay a guard-free TLS load
+  // they already paid for the context pointer.
   if (!htm::ThreadBackendPinned()) {
     htm::PinThreadBackend(htm::ActiveBackend());
     SetFlag(kFlagBackendPinned);
@@ -979,27 +814,13 @@ void OptiLock::FinishFastEpisode() {
       if (cfg_.use_perceptron) {
         g_perceptron.RewardHtm(indices_);
       }
-      const bool hardening =
-          cfg_.breaker_threshold > 0 || cfg_.watchdog_threshold > 0;
-      if (hardening) [[unlikely]] {
-        if (cfg_.breaker_threshold > 0) {
-          g_breaker.RecordSuccess(indices_.mutex_cell);
-        }
-        // Any fast commit ends a storm streak: aborts are flowing again.
-        // Only the watchdog reads the streak, and a redundant store of 0
-        // would dirty a shared line on every commit, so check first.
-        if (cfg_.watchdog_threshold > 0 &&
-            g_storm_streak.load(std::memory_order_relaxed) != 0) {
-          g_storm_streak.store(0, std::memory_order_relaxed);
-        }
-      } else if (!HasFlag(kFlagSiteCacheHit)) {
+      if (!HasFlag(kFlagSiteCacheHit)) {
         // A committed speculation is the proof an elide verdict wants:
         // memoize it for this site under the episode's epoch. Hits never
         // re-install (the cell already says exactly this), so the steady
         // state writes nothing.
-        g_site_cache.Install(indices_.mutex_cell, cache_epoch_,
-                             SiteCache::kElide,
-                             static_cast<uint32_t>(htm::CurrentBackend()));
+        g_site_cache.InstallElide(indices_.mutex_cell, cache_epoch_,
+                                  static_cast<uint32_t>(htm::CurrentBackend()));
         Bump(OptiStats::kSiteCacheInstalls);
       }
     }
@@ -1022,49 +843,6 @@ void OptiLock::FinishSlowEpisode() {
     // weights instead of replaying a prediction the world just refuted.
     if (g_site_cache.Invalidate(indices_.mutex_cell)) {
       Bump(OptiStats::kSiteCacheInvalidations);
-    }
-  }
-  if (HasFlag(kFlagPredictedHtm) && HasFlag(kFlagExhausted)) {
-    // The episode burned its whole retry budget on aborts — the outcome the
-    // breaker quarantines per pair and the watchdog aggregates per process.
-    if (cfg_.breaker_threshold > 0 &&
-        g_breaker.RecordFailure(indices_.mutex_cell, episode_now_,
-                                cfg_.breaker_threshold,
-                                cfg_.breaker_cooldown_episodes)) {
-      Bump(OptiStats::kBreakerTrips);
-      // Escalate to any registered layer above (service shard health): a
-      // trip is the runtime's strongest per-mutex distress signal, and the
-      // listener gets the same mutex attribution the episode trace uses.
-      if (BreakerTripListener listener =
-              g_breaker_trip_listener.load(std::memory_order_acquire)) {
-        const void* tripped = target_;
-        if (kind_ == Target::kMutexSet && blamed_member_ >= 0) [[unlikely]] {
-          tripped = set_[blamed_member_];
-        }
-        listener(tripped, episode_now_);
-      }
-    }
-    if (cfg_.watchdog_threshold > 0) {
-      uint64_t streak =
-          g_storm_streak.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (streak >= static_cast<uint64_t>(cfg_.watchdog_threshold)) {
-        g_storm_streak.store(0, std::memory_order_relaxed);
-        g_slow_only_until.store(
-            episode_now_ + cfg_.watchdog_cooldown_episodes,
-            std::memory_order_relaxed);
-        Bump(OptiStats::kWatchdogTrips);
-        // A tripped watchdog means every cached verdict was learned in a
-        // regime that just declared a storm; retire them all.
-        g_site_cache.BumpEpoch();
-        // A process-wide storm is also the signature of RTM dying mid-run;
-        // re-probe the latched hardware verdict and demote to sw-OCC if the
-        // transactions really stopped committing. Same shared probe budget
-        // as the breaker path: back-to-back watchdog trips during one storm
-        // probe once per GOCC_REPROBE_MS, not once per trip.
-        if (RtmReprobeGate().Due() && htm::ReprobeRtmHealth()) {
-          Bump(OptiStats::kRtmDemotions);
-        }
-      }
     }
   }
   if (HasFlag(kFlagOccFallback)) {
@@ -1099,7 +877,7 @@ void OptiLock::ResetEpisode() {
   if (HasFlag(kFlagBackendPinned)) {
     if (!htm::InTx()) {
       // Outermost episode is done and its substrate is quiescent: let the
-      // thread's next Tx op follow the (possibly demoted) global backend
+      // thread's next Tx op follow the (possibly switched) global backend
       // again. Nested episodes never pin, so a pin always outlives the
       // whole flattened nest.
       htm::UnpinThreadBackend();
@@ -1114,7 +892,6 @@ void OptiLock::ResetEpisode() {
   owner_ = nullptr;
   flags_ = keep;
   backoff_exponent_ = 0;
-  episode_now_ = 0;
 }
 
 void OptiLock::HandleUnlockMisuse(Target requested, void* passed) {

@@ -87,8 +87,6 @@ struct OptiConfig {
   int multilock_speculate_max = DefaultMultilockSpeculateMax();
   static int DefaultMultilockSpeculateMax();
 
-  // --- abort-storm hardening (all default to seed-equivalent behaviour) ---
-
   // Bounded exponential backoff with deterministic jitter before retrying a
   // conflict-class abort (applies only while conflict_retries remain, so the
   // paper's default of immediate fallback is unchanged). Each retry waits a
@@ -96,29 +94,6 @@ struct OptiConfig {
   // backoff_base_pauses up to backoff_cap_pauses. 0 disables the wait.
   int backoff_base_pauses = 16;
   int backoff_cap_pauses = 2048;
-
-  // Per-(mutex, call-site) circuit breaker (see breaker.h): `threshold`
-  // consecutive exhausted-budget fallbacks quarantine the pair's elision for
-  // `cooldown` episodes, then re-probe once. 0 disables (default).
-  // Cooldown default retuned from bench_service (EXPERIMENTS E-service):
-  // under a storm-then-recover phase shift, 256 episodes held the victim
-  // pair on the lock well past storm end (recovery tail dominated by the
-  // quarantine, not the storm), while 192 re-probes earlier with the same
-  // zero re-trip churn once the storm has actually ended.
-  int breaker_threshold = 0;
-  uint64_t breaker_cooldown_episodes = 192;
-
-  // Episode watchdog: after `threshold` consecutive exhausted-budget
-  // fallbacks process-wide with no intervening fast commit — the signature
-  // of an abort storm or of RTM dying mid-run — hot-degrade every call site
-  // to slow-path-only mode for `cooldown` episodes. In-flight episodes are
-  // unaffected (the check sits in the pre-transaction decision path only).
-  // 0 disables (default). Cooldown retuned alongside the breaker (same
-  // bench_service evidence, same 4:3 ratio): process-wide slow-only mode is
-  // far more expensive than a per-pair quarantine, so it gets the shorter
-  // relative hold.
-  int watchdog_threshold = 0;
-  uint64_t watchdog_cooldown_episodes = 3072;
 
   // Episode trace recorder (src/obs): when true, every completed episode
   // appends one compact event (site, mutex, outcome, last abort, retries,
@@ -178,18 +153,12 @@ struct OptiStats {
     kMismatchRecoveries,
     kBackoffWaits,
     kBackoffPauses,
-    kBreakerTrips,
-    kBreakerShortCircuits,
-    kBreakerReprobes,
-    kWatchdogTrips,
-    kWatchdogBypasses,
     kUnwindCancels,      // fast-path episodes cancelled by exception unwind
     kUnwindSlowUnlocks,  // slow-path episodes unlocked by exception unwind
     kOccFallbacks,       // sw-OCC validation-retry budgets exhausted
-    kRtmDemotions,       // RTM re-probes that demoted the global backend
-    kSiteCacheHits,      // decisions served from a cached per-site verdict
-    kSiteCacheInstalls,  // verdicts (re-)memoized into a site cell
-    kSiteCacheInvalidations,  // cells evicted by a failed elide / decay
+    kSiteCacheHits,      // decisions served from a cached elide verdict
+    kSiteCacheInstalls,  // elide verdicts (re-)memoized into a site cell
+    kSiteCacheInvalidations,  // cells evicted by a failed elide
     kMultiLockEpisodes,       // WithLocks episodes with >= 2 distinct locks
     kMultiLockFastCommits,    // ... that committed the whole set elided
     kMultiLockSlowAcquires,   // ... that ended on the sorted-2PL slow path
@@ -211,15 +180,9 @@ struct OptiStats {
   support::ShardedCounter single_proc_bypasses{&shards_, kSingleProcBypasses};
   support::ShardedCounter mismatch_recoveries{&shards_, kMismatchRecoveries};
 
-  // Backoff / breaker / watchdog observability.
+  // Backoff observability.
   support::ShardedCounter backoff_waits{&shards_, kBackoffWaits};
   support::ShardedCounter backoff_pauses{&shards_, kBackoffPauses};
-  support::ShardedCounter breaker_trips{&shards_, kBreakerTrips};
-  support::ShardedCounter breaker_short_circuits{&shards_,
-                                                 kBreakerShortCircuits};
-  support::ShardedCounter breaker_reprobes{&shards_, kBreakerReprobes};
-  support::ShardedCounter watchdog_trips{&shards_, kWatchdogTrips};
-  support::ShardedCounter watchdog_bypasses{&shards_, kWatchdogBypasses};
 
   // Exception-unwind observability (DESIGN.md §4.9): episodes ended by
   // AbandonEpisode instead of FastUnlock, split by which side of the
@@ -234,9 +197,9 @@ struct OptiStats {
   // of slow_acquires).
   support::ShardedCounter occ_fallbacks{&shards_, kOccFallbacks};
 
-  // Per-site decision-cache observability (§4.11): hits are decisions that
-  // skipped the perceptron consult entirely; installs and invalidations
-  // bound how often cells churn (steady state: hits >> installs).
+  // Per-site decision-cache observability (§4.11): hits are elide decisions
+  // that skipped the perceptron consult; installs and invalidations bound
+  // how often cells churn (steady state: hits >> installs).
   support::ShardedCounter site_cache_hits{&shards_, kSiteCacheHits};
   support::ShardedCounter site_cache_installs{&shards_, kSiteCacheInstalls};
   support::ShardedCounter site_cache_invalidations{&shards_,
@@ -311,16 +274,6 @@ inline constexpr support::CounterRow kOptiStatsRows[] = {
      "Backoff waits taken between conflict retries."},
     {OptiStats::kBackoffPauses, 1, "backoff_pauses",
      "Total pause-spins spent in backoff waits."},
-    {OptiStats::kBreakerTrips, 1, "breaker_trips",
-     "Circuit-breaker cells tripped into quarantine."},
-    {OptiStats::kBreakerShortCircuits, 1, "breaker_short_circuits",
-     "Episodes short-circuited to the lock by an open breaker cell."},
-    {OptiStats::kBreakerReprobes, 1, "breaker_reprobes",
-     "Cooldown-expiry re-probes granted by the breaker."},
-    {OptiStats::kWatchdogTrips, 1, "watchdog_trips",
-     "Process-wide watchdog trips into slow-only mode."},
-    {OptiStats::kWatchdogBypasses, 1, "watchdog_bypasses",
-     "Episodes bypassed during a watchdog cooldown."},
     {OptiStats::kSiteCacheHits, 1, "site_cache_hits",
      "Episode decisions served from the per-site cache."},
     {OptiStats::kSiteCacheInstalls, 1, "site_cache_installs",
@@ -329,8 +282,6 @@ inline constexpr support::CounterRow kOptiStatsRows[] = {
      "Cached verdicts evicted after a refuting episode outcome."},
     {OptiStats::kOccFallbacks, 1, "occ_fallbacks",
      "Episodes that exhausted the sw-OCC validation-retry budget."},
-    {OptiStats::kRtmDemotions, 1, "rtm_demotions",
-     "RTM health re-probes that demoted the global backend to software."},
     {OptiStats::kMultiLockEpisodes, 1, "multilock_episodes",
      "WithLocks episodes over two or more distinct locks."},
     {OptiStats::kMultiLockFastCommits, 1, "multilock_fast_commits",
@@ -351,39 +302,13 @@ inline constexpr support::CounterRow kOptiStatsRows[] = {
 
 OptiStats& GlobalOptiStats();
 
-// Clears cross-episode hardening state: every circuit-breaker cell, the
-// watchdog's storm streak / slow-only window, and the episode clock —
-// including each thread's locally cached tick batch, which is invalidated
-// via an epoch bump (test & benchmark isolation; back-to-back runs start
-// from tick zero).
+// O(1) invalidation of every per-site cached verdict (epoch bump), so the
+// next episode at each site re-derives its decision from the perceptron:
+// test and benchmark isolation, as back-to-back runs start from a cold
+// cache. PublishOptiConfig bumps the same epoch. Every bump also makes each
+// OptiLock re-copy its config snapshot at its next episode. Perceptron
+// weights are reset separately, by GlobalPerceptron().Reset().
 void ResetHardeningState();
-
-// Escalation hook for layers above the runtime (the service tier's shard
-// health ladder): invoked on the episode slow path each time a breaker cell
-// trips, with the mutex the episode blamed (for multi-lock sets, the blamed
-// member when attribution succeeded, else the set's primary) and the
-// episode tick of the trip. The callback runs on the tripping thread, on a
-// path that is already pessimistic — it must be cheap and must not
-// re-enter OptiLock on the same mutex. nullptr (default) disables.
-using BreakerTripListener = void (*)(const void* mutex, uint64_t episode_now);
-void SetBreakerTripListener(BreakerTripListener listener);
-
-// Episode-clock ticks a thread claims per refill: a thread's current tick
-// lags the clock's frontier by at most `threads * kEpisodeClockBatch`.
-// Breaker/watchdog cooldowns tolerate that skew (a stale trip tick can only
-// *shorten* an observed quarantine, never below `cooldown - threads *
-// batch` episodes).
-inline constexpr int kEpisodeClockBatch = 64;
-
-// Frontier of the process-wide episode clock: the next unclaimed tick
-// (test/bench observability).
-uint64_t EpisodeClockFrontier();
-
-// O(1) invalidation of every per-site cached decision (epoch bump). Called
-// internally by PublishOptiConfig, watchdog trips, RTM demotions, and
-// ResetHardeningState; exposed for tests. Every bump also makes each
-// OptiLock re-copy its config snapshot at its next episode.
-void InvalidateSiteDecisionCaches();
 
 // The current decision epoch (monotone, starts at 1; test observability).
 uint64_t SiteDecisionCacheEpoch();
@@ -500,8 +425,9 @@ class OptiLock {
   void PrepareCommon();
   void AttemptLoop();
   // The first-attempt decision sequence (single-proc bypass, site cache,
-  // watchdog, perceptron, breaker, backend pin). Returns true when the
-  // episode should speculate; false when it already took the slow path.
+  // perceptron with decay, backend pin, software eligibility). Returns true
+  // when the episode should speculate; false when it already took the slow
+  // path.
   bool DecideElide();
   void HandleAbort(htm::AbortCode code);
   // Cold path behind the unlock-side misuse/mismatch test: classifies the
@@ -583,9 +509,6 @@ class OptiLock {
   //                      to the slow path
   //  kFlagDecisionMade   the first-attempt decision sequence already ran
   //  kFlagPredictedHtm   the decision was to speculate (trains on finish)
-  //  kFlagExhausted      the retry budget was exhausted by aborts — the
-  //                      outcome the breaker and watchdog count (mismatch
-  //                      and perceptron-directed fallbacks are not storms)
   //  kFlagOccFallback    a sw-OCC validation-retry budget ran dry; the slow
   //                      acquire is reported as obs::Outcome::kOccFallback
   //  kFlagBackendPinned  this episode pinned the thread's Tx dispatch to
@@ -597,10 +520,9 @@ class OptiLock {
   static constexpr uint32_t kFlagForceSlow = 1u << 1;
   static constexpr uint32_t kFlagDecisionMade = 1u << 2;
   static constexpr uint32_t kFlagPredictedHtm = 1u << 3;
-  static constexpr uint32_t kFlagExhausted = 1u << 4;
-  static constexpr uint32_t kFlagOccFallback = 1u << 5;
-  static constexpr uint32_t kFlagBackendPinned = 1u << 6;
-  static constexpr uint32_t kFlagSiteCacheHit = 1u << 7;
+  static constexpr uint32_t kFlagOccFallback = 1u << 4;
+  static constexpr uint32_t kFlagBackendPinned = 1u << 5;
+  static constexpr uint32_t kFlagSiteCacheHit = 1u << 6;
 
   bool HasFlag(uint32_t f) const { return (flags_ & f) != 0; }
   void SetFlag(uint32_t f) { flags_ |= f; }
@@ -616,11 +538,6 @@ class OptiLock {
   int conflict_retries_left_ = 0;
   int occ_retries_left_ = 0;
   int backoff_exponent_ = 0;
-  // This episode's tick of the process-wide episode clock (breaker/watchdog
-  // cooldowns are measured in episodes). Under batching the tick is claimed
-  // from the thread's local block, so it can lag the clock frontier by the
-  // documented skew bound.
-  uint64_t episode_now_ = 0;
   // Episode-trace bookkeeping (only written when cfg_.trace_episodes):
   // start timestamp, abort-retry count (saturating at obs::kMaxRetries) and
   // the most recent abort code, all private members — no shared state.

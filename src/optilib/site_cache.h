@@ -2,18 +2,23 @@
 //
 // The steady state of an uncontended instrumented site is that every episode
 // re-derives the same verdict: consult the perceptron, pick the backend,
-// speculate, commit. This table memoizes that verdict per call-site cell so
-// the next episode's decision is one epoch-tagged relaxed load + compare
-// instead of the perceptron dot-product and the breaker/watchdog checks.
+// speculate, commit. This table memoizes that elide verdict per call-site
+// cell so the next episode's decision is one relaxed load + compare instead
+// of the perceptron dot-product.
+//
+// Only elide verdicts are cached. A lock verdict keyed on the (mutex ^ site)
+// cell alone would outlive the prediction: Predict() also reads the call
+// site's context cell, which commits of every other mutex locked at that
+// site raise. So every slow decision runs the dot-product.
 //
 // Coherence is by global epoch, not per-cell invalidation protocols: every
 // cell word carries the decision epoch it was minted under, and any event
-// that could change a verdict — PublishOptiConfig, a watchdog trip, an RTM
-// demotion, ResetHardeningState, InvalidateSiteDecisionCaches — bumps the
-// epoch, invalidating all 4096 cells in O(1). Stale cells can never match
-// again (the epoch is monotone and never reused; epoch 0 is a permanent
-// never-valid sentinel). The same epoch keys each OptiLock's config
-// snapshot, so a bump also makes every episode re-read the live config.
+// that could change a verdict — PublishOptiConfig, ResetHardeningState —
+// bumps the epoch, invalidating all 4096 cells in O(1). Stale cells can
+// never match again (the epoch is monotone and never reused; epoch 0 is a
+// permanent never-valid sentinel). The same epoch keys each OptiLock's
+// config snapshot, so a bump also makes every episode re-read the live
+// config.
 //
 // The cache is strictly a performance hint, never a soundness carrier:
 //  * An elide verdict only short-circuits the *decision*; the episode still
@@ -21,12 +26,11 @@
 //    commit, so a wrong verdict costs one abort, not correctness.
 //  * Elide verdicts are tagged with the backend they were minted under and
 //    are ignored when the active backend has changed.
-//  * Cells are neither consulted nor installed while the circuit breaker or
-//    watchdog is enabled — hardening admission must run every episode.
-//  * A lock verdict that has gone stale (weights drifted positive under an
-//    aliasing site) is bounded by the perceptron's slow-streak decay, which
-//    the cached-lock path keeps feeding; the decay reset invalidates the
-//    cell and the next episode re-probes.
+//  * A cached elide verdict does not follow the weights: it stands until an
+//    episode at the cell falls back to the lock (which evicts it) or the
+//    epoch moves. So it also ignores later drops of the context cell, which
+//    failures of other mutexes at the same site can push negative; the
+//    uncached decision would have said lock after those drops.
 
 #ifndef GOCC_SRC_OPTILIB_SITE_CACHE_H_
 #define GOCC_SRC_OPTILIB_SITE_CACHE_H_
@@ -44,17 +48,6 @@ class SiteCache {
   // same way and invalidation reasoning carries over.
   static constexpr size_t kTableSize = 4096;
 
-  enum Verdict : uint32_t {
-    kMiss = 0,   // empty cell / wrong epoch
-    kElide = 1,  // speculate on the tagged backend
-    kLock = 2,   // perceptron said lock; skip the dot-product, keep decay
-  };
-
-  struct Decision {
-    Verdict verdict;
-    uint32_t backend;  // htm::Backend an elide verdict was minted under
-  };
-
   // Current decision epoch. Acquire: a reader that observes a new epoch
   // must also observe the (config) writes published before the bump.
   uint64_t Epoch() const { return epoch_.load(std::memory_order_acquire); }
@@ -63,21 +56,16 @@ class SiteCache {
   // acquire so the bump is ordered after the state change it reports.
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_release); }
 
-  Decision Lookup(uint32_t cell, uint64_t epoch) const {
-    const uint64_t word =
-        cells_[cell & (kTableSize - 1)].word.load(std::memory_order_relaxed);
-    if ((word >> kEpochShift) != epoch) {
-      return {kMiss, 0};
-    }
-    return {static_cast<Verdict>(word & kVerdictMask),
-            static_cast<uint32_t>((word >> kBackendShift) & kBackendMask)};
+  // True when `cell` holds an elide verdict minted under `epoch` for
+  // htm::Backend `backend`.
+  bool HoldsElide(uint32_t cell, uint64_t epoch, uint32_t backend) const {
+    return cells_[cell & (kTableSize - 1)].word.load(
+               std::memory_order_relaxed) == Pack(epoch, backend);
   }
 
-  void Install(uint32_t cell, uint64_t epoch, Verdict v, uint32_t backend) {
+  void InstallElide(uint32_t cell, uint64_t epoch, uint32_t backend) {
     std::atomic<uint64_t>& w = cells_[cell & (kTableSize - 1)].word;
-    const uint64_t packed = (epoch << kEpochShift) |
-                            (static_cast<uint64_t>(backend) << kBackendShift) |
-                            static_cast<uint64_t>(v);
+    const uint64_t packed = Pack(epoch, backend);
     // Redundant-store elision: steady state re-installs the same verdict,
     // and a silent load keeps the line shared instead of dirtying it.
     if (w.load(std::memory_order_relaxed) != packed) {
@@ -97,10 +85,11 @@ class SiteCache {
   }
 
  private:
-  static constexpr uint64_t kVerdictMask = 3;
-  static constexpr int kBackendShift = 2;
-  static constexpr uint64_t kBackendMask = 3;
-  static constexpr int kEpochShift = 4;
+  // Epochs start at 1, so a packed verdict is never the empty word 0.
+  static constexpr int kEpochShift = 2;  // htm::Backend fits in 2 bits
+  static uint64_t Pack(uint64_t epoch, uint32_t backend) {
+    return (epoch << kEpochShift) | backend;
+  }
 
   // One cell per cache line: a site's verdict load never false-shares with
   // a neighbouring site's install (same padding rationale as perceptron.h).

@@ -51,13 +51,6 @@ class CacheService {
       shards_.push_back(std::make_unique<Shard>());
       Shard& sh = *shards_.back();
       sh.health.Configure(cfg_, &stats_);
-      RegisterShardMutex(&sh.cache.ElisionMutex(), &sh.health, &stats_);
-    }
-  }
-
-  ~CacheService() {
-    for (auto& sh : shards_) {
-      UnregisterShardMutex(&sh->cache.ElisionMutex());
     }
   }
 

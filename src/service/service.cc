@@ -1,8 +1,5 @@
 #include "src/service/service.h"
 
-#include <unordered_map>
-
-#include "src/optilib/optilock.h"
 #include "src/support/env.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
@@ -165,9 +162,9 @@ std::string ServiceStats::ToString() const {
                    n(kHedgeDuplicates));
   out += StrFormat(
       " health{degrades=%llu quarantines=%llu recoveries=%llu probes=%llu "
-      "breaker=%llu failures=%llu}}",
+      "failures=%llu}}",
       n(kDegrades), n(kQuarantines), n(kRecoveries), n(kProbesAdmitted),
-      n(kBreakerEscalations), n(kShardFailures));
+      n(kShardFailures));
   return out;
 }
 
@@ -199,9 +196,12 @@ void LatencyWindow::Drain(uint64_t tick) {
   Unlock(window_lock_);
 }
 
-// Escalation with mu_ held: one more unit of pressure at the current rung.
-void ShardHealth::Escalate(std::unique_lock<std::mutex>& held) {
-  (void)held;
+// One more unit of escalation pressure at the current rung.
+void ShardHealth::OnFailure() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stats_ != nullptr) {
+    stats_->shard_failures.fetch_add(1, std::memory_order_relaxed);
+  }
   successes_ = 0;
   ++trips_;
   const ShardState state = State();
@@ -226,22 +226,6 @@ void ShardHealth::Escalate(std::unique_lock<std::mutex>& held) {
     }
   }
   // Already quarantined: stay there; the probe gate owns recovery.
-}
-
-void ShardHealth::OnBreakerTrip() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (stats_ != nullptr) {
-    stats_->breaker_escalations.fetch_add(1, std::memory_order_relaxed);
-  }
-  Escalate(lock);
-}
-
-void ShardHealth::OnFailure() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (stats_ != nullptr) {
-    stats_->shard_failures.fetch_add(1, std::memory_order_relaxed);
-  }
-  Escalate(lock);
 }
 
 void ShardHealth::OnSuccess() {
@@ -278,55 +262,6 @@ void ShardHealth::Reset() {
   trips_ = 0;
   successes_ = 0;
   probe_gate_.ForceNext();
-}
-
-namespace {
-
-struct Registration {
-  ShardHealth* health;
-  ServiceStats* stats;
-};
-
-std::mutex& RegistryMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::unordered_map<const void*, Registration>& Registry() {
-  static auto* map = new std::unordered_map<const void*, Registration>();
-  return *map;
-}
-
-// The process-wide optilib listener. Runs on the tripping thread's episode
-// slow path: one cold hash lookup, then the ladder's own mutex.
-void OnBreakerTripListener(const void* mutex, uint64_t /*episode_now*/) {
-  ShardHealth* health = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(RegistryMu());
-    auto it = Registry().find(mutex);
-    if (it == Registry().end()) {
-      return;  // not a registered shard mutex (some other workload's lock)
-    }
-    health = it->second.health;
-  }
-  health->OnBreakerTrip();
-}
-
-}  // namespace
-
-void RegisterShardMutex(const void* mutex, ShardHealth* health,
-                        ServiceStats* stats) {
-  std::lock_guard<std::mutex> lock(RegistryMu());
-  Registry()[mutex] = Registration{health, stats};
-  optilib::SetBreakerTripListener(&OnBreakerTripListener);
-}
-
-void UnregisterShardMutex(const void* mutex) {
-  std::lock_guard<std::mutex> lock(RegistryMu());
-  Registry().erase(mutex);
-  if (Registry().empty()) {
-    optilib::SetBreakerTripListener(nullptr);
-  }
 }
 
 }  // namespace gocc::service

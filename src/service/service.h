@@ -16,11 +16,9 @@
 //     the shard's replica-of-last-resort snapshot; first answer wins, the
 //     duplicate is suppressed and counted.
 //   * health     — each shard walks healthy → degraded → quarantined,
-//     escalated from the runtime's own distress signals (the per-(mutex,
-//     site) breaker trips via optilib::SetBreakerTripListener, plus
-//     request-level failures). A quarantined shard serves stale reads,
-//     rejects writes, and re-admits one probe per cooldown through the
-//     same support::Reprobe gate the RTM health probe uses.
+//     escalated by request-level failures. A quarantined shard serves
+//     stale reads, rejects writes, and re-admits one probe per cooldown
+//     through a rate-limited support::Reprobe gate.
 //
 // The templated router lives in router.h; this header is the policy-free
 // core so tests and the DES mirror can reason about the ladder without
@@ -68,16 +66,14 @@ struct ServiceConfig {
   // support::WindowedPercentile::kWindows ticks.
   uint64_t window_tick_us = 5000;
 
-  // Health ladder: breaker trips / request failures before healthy shards
-  // degrade, further ones before degraded shards quarantine, and the
-  // consecutive successes needed to step back down one rung.
+  // Health ladder: request failures before healthy shards degrade, further
+  // ones before degraded shards quarantine, and the consecutive successes
+  // needed to step back down one rung.
   int degrade_trips = 1;
   int quarantine_trips = 3;
   int probe_successes = 3;
 
-  // Quarantine cooldown between re-probes (the service-level analogue of
-  // GOCC_REPROBE_MS, configured separately because operators treat it as
-  // an SLO parameter).
+  // Quarantine cooldown between re-probes.
   uint64_t quarantine_cooldown_ms = 25;
 
   // Seed for per-thread retry-after jitter streams.
@@ -155,7 +151,6 @@ struct ServiceStats {
     kQuarantines,
     kRecoveries,
     kProbesAdmitted,
-    kBreakerEscalations,
     kShardFailures,
     kNumSlots,
   };
@@ -191,7 +186,6 @@ struct ServiceStats {
   Counter quarantines{this, kQuarantines};
   Counter recoveries{this, kRecoveries};  // quarantined → degraded
   Counter probes_admitted{this, kProbesAdmitted};
-  Counter breaker_escalations{this, kBreakerEscalations};
   Counter shard_failures{this, kShardFailures};  // injected/storm failures
 
   void Bump(Outcome o) { Add(static_cast<int>(o), 1); }
@@ -228,9 +222,7 @@ enum class ShardState : int {
 
 const char* ShardStateName(ShardState s);
 
-// The per-shard ladder. Escalations come from two feeds: the runtime's
-// breaker (a trip on the shard's mutex is the strongest signal that
-// speculation on this shard collapsed) and request-level failures (chaos
+// The per-shard ladder. Escalations come from request-level failures (chaos
 // storms, which model the backing store dying). De-escalation is earned:
 // consecutive successes step down one rung at a time, and a quarantined
 // shard only gets traffic again through rate-limited probes.
@@ -250,8 +242,6 @@ class ShardHealth {
     return static_cast<ShardState>(state_.load(std::memory_order_relaxed));
   }
 
-  // Breaker trip on this shard's mutex (listener thread).
-  void OnBreakerTrip();
   // Request against this shard failed outright (storm injection).
   void OnFailure();
   // Request served successfully (fresh path).
@@ -273,8 +263,6 @@ class ShardHealth {
   void Reset();
 
  private:
-  void Escalate(std::unique_lock<std::mutex>& held);
-
   const ServiceConfig* cfg_ = nullptr;
   ServiceStats* stats_ = nullptr;
   std::atomic<int> state_{static_cast<int>(ShardState::kHealthy)};
@@ -387,16 +375,6 @@ class LatencyWindow {
 // all retry exactly retry_after later just re-create the spike they were
 // shed to dissolve.
 uint64_t RetryAfterJitterNs(const ServiceConfig& cfg);
-
-// --- breaker escalation bridge (service.cc) ---
-//
-// The router registers each shard's mutex here; a single process-wide
-// optilib breaker-trip listener resolves the tripped mutex back to its
-// ShardHealth. Registration installs the listener on first use; the bridge
-// survives multiple concurrent services (addresses are unique).
-void RegisterShardMutex(const void* mutex, ShardHealth* health,
-                        ServiceStats* stats);
-void UnregisterShardMutex(const void* mutex);
 
 }  // namespace gocc::service
 

@@ -1,21 +1,11 @@
-// Rate-limited re-probe gate shared by every "is the degraded path healthy
-// again?" check in the runtime.
+// Rate-limited re-probe gate: the service tier's quarantined shards use it
+// to re-admit one probe request per cooldown (service.h, ShardHealth).
 //
-// Three subsystems used to roll their own cadence for the same question:
-// the per-(mutex,site) breaker re-probed RTM health on every half-open
-// admission, the watchdog re-probed on every streak trip, and the service
-// tier's quarantine logic needed a cooldown clock of its own. A health
-// probe is cheap but not free (an RtmProbe transaction, or a real request
-// routed at a quarantined shard), and probing on every trigger turns a
-// persistent fault into a probe storm. Reprobe centralizes the policy:
-// Due() returns true at most once per interval across any number of
-// concurrent callers (CAS-claimed, so exactly one thread wins each slot),
-// and everything else keeps using the fallback path.
-//
-// The interval comes from one knob, GOCC_REPROBE_MS (default 50 ms),
-// unless the owner passes an explicit interval — the service quarantine
-// cooldown is configured separately because operators reason about it as
-// an SLO parameter, not a runtime-internal cadence.
+// A probe is cheap but not free (a real request routed at a quarantined
+// shard), and probing on every trigger turns a persistent fault into a
+// probe storm. Due() returns true at most once per interval across any
+// number of concurrent callers (CAS-claimed, so exactly one thread wins
+// each slot), and everything else keeps using the fallback path.
 //
 // Wall-clock-free callers: Due(now_ms) accepts an externally supplied
 // monotone millisecond clock so tests and the DES can drive the gate
@@ -28,23 +18,18 @@
 #include <chrono>
 #include <cstdint>
 
-#include "src/support/env.h"
-
 namespace gocc::support {
 
 class Reprobe {
  public:
-  // interval_ms == 0 selects the process-wide GOCC_REPROBE_MS default.
-  explicit Reprobe(uint64_t interval_ms = 0)
-      : interval_ms_(interval_ms == 0 ? DefaultIntervalMs() : interval_ms) {}
+  explicit Reprobe(uint64_t interval_ms) : interval_ms_(interval_ms) {}
 
   uint64_t interval_ms() const { return interval_ms_; }
 
   // True at most once per interval: the winning caller owns the probe and
   // everyone else (including other threads racing the same instant) gets
-  // false until the interval elapses again. An interval of 0 ms (explicitly
-  // via GOCC_REPROBE_MS=0) degenerates to "every caller probes", which is
-  // the pre-unification behavior.
+  // false until the interval elapses again. An interval of 0 ms degenerates
+  // to "every caller probes".
   bool Due() { return Due(NowMs()); }
 
   bool Due(uint64_t now_ms) {
@@ -73,16 +58,8 @@ class Reprobe {
   // Re-initializes interval and clock (owner reconfiguration; instances
   // hold an atomic so they are deliberately not copyable).
   void Reinit(uint64_t interval_ms) {
-    interval_ms_ = interval_ms == 0 ? DefaultIntervalMs() : interval_ms;
+    interval_ms_ = interval_ms;
     next_due_ms_.store(0, std::memory_order_relaxed);
-  }
-
-  // GOCC_REPROBE_MS, latched on first use. Bounded at 60 s: a probe
-  // cadence slower than that is indistinguishable from "never recover".
-  static uint64_t DefaultIntervalMs() {
-    static const uint64_t latched =
-        EnvUint64("GOCC_REPROBE_MS", 50, 0, 60000);
-    return latched;
   }
 
   static uint64_t NowMs() {

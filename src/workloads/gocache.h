@@ -98,11 +98,6 @@ class GoCache {
     return n;
   }
 
-  // The lock every elided episode of this cache subscribes. The service
-  // router registers its address with the breaker escalation bridge so a
-  // trip on this shard's critical sections reaches the shard health ladder.
-  gosync::RWMutex& ElisionMutex() { return mu_; }
-
  private:
   int Probe(uint64_t key) const {
     size_t ix = static_cast<size_t>(key) & (kSlots - 1);

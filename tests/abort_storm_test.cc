@@ -1,9 +1,10 @@
-// Abort-storm hardening: bounded exponential backoff between conflict
-// retries, the per-(mutex, call-site) circuit breaker (trip → quarantine →
-// cooldown → re-probe), and the process-wide episode watchdog that
-// hot-degrades to slow-path-only mode when every speculation drowns in
-// aborts (the "RTM died mid-run" scenario). All storms are injected
-// deterministically via htm::fault.
+// Abort storms: bounded exponential backoff between conflict retries, and
+// the perceptron with decay (§5.4.1) as the only speculation throttle — a
+// stormed (mutex, call-site) pair goes to the lock after one exhausted
+// episode, re-probes once per Perceptron::kDecayThreshold slow decisions,
+// and elides again once the storm ends, while pairs at other call sites
+// keep committing. That covers the "RTM died mid-run" scenario too (every
+// begin refused). All storms are injected deterministically via htm::fault.
 
 #include <gtest/gtest.h>
 
@@ -118,38 +119,37 @@ TEST_F(AbortStormTest, BackoffDisabledWaitsZero) {
 }
 
 // Acceptance scenario: a persistent injected storm on one (mutex, call-site)
-// pair trips its breaker; other pairs keep committing on the fast path; the
-// quarantined pair re-probes after the cooldown and recovers.
+// pair sends it to the lock after one exhausted episode; a pair at another
+// call site keeps committing on the fast path; the stormed pair re-probes
+// once, after kDecayThreshold slow decisions, and recovers.
 TEST_F(AbortStormTest, BreakerQuarantinesOnePairAndReprobes) {
-  OptiConfig cfg = GetOptiConfig();
-  cfg.use_perceptron = false;  // isolate the breaker layer
-  cfg.breaker_threshold = 4;
-  cfg.breaker_cooldown_episodes = 16;
-  PublishOptiConfig(cfg);
-
   gosync::Mutex mu_victim;
   OptiLock ol_victim;
-  OptiLock ol_healthy;
-  // Pick a healthy mutex whose breaker cell differs from the victim's (the
-  // 4096-entry table hashes addresses; avoid a deterministic collision).
-  const uint32_t victim_cell =
-      Perceptron::IndicesFor(&mu_victim, &ol_victim).mutex_cell;
-  std::vector<std::unique_ptr<gosync::Mutex>> candidates;
-  gosync::Mutex* mu_healthy = nullptr;
-  while (mu_healthy == nullptr) {
-    candidates.push_back(std::make_unique<gosync::Mutex>());
-    if (Perceptron::IndicesFor(candidates.back().get(), &ol_healthy)
-            .mutex_cell != victim_cell) {
-      mu_healthy = candidates.back().get();
+  // The healthy pair must share neither perceptron cell with the victim:
+  // a shared context cell would carry the victim's penalty over.
+  const Perceptron::Indices victim =
+      Perceptron::IndicesFor(&mu_victim, &ol_victim);
+  std::vector<std::unique_ptr<gosync::Mutex>> mutexes;
+  std::vector<std::unique_ptr<OptiLock>> locks;
+  while (true) {
+    mutexes.push_back(std::make_unique<gosync::Mutex>());
+    locks.push_back(std::make_unique<OptiLock>());
+    const Perceptron::Indices idx =
+        Perceptron::IndicesFor(mutexes.back().get(), locks.back().get());
+    if (idx.mutex_cell != victim.mutex_cell &&
+        idx.context_cell != victim.context_cell) {
+      break;
     }
   }
+  gosync::Mutex* mu_healthy = mutexes.back().get();
+  OptiLock& ol_healthy = *locks.back();
 
   htm::Shared<int64_t> victim_value(0);
   htm::Shared<int64_t> healthy_value(0);
 
-  // Phase 1: storm the victim pair only — 100% commit aborts. Four
-  // exhausted episodes trip the breaker; later episodes short-circuit
-  // without even attempting HTM.
+  // Phase 1: storm the victim pair only — 100% commit aborts. The first
+  // episode exhausts its budget and penalizes both cells; later episodes
+  // go straight to the lock without even attempting.
   FaultPlan plan;
   plan.seed = seed_;
   plan.WithRule(Site::kCommit, 1.0, htm::AbortCode::kConflict);
@@ -161,77 +161,77 @@ TEST_F(AbortStormTest, BreakerQuarantinesOnePairAndReprobes) {
 
   const auto& stats = GlobalOptiStats();
   EXPECT_EQ(victim_value.Load(), 8);
-  EXPECT_EQ(stats.breaker_trips.load(), 1u);
-  EXPECT_EQ(stats.htm_attempts.load(), 4u)
-      << "episodes after the trip must not speculate";
-  EXPECT_EQ(stats.breaker_short_circuits.load(), 4u);
+  EXPECT_EQ(stats.htm_attempts.load(), 1u)
+      << "episodes after the first exhausted one must not speculate";
+  EXPECT_EQ(stats.perceptron_slow_decisions.load(), 7u);
   EXPECT_EQ(stats.slow_acquires.load(), 8u);
 
-  // Phase 2: the injector is gone, but the victim stays quarantined while
-  // an unrelated pair commits on the fast path throughout.
-  uint64_t healthy_before = stats.fast_commits.load();
+  // Phase 2: the injector is gone, but the victim stays on the lock while
+  // the pair at the other call site commits on the fast path throughout.
+  const uint64_t healthy_before = stats.fast_commits.load();
   for (int i = 0; i < 4; ++i) {
     ol_healthy.WithLock(mu_healthy, [&] { healthy_value.Add(1); });
     ol_victim.WithLock(&mu_victim, [&] { victim_value.Add(1); });
   }
   EXPECT_EQ(healthy_value.Load(), 4);
-  EXPECT_GE(stats.fast_commits.load(), healthy_before + 4)
-      << "the healthy pair must be unaffected by the victim's quarantine";
-  EXPECT_GE(stats.breaker_short_circuits.load(), 5u);
+  EXPECT_EQ(stats.fast_commits.load(), healthy_before + 4)
+      << "the healthy pair must be unaffected by the victim's storm";
+  EXPECT_EQ(stats.htm_attempts.load(), 1u + 4u);
 
-  // Phase 3: keep issuing victim episodes until the cooldown (16 episode
-  // ticks from the trip) elapses; the breaker re-probes once, the probe
-  // commits, and the pair is healthy again.
-  for (int i = 0; i < 16; ++i) {
+  // Phase 3: the victim's slow decisions feed the decay; the
+  // kDecayThreshold-th resets its cells without speculating, and the next
+  // episode is the one re-probe. It commits, and the pair is healthy again.
+  const uint64_t attempts_before = stats.htm_attempts.load();
+  int phase3 = 0;
+  while (stats.perceptron_resets.load() == 0 &&
+         phase3 < 2 * static_cast<int>(Perceptron::kDecayThreshold)) {
     ol_victim.WithLock(&mu_victim, [&] { victim_value.Add(1); });
+    ++phase3;
   }
-  EXPECT_EQ(stats.breaker_reprobes.load(), 1u);
-  EXPECT_EQ(victim_value.Load(), 8 + 4 + 16);
-  // After the successful re-probe the victim commits fast again.
-  uint64_t fast_before = stats.fast_commits.load();
+  EXPECT_EQ(stats.perceptron_resets.load(), 1u);
+  EXPECT_EQ(stats.perceptron_slow_decisions.load(),
+            uint64_t{Perceptron::kDecayThreshold});
+  EXPECT_EQ(stats.htm_attempts.load(), attempts_before)
+      << "no re-probe before kDecayThreshold slow decisions";
+  const uint64_t fast_before = stats.fast_commits.load();
   ol_victim.WithLock(&mu_victim, [&] { victim_value.Add(1); });
+  EXPECT_EQ(stats.htm_attempts.load(), attempts_before + 1);
   EXPECT_EQ(stats.fast_commits.load(), fast_before + 1);
+  EXPECT_EQ(victim_value.Load(), 8 + 4 + phase3 + 1);
 }
 
+// A storm that never ends costs one attempt per decay period: each re-probe
+// fails, re-penalizes the cells, and buys another kDecayThreshold episodes
+// on the lock.
 TEST_F(AbortStormTest, FailedReprobeReopensBreaker) {
-  OptiConfig cfg = GetOptiConfig();
-  cfg.use_perceptron = false;
-  cfg.breaker_threshold = 2;
-  cfg.breaker_cooldown_episodes = 5;
-  PublishOptiConfig(cfg);
-
   FaultPlan plan;
   plan.seed = seed_;
   plan.WithRule(Site::kCommit, 1.0, htm::AbortCode::kConflict);
   htm::fault::Arm(plan);  // the storm never ends
 
+  constexpr int kPeriods = 3;
+  constexpr int kEpisodes =
+      kPeriods * (1 + static_cast<int>(Perceptron::kDecayThreshold));
   gosync::Mutex mu;
   htm::Shared<int64_t> value(0);
   OptiLock ol;
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < kEpisodes; ++i) {
     ol.WithLock(&mu, [&] { value.Add(1); });
   }
   htm::fault::Disarm();
 
   const auto& stats = GlobalOptiStats();
-  EXPECT_EQ(value.Load(), 40);
-  // Trip, cooldown, failed re-probe, re-trip, ... — multiple trips and
-  // re-probes, but speculation stays rare (2 initial failures + 1 failed
-  // probe per cycle) instead of 40 wasted attempts.
-  EXPECT_GE(stats.breaker_trips.load(), 2u);
-  EXPECT_GE(stats.breaker_reprobes.load(), 1u);
-  EXPECT_LT(stats.htm_attempts.load(), 15u);
+  EXPECT_EQ(value.Load(), kEpisodes);
+  EXPECT_EQ(stats.htm_attempts.load(), uint64_t{kPeriods});
+  EXPECT_EQ(stats.perceptron_resets.load(), uint64_t{kPeriods});
   EXPECT_EQ(stats.fast_commits.load(), 0u);
+  EXPECT_EQ(stats.slow_acquires.load(), uint64_t{kEpisodes});
 }
 
+// RTM dies mid-run: every begin is refused. Episodes degrade to the lock
+// after one exhausted episode, every increment lands, and once the storm
+// ends the site elides again after its decay period.
 TEST_F(AbortStormTest, WatchdogHotDegradesAndRecovers) {
-  OptiConfig cfg = GetOptiConfig();
-  cfg.use_perceptron = false;
-  cfg.watchdog_threshold = 8;
-  cfg.watchdog_cooldown_episodes = 50;
-  PublishOptiConfig(cfg);
-
-  // RTM dies mid-run: every begin refuses from now on.
   FaultPlan plan;
   plan.seed = seed_;
   plan.WithRule(Site::kBegin, 1.0, htm::AbortCode::kSpurious);
@@ -240,41 +240,36 @@ TEST_F(AbortStormTest, WatchdogHotDegradesAndRecovers) {
   gosync::Mutex mu;
   htm::Shared<int64_t> value(0);
   OptiLock ol;
-  for (int i = 0; i < 40; ++i) {
+  constexpr int kStorm = 40;
+  for (int i = 0; i < kStorm; ++i) {
     ol.WithLock(&mu, [&] { value.Add(1); });
   }
 
   const auto& stats = GlobalOptiStats();
-  EXPECT_EQ(value.Load(), 40);
-  EXPECT_EQ(stats.watchdog_trips.load(), 1u);
-  EXPECT_EQ(stats.htm_attempts.load(), 8u)
-      << "after the trip no episode may pay the begin/abort tax";
-  EXPECT_EQ(stats.watchdog_bypasses.load(), 32u);
-  EXPECT_EQ(stats.slow_acquires.load(), 40u);
+  EXPECT_EQ(value.Load(), kStorm);
+  EXPECT_EQ(stats.htm_attempts.load(), 1u)
+      << "after the first exhausted episode none may pay the begin/abort tax";
+  EXPECT_EQ(stats.slow_acquires.load(), uint64_t{kStorm});
 
-  // The storm ends (microcode rollback, say); after the cooldown window the
-  // watchdog lets speculation through again and commits flow.
+  // The storm ends (microcode rollback, say). The decay period that began
+  // with the storm's second episode ends kDecayThreshold slow decisions
+  // later; every episode after it commits.
   htm::fault::Disarm();
-  for (int i = 0; i < 60; ++i) {
+  constexpr int kAfter = static_cast<int>(Perceptron::kDecayThreshold) + 60;
+  for (int i = 0; i < kAfter; ++i) {
     ol.WithLock(&mu, [&] { value.Add(1); });
   }
-  EXPECT_EQ(value.Load(), 100);
-  EXPECT_GT(stats.fast_commits.load(), 0u)
-      << "slow-only mode must expire after its cooldown";
-  EXPECT_GT(stats.htm_attempts.load(), 8u);
+  EXPECT_EQ(value.Load(), kStorm + kAfter);
+  EXPECT_EQ(stats.perceptron_resets.load(), 1u);
+  EXPECT_EQ(stats.fast_commits.load(),
+            uint64_t{kStorm + kAfter - 1 - Perceptron::kDecayThreshold});
+  EXPECT_EQ(stats.fast_commits.load() + stats.slow_acquires.load(),
+            uint64_t{kStorm + kAfter});
 }
 
 // Hot-degrade under live multi-threaded load: a storm that starts mid-run
-// must not deadlock in-flight episodes or lose any increments, and the
-// breaker+watchdog must bound speculation while it lasts.
+// must not deadlock in-flight episodes or lose any increments.
 TEST_F(AbortStormTest, MidRunStormKeepsFullThroughputCorrect) {
-  OptiConfig cfg = GetOptiConfig();
-  cfg.breaker_threshold = 4;
-  cfg.breaker_cooldown_episodes = 64;
-  cfg.watchdog_threshold = 16;
-  cfg.watchdog_cooldown_episodes = 256;
-  PublishOptiConfig(cfg);
-
   constexpr int kThreads = 4;
   constexpr int kItersPerPhase = 2000;
   gosync::Mutex mu;

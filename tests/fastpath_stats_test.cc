@@ -1,5 +1,5 @@
-// Fast-path bookkeeping invariants for the sharded-stats + batched-clock
-// runtime (see DESIGN.md "fast-path cost model"):
+// Fast-path bookkeeping invariants for the sharded-stats runtime (see
+// DESIGN.md "fast-path cost model"):
 //
 //   1. Episode conservation: every FastLock/FastUnlock episode ends exactly
 //      one way, so fast_commits + nested_fast_commits + slow_acquires equals
@@ -7,18 +7,18 @@
 //      and under chaos-seeded fault injection (the seed battery re-runs this
 //      binary, `ctest -L chaos`).
 //   2. Reset hygiene: OptiStats::Reset() + ResetHardeningState() leave no
-//      residue in any thread's stat shard or cached clock batch; identical
-//      back-to-back runs produce identical counters from a zero frontier.
-//   3. Cooldown skew: with ticks claimed in thread-local batches, a thread's
-//      tick lags the clock frontier by at most threads * batch — the breaker
-//      and watchdog must never un-quarantine before
-//      cooldown - threads * batch episodes have passed.
+//      residue in any thread's stat shard; identical back-to-back runs
+//      produce identical counters.
+//   3. Decay isolation: a site sent to the lock re-probes only after its
+//      own Perceptron::kDecayThreshold slow decisions, never earlier, while
+//      another thread runs episodes at another call site.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -225,16 +225,13 @@ TEST_F(FastPathStatsTest, ConservationWithNestedEpisodes) {
 // --- 2. Reset hygiene -------------------------------------------------------
 
 TEST_F(FastPathStatsTest, ResetClearsAllShardsAndClockResidue) {
-  OptiConfig cfg = GetOptiConfig();
-  cfg.breaker_threshold = 4;  // enable hardening so the clock ticks
-  PublishOptiConfig(cfg);
   gosync::Mutex mu;
   htm::Shared<uint64_t> value{0};
 
-  // Touch the runtime from several threads so multiple shards and multiple
-  // cached clock batches exist before the reset. Exited threads retire
-  // their shards (counts fold into the retired accumulator), so the live
-  // shard count tracks peak concurrency, not total threads ever.
+  // Touch the runtime from several threads so multiple shards exist before
+  // the reset. Exited threads retire their shards (counts fold into the
+  // retired accumulator), so the live shard count tracks peak concurrency,
+  // not total threads ever.
   const uint64_t retired_before = GlobalOptiStats().RetiredShardTotal();
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -249,7 +246,6 @@ TEST_F(FastPathStatsTest, ResetClearsAllShardsAndClockResidue) {
     th.join();
   }
   ASSERT_GT(EpisodeSum(), 0u);
-  ASSERT_GT(EpisodeClockFrontier(), 0u);
   ASSERT_GE(GlobalOptiStats().ShardCount(), 1u);
   ASSERT_GE(GlobalOptiStats().RetiredShardTotal(), retired_before + 4);
 
@@ -262,18 +258,12 @@ TEST_F(FastPathStatsTest, ResetClearsAllShardsAndClockResidue) {
             0u);
   EXPECT_EQ(htm::GlobalTxStats().begins.load(std::memory_order_relaxed), 0u);
   EXPECT_EQ(htm::GlobalTxStats().TotalAborts(), 0u);
-  EXPECT_EQ(EpisodeClockFrontier(), 0u);
 }
 
 TEST_F(FastPathStatsTest, BackToBackRunsStartIdentical) {
   // The same single-threaded workload, run twice with a full reset between,
   // must produce byte-identical counters — any stale shard slot or cached
-  // tick batch from run 1 would skew run 2.
-  OptiConfig cfg = GetOptiConfig();
-  cfg.breaker_threshold = 4;
-  cfg.watchdog_threshold = 8;
-  PublishOptiConfig(cfg);
-
+  // verdict from run 1 would skew run 2.
   gosync::Mutex mu;
   htm::Shared<uint64_t> value{0};
   auto run = [&] {
@@ -294,15 +284,11 @@ TEST_F(FastPathStatsTest, BackToBackRunsStartIdentical) {
   run();
   const std::string first_opti = GlobalOptiStats().ToString();
   const std::string first_tx = htm::GlobalTxStats().ToString();
-  const uint64_t first_frontier = EpisodeClockFrontier();
 
   reset_all();
-  EXPECT_EQ(EpisodeClockFrontier(), 0u);
-
   run();
   EXPECT_EQ(GlobalOptiStats().ToString(), first_opti);
   EXPECT_EQ(htm::GlobalTxStats().ToString(), first_tx);
-  EXPECT_EQ(EpisodeClockFrontier(), first_frontier);
 }
 
 // ToString prints the per-member multi-lock abort histogram that /metrics
@@ -315,11 +301,50 @@ TEST_F(FastPathStatsTest, ToStringPrintsMultiLockMemberHistogram) {
       << text;
 }
 
-// --- 3. Cooldown behaviour under the batched clock --------------------------
+// --- 3. Decay isolation across call sites -----------------------------------
 
-// Trips the breaker for (mu, ol) deterministically: with threshold 1 and no
-// retry budget, a single injected begin-abort exhausts the episode.
-void TripBreakerOnce(OptiLock& ol, gosync::Mutex& mu, uint64_t seed) {
+// A second call site — its own OptiLock and mutex, heap-allocated so the
+// helper thread can run it — sharing neither perceptron cell with (mu, ol):
+// its training and slow streaks are independent of theirs.
+struct OtherSite {
+  std::unique_ptr<gosync::Mutex> mu;
+  std::unique_ptr<OptiLock> ol;
+};
+
+OtherSite DisjointSite(gosync::Mutex& mu, OptiLock& ol,
+                       std::vector<OtherSite>* rejected) {
+  const Perceptron::Indices base = Perceptron::IndicesFor(&mu, &ol);
+  while (true) {
+    OtherSite site{std::make_unique<gosync::Mutex>(),
+                   std::make_unique<OptiLock>()};
+    const Perceptron::Indices idx =
+        Perceptron::IndicesFor(site.mu.get(), site.ol.get());
+    if (idx.mutex_cell != base.mutex_cell &&
+        idx.context_cell != base.context_cell) {
+      return site;
+    }
+    rejected->push_back(std::move(site));  // keep the address out of reuse
+  }
+}
+
+// Runs episodes at (mu, ol) until one commits, and returns how many took the
+// slow path first (bounded, so a site that never re-probes fails the test
+// instead of hanging it).
+int SlowEpisodesBeforeFirstCommit(OptiLock& ol, gosync::Mutex& mu) {
+  constexpr int kBound = 2 * static_cast<int>(Perceptron::kDecayThreshold);
+  for (int slow = 0; slow < kBound; ++slow) {
+    bool slow_path = true;
+    ol.WithLock(&mu, [&] { slow_path = ol.on_slow_path(); });
+    if (!slow_path) {
+      return slow;
+    }
+  }
+  return kBound;
+}
+
+// Sends (mu, ol) to the lock: with no retry budget, one injected begin
+// abort exhausts the episode and penalizes both of the site's cells.
+void StormOneEpisode(OptiLock& ol, gosync::Mutex& mu, uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;
   plan.AbortNext(Site::kBegin, 1, htm::AbortCode::kConflict);
@@ -328,138 +353,78 @@ void TripBreakerOnce(OptiLock& ol, gosync::Mutex& mu, uint64_t seed) {
   htm::fault::Disarm();
 }
 
+// The stormed site re-probes only after its own kDecayThreshold slow
+// decisions, while a healthy site on another thread commits throughout
+// (its commits reward only its own cells).
 TEST_F(FastPathStatsTest, BreakerCooldownNeverEndsEarlyUnderBatchedClock) {
-  constexpr uint64_t kCooldown = 400;
-  constexpr int kBatch = kEpisodeClockBatch;
-  constexpr int kThreads = 2;  // main + one frontier-advancing helper
   OptiConfig cfg = GetOptiConfig();
-  cfg.use_perceptron = false;
   cfg.max_attempts = 1;
   cfg.conflict_retries = 0;
-  cfg.breaker_threshold = 1;
-  cfg.breaker_cooldown_episodes = kCooldown;
   PublishOptiConfig(cfg);
 
   gosync::Mutex mu;
-  OptiLock ol;  // breaker cells key on (mutex, call site); keep both fixed
-  TripBreakerOnce(ol, mu, seed_);
-  ASSERT_EQ(GlobalOptiStats().breaker_trips.load(std::memory_order_relaxed),
+  OptiLock ol;
+  std::vector<OtherSite> rejected;
+  OtherSite other = DisjointSite(mu, ol, &rejected);
+  StormOneEpisode(ol, mu, seed_);
+  ASSERT_EQ(GlobalOptiStats().slow_acquires.load(std::memory_order_relaxed),
             1u);
 
-  // A second thread claims (and discards most of) a tick batch, advancing
-  // the frontier past the main thread's in-hand block — the worst-case skew
-  // the batch documentation allows. (Its episode uses a different, healthy
-  // mutex, so it may fast-commit; measure deltas from here on.)
-  {
-    gosync::Mutex other;
-    std::thread helper([&] {
-      OptiLock h;
-      h.WithLock(&other, [] {});
-    });
-    helper.join();
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> helper_episodes{0};
+  std::thread helper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      other.ol->WithLock(other.mu.get(), [] {});
+      helper_episodes.fetch_add(1, std::memory_order_release);
+    }
+  });
+  while (helper_episodes.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();  // the helper is running before main starts
   }
-  const uint64_t base_fast =
-      GlobalOptiStats().fast_commits.load(std::memory_order_relaxed);
-  const uint64_t base_short =
-      GlobalOptiStats().breaker_short_circuits.load(std::memory_order_relaxed);
+  const int slow = SlowEpisodesBeforeFirstCommit(ol, mu);
+  done.store(true, std::memory_order_release);
+  helper.join();
 
-  // Every episode inside cooldown - threads*batch must short-circuit to the
-  // lock: the skew bound says stale in-hand ticks may shorten the observed
-  // quarantine by at most threads * batch, never more.
-  const uint64_t safe_window = kCooldown - kThreads * kBatch - 1;
-  for (uint64_t i = 0; i < safe_window; ++i) {
-    ol.WithLock(&mu, [] {});
-  }
-  EXPECT_EQ(GlobalOptiStats().fast_commits.load(std::memory_order_relaxed),
-            base_fast)
-      << "breaker un-quarantined before cooldown - threads*batch episodes";
-  EXPECT_EQ(
-      GlobalOptiStats().breaker_short_circuits.load(std::memory_order_relaxed),
-      base_short + safe_window);
-
-  // ...and the quarantine does end: within another ~2 batches + cooldown
-  // slack the re-probe succeeds and elision resumes.
-  for (int i = 0; i < 3 * kBatch + 8; ++i) {
-    ol.WithLock(&mu, [] {});
-  }
-  EXPECT_GT(GlobalOptiStats().fast_commits.load(std::memory_order_relaxed),
-            0u);
-  EXPECT_GT(
-      GlobalOptiStats().breaker_reprobes.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(slow, static_cast<int>(Perceptron::kDecayThreshold))
+      << "the stormed site re-probed before its decay period ended";
+  EXPECT_EQ(GlobalOptiStats().perceptron_resets.load(), 1u);
+  EXPECT_EQ(GlobalOptiStats().fast_commits.load(),
+            helper_episodes.load() + 1);
+  EXPECT_EQ(GlobalOptiStats().perceptron_slow_decisions.load(),
+            uint64_t{Perceptron::kDecayThreshold})
+      << "the healthy site never decided slow";
 }
 
+// Two sites sent to the lock at once, one per thread: each re-probes after
+// exactly its own kDecayThreshold slow decisions — the other thread's slow
+// decisions at another call site neither shorten nor stretch its period.
 TEST_F(FastPathStatsTest, WatchdogCooldownNeverEndsEarlyUnderBatchedClock) {
-  constexpr uint64_t kCooldown = 400;
-  constexpr int kBatch = kEpisodeClockBatch;
-  constexpr int kThreads = 2;
   OptiConfig cfg = GetOptiConfig();
-  cfg.use_perceptron = false;
   cfg.max_attempts = 1;
   cfg.conflict_retries = 0;
-  cfg.watchdog_threshold = 2;
-  cfg.watchdog_cooldown_episodes = kCooldown;
   PublishOptiConfig(cfg);
 
   gosync::Mutex mu;
   OptiLock ol;
-
-  // Two consecutive exhausted-budget episodes trip the watchdog.
-  FaultPlan plan;
-  plan.seed = seed_;
-  plan.AbortNext(Site::kBegin, 2, htm::AbortCode::kConflict);
-  htm::fault::Arm(plan);
-  ol.WithLock(&mu, [] {});
-  ol.WithLock(&mu, [] {});
-  htm::fault::Disarm();
-  ASSERT_EQ(GlobalOptiStats().watchdog_trips.load(std::memory_order_relaxed),
-            1u);
-
-  // The helper's episode happens inside the slow-only window, so it is
-  // bypassed too (the watchdog is process-wide); measure deltas after it.
-  {
-    gosync::Mutex other;
-    std::thread helper([&] {
-      OptiLock h;
-      h.WithLock(&other, [] {});
-    });
-    helper.join();
-  }
-  const uint64_t base_fast =
-      GlobalOptiStats().fast_commits.load(std::memory_order_relaxed);
-  const uint64_t base_bypass =
-      GlobalOptiStats().watchdog_bypasses.load(std::memory_order_relaxed);
-
-  const uint64_t safe_window = kCooldown - kThreads * kBatch - 1;
-  for (uint64_t i = 0; i < safe_window; ++i) {
-    ol.WithLock(&mu, [] {});
-  }
-  EXPECT_EQ(GlobalOptiStats().fast_commits.load(std::memory_order_relaxed),
-            base_fast)
-      << "watchdog lifted slow-only mode before cooldown - threads*batch";
-  EXPECT_EQ(
-      GlobalOptiStats().watchdog_bypasses.load(std::memory_order_relaxed),
-      base_bypass + safe_window);
-
-  for (int i = 0; i < 3 * kBatch + 8; ++i) {
-    ol.WithLock(&mu, [] {});
-  }
-  EXPECT_GT(GlobalOptiStats().fast_commits.load(std::memory_order_relaxed),
+  std::vector<OtherSite> rejected;
+  OtherSite other = DisjointSite(mu, ol, &rejected);
+  StormOneEpisode(ol, mu, seed_);
+  StormOneEpisode(*other.ol, *other.mu, seed_);
+  ASSERT_EQ(GlobalOptiStats().slow_acquires.load(std::memory_order_relaxed),
+            2u);
+  ASSERT_EQ(GlobalOptiStats().fast_commits.load(std::memory_order_relaxed),
             0u);
-}
 
-// Single-thread tick streams are exact: N hardening episodes consume ticks
-// 1..N and the frontier advances in whole batches.
-TEST_F(FastPathStatsTest, FrontierAdvancesInWholeBatches) {
-  OptiConfig cfg = GetOptiConfig();
-  cfg.breaker_threshold = 4;  // enable the clock
-  PublishOptiConfig(cfg);
-  gosync::Mutex mu;
-  OptiLock ol;
-  for (int i = 0; i < 100; ++i) {
-    ol.WithLock(&mu, [] {});
-  }
-  // 100 episodes with batch 64 → 2 refills claimed (ceil(100/64) = 2).
-  EXPECT_EQ(EpisodeClockFrontier(), 2u * kEpisodeClockBatch);
+  int helper_slow = -1;
+  std::thread helper([&] {
+    helper_slow = SlowEpisodesBeforeFirstCommit(*other.ol, *other.mu);
+  });
+  const int slow = SlowEpisodesBeforeFirstCommit(ol, mu);
+  helper.join();
+
+  EXPECT_EQ(slow, static_cast<int>(Perceptron::kDecayThreshold));
+  EXPECT_EQ(helper_slow, static_cast<int>(Perceptron::kDecayThreshold));
+  EXPECT_EQ(GlobalOptiStats().perceptron_resets.load(), 2u);
 }
 
 }  // namespace

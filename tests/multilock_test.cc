@@ -6,8 +6,8 @@
 // inferred at commit), exception unwind with a set in flight, destructor
 // poisoning of a member mid-episode, lock-order-inversion detection against
 // the slow-held watermark, cross-thread / unpaired / mismatched set
-// unlocks, breaker and watchdog behaviour under injected set-abort storms,
-// and the exact-conservation oracle under concurrent transfers.
+// unlocks, the perceptron's per-set throttle under injected set-abort
+// storms, and the exact-conservation oracle under concurrent transfers.
 //
 // Everything runs under the SimTM backend (ForceSoftwareBackend) so counter
 // assertions are exact and deterministic; the chaos battery replays this
@@ -483,69 +483,95 @@ TEST_F(MultiLockTest, MismatchedValidatingUnlockRecoversViaSlowPath) {
   EXPECT_EQ(support::TotalMisuse(), 0u);  // mismatch is recovery, not misuse
 }
 
-// --- breaker / watchdog attribution under set-abort storms ------------------
+// --- the perceptron's per-set throttle under set-abort storms --------------
 
-TEST_F(MultiLockTest, BreakerQuarantinesStormingLockSetOnly) {
+// Publishes the fixture's config with the perceptron on, and returns the
+// lock-set storm plan: every member subscription aborts.
+htm::fault::FaultPlan PerceptronOnSetStorm() {
   OptiConfig cfg = GetOptiConfig();
-  cfg.breaker_threshold = 2;
+  cfg.use_perceptron = true;
   cfg.backoff_base_pauses = 0;  // keep the storm fast
   PublishOptiConfig(cfg);
-  gosync::Mutex a, b, c, d;
   htm::fault::FaultPlan plan;
   plan.WithRule(htm::fault::Site::kMultiLockSubscribe, 1.0,
                 htm::AbortCode::kConflict);
-  htm::fault::Arm(plan);
+  return plan;
+}
+
+// A stormed lock set goes to the sorted slow path after one exhausted
+// episode, while a disjoint set at another call site keeps committing.
+// (Sets of one size at one call site share a context cell, so the healthy
+// set gets its own OptiLock.)
+TEST_F(MultiLockTest, BreakerQuarantinesStormingLockSetOnly) {
+  gosync::Mutex a, b, c, d;
+  htm::fault::Arm(PerceptronOnSetStorm());
   OptiLock ol;
-  // One textual call site, repeated: every episode exhausts its budget and
-  // falls back, tripping the per-(set, site) breaker cell.
   auto storm_site = [&] { ol.WithLocks({&a, &b}, [] {}); };
   for (int i = 0; i < 4; ++i) {
     storm_site();
   }
   htm::fault::Disarm();
   const auto& stats = GlobalOptiStats();
-  EXPECT_GE(stats.breaker_trips.load(), 1u);
-  EXPECT_GE(stats.breaker_short_circuits.load(), 1u);
+  EXPECT_EQ(stats.htm_attempts.load(), 1u)
+      << "only the first set episode may speculate";
+  EXPECT_EQ(stats.perceptron_slow_decisions.load(), 3u);
+  EXPECT_EQ(stats.multilock_slow_acquires.load(), 4u);
 
-  // The quarantine is per cell: a disjoint lock set through a different
-  // call site still speculates and commits fast.
+  OptiLock other_site;
+  const void* ab[] = {&a, &b};
+  const void* cd[] = {&c, &d};
+  const Perceptron::Indices stormed = Perceptron::IndicesForSet(ab, 2, &ol);
+  const Perceptron::Indices healthy =
+      Perceptron::IndicesForSet(cd, 2, &other_site);
+  ASSERT_NE(healthy.mutex_cell, stormed.mutex_cell);
+  ASSERT_NE(healthy.context_cell, stormed.context_cell);
   const uint64_t fast_before = stats.multilock_fast_commits.load();
-  ol.WithLocks({&c, &d}, [] {});
+  other_site.WithLocks({&c, &d}, [] {});
   EXPECT_EQ(stats.multilock_fast_commits.load(), fast_before + 1);
 
-  // The tripped cell stays short-circuited within its cooldown even with
-  // the injector disarmed.
-  const uint64_t short_before = stats.breaker_short_circuits.load();
+  // The stormed set stays on the lock with the injector disarmed, until its
+  // decay period ends.
+  const uint64_t slow_before = stats.perceptron_slow_decisions.load();
   storm_site();
-  EXPECT_EQ(stats.breaker_short_circuits.load(), short_before + 1);
+  EXPECT_EQ(stats.perceptron_slow_decisions.load(), slow_before + 1);
   EXPECT_FALSE(a.IsLocked() || b.IsLocked() || c.IsLocked() || d.IsLocked());
 }
 
+// Every set subscription refused: set episodes degrade to the sorted slow
+// path after one exhausted episode, every increment lands, and the set
+// elides again after the storm.
 TEST_F(MultiLockTest, WatchdogHotDegradesSetEpisodesDuringStorm) {
-  OptiConfig cfg = GetOptiConfig();
-  cfg.watchdog_threshold = 2;
-  cfg.backoff_base_pauses = 0;
-  PublishOptiConfig(cfg);
-  gosync::Mutex a, b, c, d;
-  htm::fault::FaultPlan plan;
-  plan.WithRule(htm::fault::Site::kMultiLockSubscribe, 1.0,
-                htm::AbortCode::kConflict);
-  htm::fault::Arm(plan);
+  gosync::Mutex a, b;
+  htm::Shared<int64_t> x(0), y(0);
+  htm::fault::Arm(PerceptronOnSetStorm());
   OptiLock ol;
-  for (int i = 0; i < 4; ++i) {
-    ol.WithLocks({&a, &b}, [] {});
+  auto transfer = [&] {
+    ol.WithLocks({&a, &b}, [&] {
+      x.Add(-1);
+      y.Add(1);
+    });
+  };
+  constexpr int kStorm = 40;
+  for (int i = 0; i < kStorm; ++i) {
+    transfer();
   }
   htm::fault::Disarm();
   const auto& stats = GlobalOptiStats();
-  EXPECT_GE(stats.watchdog_trips.load(), 1u);
+  EXPECT_EQ(stats.htm_attempts.load(), 1u);
+  EXPECT_EQ(stats.multilock_slow_acquires.load(), uint64_t{kStorm});
 
-  // Process-wide slow-only window: even a fresh, never-aborted lock set at
-  // a new call site is sent straight to the sorted slow path.
-  const uint64_t fast_before = stats.multilock_fast_commits.load();
-  const uint64_t bypass_before = stats.watchdog_bypasses.load();
-  ol.WithLocks({&c, &d}, [&] { EXPECT_TRUE(ol.on_slow_path()); });
-  EXPECT_EQ(stats.multilock_fast_commits.load(), fast_before);
-  EXPECT_GE(stats.watchdog_bypasses.load(), bypass_before + 1);
+  // Storm over: the decay period ends and the set commits elided again.
+  constexpr int kAfter = static_cast<int>(Perceptron::kDecayThreshold) + 20;
+  for (int i = 0; i < kAfter; ++i) {
+    transfer();
+  }
+  EXPECT_EQ(x.Load(), -(kStorm + kAfter));
+  EXPECT_EQ(y.Load(), kStorm + kAfter);
+  EXPECT_EQ(stats.multilock_fast_commits.load(),
+            uint64_t{kStorm + kAfter - 1 - Perceptron::kDecayThreshold});
+  EXPECT_EQ(stats.multilock_fast_commits.load() +
+                stats.multilock_slow_acquires.load(),
+            uint64_t{kStorm + kAfter});
 }
 
 // --- conservation oracle under concurrency ----------------------------------

@@ -533,41 +533,6 @@ TEST_F(ObsTest, PrometheusSnapshotExposesEpisodeCounters) {
   EXPECT_NE(text.find("gocc_opti_episode_aborts_total{code=\"Conflict\"}"),
             std::string::npos);
   EXPECT_NE(text.find("gocc_tx_commits_total"), std::string::npos);
-
-  // Every OptiStats slot reaches exactly one gocc_opti_* counter sample:
-  // give each slot of this thread's shard its own power of two (no sum of
-  // other slots can forge it) and count the samples that carry it.
-  static_assert(OptiStats::kNumSlots + 4 < 53, "values stay exact doubles");
-  auto slot_value = [](int slot) {
-    return static_cast<double>(uint64_t{1} << (slot + 4));
-  };
-  GlobalOptiStats().Reset();
-  std::atomic<uint64_t>* shard = GlobalOptiStats().LocalShard();
-  for (int slot = 0; slot < OptiStats::kNumSlots; ++slot) {
-    shard[slot].store(static_cast<uint64_t>(slot_value(slot)),
-                      std::memory_order_relaxed);
-  }
-  std::vector<double> opti_samples;
-  for (const Metric& m : CollectRuntimeMetrics()) {
-    if (m.name.rfind("gocc_opti_", 0) == 0 &&
-        std::string(m.type) == "counter") {
-      for (const MetricSample& sample : m.samples) {
-        opti_samples.push_back(sample.value);
-      }
-    }
-  }
-  // The kNone abort code is never delivered to an episode.
-  const int unused_slot = OptiStats::kEpisodeAbortsBase +
-                          static_cast<int>(htm::AbortCode::kNone);
-  for (int slot = 0; slot < OptiStats::kNumSlots; ++slot) {
-    if (slot == unused_slot) {
-      continue;
-    }
-    EXPECT_EQ(std::count(opti_samples.begin(), opti_samples.end(),
-                         slot_value(slot)),
-              1)
-        << "OptiStats slot " << slot;
-  }
 }
 
 // Counts the figures of `text` equal to `value`, where figures are the runs

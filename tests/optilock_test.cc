@@ -462,10 +462,6 @@ TEST_F(OptiLockTest, GetOptiConfigReturnsPublishedConfig) {
   c.multilock_speculate_max = 3;
   c.backoff_base_pauses = 4;
   c.backoff_cap_pauses = 32;
-  c.breaker_threshold = 6;
-  c.breaker_cooldown_episodes = 77;
-  c.watchdog_threshold = 11;
-  c.watchdog_cooldown_episodes = 99;
   c.trace_episodes = !OptiConfig{}.trace_episodes;
   c.misuse_policy = support::MisusePolicy::kRecoverAndCount;
   PublishOptiConfig(c);
@@ -479,10 +475,6 @@ TEST_F(OptiLockTest, GetOptiConfigReturnsPublishedConfig) {
   EXPECT_EQ(got.multilock_speculate_max, c.multilock_speculate_max);
   EXPECT_EQ(got.backoff_base_pauses, c.backoff_base_pauses);
   EXPECT_EQ(got.backoff_cap_pauses, c.backoff_cap_pauses);
-  EXPECT_EQ(got.breaker_threshold, c.breaker_threshold);
-  EXPECT_EQ(got.breaker_cooldown_episodes, c.breaker_cooldown_episodes);
-  EXPECT_EQ(got.watchdog_threshold, c.watchdog_threshold);
-  EXPECT_EQ(got.watchdog_cooldown_episodes, c.watchdog_cooldown_episodes);
   EXPECT_EQ(got.trace_episodes, c.trace_episodes);
   EXPECT_EQ(got.misuse_policy, c.misuse_policy);
 

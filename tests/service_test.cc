@@ -201,8 +201,7 @@ TEST_F(ServiceTest, StripedStatsStayExactPastTheStripeCount) {
             StrFormat("svc{ok=%llu miss=%llu shed_deadline=0 shed_overload=0 "
                       "rejected_quarantine=0 failed=0 stale=0 "
                       "hedges{fired=0 won=0 dup=0} health{degrades=0 "
-                      "quarantines=0 recoveries=0 probes=0 breaker=0 "
-                      "failures=0}}",
+                      "quarantines=0 recoveries=0 probes=0 failures=0}}",
                       static_cast<unsigned long long>(ok.load()),
                       static_cast<unsigned long long>(miss.load())));
 
@@ -215,7 +214,7 @@ TEST_F(ServiceTest, StripedStatsStayExactPastTheStripeCount) {
             "svc{ok=0 miss=0 shed_deadline=0 shed_overload=0 "
             "rejected_quarantine=0 failed=0 stale=0 hedges{fired=0 won=0 "
             "dup=0} health{degrades=0 quarantines=0 recoveries=0 probes=0 "
-            "breaker=0 failures=0}}");
+            "failures=0}}");
 
   // Two threads on one stripe, bumping it head to head: ordinals kStripes
   // apart share a stripe, so the first racer takes an ordinal, threads
@@ -541,47 +540,6 @@ TEST_F(ServiceTest, QuarantineRecoversThroughCooldownProbes) {
     EXPECT_EQ(svc.Get(key).outcome, Outcome::kOk);
   }
   EXPECT_EQ(health.State(), ShardState::kHealthy);
-}
-
-TEST_F(ServiceTest, BreakerTripEscalatesShardHealth) {
-  // The runtime's own distress signal feeds the ladder: a persistent abort
-  // storm on one shard's mutex trips the per-(mutex,site) breaker, whose
-  // listener degrades that shard — and only that shard.
-  optilib::OptiConfig ocfg = optilib::GetOptiConfig();
-  ocfg.use_perceptron = false;
-  ocfg.breaker_threshold = 2;
-  ocfg.breaker_cooldown_episodes = 1u << 20;  // no re-probe mid-test
-  optilib::PublishOptiConfig(ocfg);
-
-  ServiceConfig cfg = TestConfig(2);
-  ElidedService svc(cfg);
-  const uint64_t key = KeyForShard(svc, 0);
-  svc.Set(key, 3);
-
-  FaultPlan plan;
-  plan.seed = seed_;
-  plan.WithRule(Site::kCommit, 1.0, htm::AbortCode::kConflict);
-  htm::fault::Arm(plan);
-  for (int i = 0; i < 8; ++i) {
-    RequestResult r = svc.Get(key);
-    EXPECT_EQ(r.outcome, Outcome::kOk) << "fallback must keep serving";
-  }
-  htm::fault::Disarm();
-
-  // The trip reached the ladder: the shard degraded. The served requests
-  // after the trip (the router kept answering through the fallback lock)
-  // then earn the shard back to healthy — request-level successes
-  // de-escalate one rung per probe_successes, which is the intended
-  // steady state once the breaker has quarantined speculation.
-  EXPECT_GE(optilib::GlobalOptiStats().breaker_trips.load(), 1u);
-  EXPECT_GE(svc.stats().breaker_escalations.load(), 1u);
-  EXPECT_GE(svc.stats().degrades.load(), 1u);
-  EXPECT_EQ(svc.health(0).State(), ShardState::kHealthy)
-      << "post-storm successes must have healed the shard";
-  EXPECT_EQ(svc.health(1).State(), ShardState::kHealthy)
-      << "the storm was per-mutex; the other shard must not be implicated";
-  std::string why;
-  EXPECT_TRUE(svc.stats().ConservationHolds(9, &why)) << why;
 }
 
 // The acceptance scenario: kill one shard mid-run with a scoped storm while

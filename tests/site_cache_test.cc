@@ -1,22 +1,21 @@
 // Per-site decision cache coherence (DESIGN.md §4.11, site_cache.h).
 //
-// The cache is a pure performance hint, so every test here checks the same
-// contract from a different angle: a cached verdict is only ever served
-// when it is *indistinguishable* from re-deriving the decision —
+// The cache is a pure performance hint that memoizes elide verdicts only,
+// so every test here checks the same contract from a different angle: a
+// cached verdict is only ever served when re-deriving the decision would
+// speculate too —
 //
 //   1. any epoch bump (PublishOptiConfig, explicit invalidation) retires
 //      every cached verdict before the next episode can see it;
-//   2. hardening (breaker/watchdog enabled) bypasses the cache entirely,
-//      in both directions — no serving, no installing;
-//   3. an elide verdict refuted by the episode itself (lock-held abort
+//   2. an elide verdict refuted by the episode itself (lock-held abort
 //      storm forcing the slow path) evicts the cell on the spot;
-//   4. concurrent thread churn + live config publishing + explicit
+//   3. concurrent thread churn + live config publishing + explicit
 //      invalidation never break episode conservation or counter values
 //      (this is the TSan/chaos target: the suite is registered in the
 //      `ctest -L chaos` and `-L swocc` seed batteries);
-//   5. a cached lock verdict keeps feeding the perceptron's slow-streak
-//      decay, and the decay reset both evicts the cell and lets the site
-//      earn back elision.
+//   4. lock verdicts are never cached: every slow decision runs the
+//      perceptron, so it feeds the slow-streak decay and follows the
+//      site's context cell as soon as other mutexes at the site train it.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -115,8 +115,8 @@ TEST_F(SiteCacheTest, EpochBumpInvalidatesCachedVerdicts) {
   ol.WithLock(&mu, [&] { value.Add(1); });  // fresh verdict serves again
   EXPECT_EQ(Hits(), 2u);
 
-  // The explicit invalidation hook behaves like a publish.
-  InvalidateSiteDecisionCaches();
+  // The explicit reset behaves like a publish.
+  ResetHardeningState();
   ol.WithLock(&mu, [&] { value.Add(1); });
   EXPECT_EQ(Hits(), 2u);
   EXPECT_EQ(Installs(), 3u);
@@ -125,36 +125,7 @@ TEST_F(SiteCacheTest, EpochBumpInvalidatesCachedVerdicts) {
   EXPECT_EQ(GlobalOptiStats().fast_commits.load(), 5u);
 }
 
-// --- 2. hardening bypasses the cache in both directions --------------------
-
-TEST_F(SiteCacheTest, HardeningDisablesServingAndInstalling) {
-  OptiConfig hardened;
-  hardened.breaker_threshold = 64;  // breaker enabled => hardening active
-  PublishOptiConfig(hardened);
-
-  gosync::Mutex mu;
-  htm::Shared<uint64_t> value{0};
-  OptiLock ol;
-  constexpr int kEpisodes = 200;
-  for (int i = 0; i < kEpisodes; ++i) {
-    ol.WithLock(&mu, [&] { value.Add(1); });
-  }
-  // Uncontended episodes all elide, but the cache stays cold: hardening
-  // admission (breaker/watchdog) must run every episode.
-  EXPECT_EQ(GlobalOptiStats().fast_commits.load(), uint64_t{kEpisodes});
-  EXPECT_EQ(Hits(), 0u);
-  EXPECT_EQ(Installs(), 0u);
-
-  // Turning hardening off re-enables the cache for the same site.
-  PublishOptiConfig(OptiConfig{});
-  ol.WithLock(&mu, [&] { value.Add(1); });
-  ol.WithLock(&mu, [&] { value.Add(1); });
-  EXPECT_EQ(Installs(), 1u);
-  EXPECT_EQ(Hits(), 1u);
-  EXPECT_EQ(value.LoadRelaxed(), uint64_t{kEpisodes} + 2);
-}
-
-// --- 3. a refuted elide verdict evicts the cell ----------------------------
+// --- 2. a refuted elide verdict evicts the cell ----------------------------
 
 TEST_F(SiteCacheTest, SlowPathFallbackInvalidatesElideVerdict) {
   gosync::Mutex mu;
@@ -192,7 +163,7 @@ TEST_F(SiteCacheTest, SlowPathFallbackInvalidatesElideVerdict) {
   EXPECT_EQ(value.LoadRelaxed(), 4u);
 }
 
-// --- 4. churn + live publishing never break coherence (TSan target) --------
+// --- 3. churn + live publishing never break coherence (TSan target) --------
 
 TEST_F(SiteCacheTest, ChurnWithLivePublishingKeepsConservation) {
   constexpr int kThreads = 8;
@@ -217,7 +188,7 @@ TEST_F(SiteCacheTest, ChurnWithLivePublishingKeepsConservation) {
       cfg.use_perceptron = perceptron;
       PublishOptiConfig(cfg);
       if (++flips % 3 == 0) {
-        InvalidateSiteDecisionCaches();
+        ResetHardeningState();
       }
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
@@ -266,7 +237,7 @@ TEST_F(SiteCacheTest, ChurnWithLivePublishingKeepsConservation) {
   EXPECT_GT(Hits() + Installs(), 0u);
 }
 
-// --- 5. cached lock verdicts keep the decay cadence ------------------------
+// --- 4. lock verdicts are never cached --------------------------------------
 
 TEST_F(SiteCacheTest, LockVerdictFeedsDecayAndReprobesAfterReset) {
   gosync::Mutex mu;
@@ -282,14 +253,13 @@ TEST_F(SiteCacheTest, LockVerdictFeedsDecayAndReprobesAfterReset) {
   }
   ASSERT_FALSE(GlobalPerceptron().Predict(idx));
 
-  // First episode: perceptron says lock, verdict memoized.
+  // First episode: perceptron says lock; nothing is memoized.
   ol.WithLock(&mu, [&] { value.Add(1); });
   EXPECT_EQ(GlobalOptiStats().slow_acquires.load(), 1u);
-  ASSERT_EQ(Installs(), 1u);
+  EXPECT_EQ(Installs(), 0u);
 
-  // Cached-lock episodes skip the dot-product but still count as slow
-  // decisions, so the decay streak keeps advancing toward the reset; the
-  // reset (at kDecayThreshold) evicts the cell and re-opens elision.
+  // Every slow decision runs the perceptron and advances the decay streak
+  // toward the reset at kDecayThreshold, which re-opens elision.
   uint64_t episodes = 1;
   while (GlobalOptiStats().perceptron_resets.load() == 0 &&
          episodes < Perceptron::kDecayThreshold + 64) {
@@ -297,8 +267,10 @@ TEST_F(SiteCacheTest, LockVerdictFeedsDecayAndReprobesAfterReset) {
     ++episodes;
   }
   EXPECT_EQ(GlobalOptiStats().perceptron_resets.load(), 1u);
-  EXPECT_GE(Invalidations(), 1u);
-  EXPECT_GT(Hits(), 0u);  // the streak was fed from the cache
+  EXPECT_EQ(episodes, uint64_t{Perceptron::kDecayThreshold});
+  EXPECT_EQ(Hits(), 0u);
+  EXPECT_EQ(Installs(), 0u);
+  EXPECT_EQ(Invalidations(), 0u);
 
   // Post-reset: the site earns elision back immediately.
   const uint64_t fast_before = GlobalOptiStats().fast_commits.load();
@@ -306,6 +278,50 @@ TEST_F(SiteCacheTest, LockVerdictFeedsDecayAndReprobesAfterReset) {
   ol.WithLock(&mu, [&] { value.Add(1); });
   EXPECT_EQ(GlobalOptiStats().fast_commits.load(), fast_before + 2);
   EXPECT_EQ(value.LoadRelaxed(), episodes + 2);
+}
+
+// Predict() sums the (mutex ^ site) cell and the site's context cell, which
+// every mutex locked at that site trains. When commits of mutex A at the
+// site raise the context weight until Predict(B) says elide, B's next
+// episode must speculate: a lock verdict cached on B's own cell would keep
+// it on the lock.
+TEST_F(SiteCacheTest, SlowDecisionFollowsContextCellTraining) {
+  OptiLock ol;
+  gosync::Mutex mu_a;
+  const Perceptron::Indices a = Perceptron::IndicesFor(&mu_a, &ol);
+  std::vector<std::unique_ptr<gosync::Mutex>> mutexes;
+  do {
+    mutexes.push_back(std::make_unique<gosync::Mutex>());
+  } while (Perceptron::IndicesFor(mutexes.back().get(), &ol).mutex_cell ==
+           a.mutex_cell);
+  gosync::Mutex& mu_b = *mutexes.back();
+  const Perceptron::Indices b = Perceptron::IndicesFor(&mu_b, &ol);
+  ASSERT_EQ(a.context_cell, b.context_cell);
+
+  Perceptron& p = GlobalPerceptron();
+  for (int i = 0; i < 10; ++i) {
+    p.RewardHtm(a);  // A's cell and the shared context cell: +10 each
+  }
+  for (int i = 0; i < 8; ++i) {
+    p.PenalizeHtm(b);  // B's cell -8, the context cell back to +2
+  }
+  ASSERT_FALSE(p.Predict(b));
+
+  htm::Shared<uint64_t> value{0};
+  ol.WithLock(&mu_b, [&] { value.Add(1); });
+  EXPECT_EQ(GlobalOptiStats().slow_acquires.load(), 1u);
+
+  for (int i = 0; i < 10; ++i) {
+    ol.WithLock(&mu_a, [&] { value.Add(1); });
+  }
+  ASSERT_EQ(GlobalOptiStats().fast_commits.load(), 10u);
+  ASSERT_TRUE(p.Predict(b)) << "A's commits raised the shared context cell";
+
+  ol.WithLock(&mu_b, [&] { value.Add(1); });
+  EXPECT_EQ(GlobalOptiStats().fast_commits.load(), 11u)
+      << "B stayed on the lock after its prediction turned to elide";
+  EXPECT_EQ(GlobalOptiStats().slow_acquires.load(), 1u);
+  EXPECT_EQ(value.LoadRelaxed(), 12u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Software-OCC backend hardening (DESIGN.md §4.10): occ-word encoding and
 // 31-bit version wraparound, reader-side poison detection, the
-// validation-retry livelock guard, validation-failure storms tripping the
-// circuit breaker, writer-starvation pending-flag protocol, publish-window
+// validation-retry livelock guard, validation-failure storms sending the
+// site to the lock until the perceptron's decay, writer-starvation
+// pending-flag protocol, publish-window
 // chaos (delayed unlock, version skew), and the invisible-read consistency
 // property that makes elided read sections sound.
 //
@@ -239,16 +240,10 @@ TEST_F(SwOccTest, LivelockGuardBoundsValidationRetries) {
   EXPECT_EQ(stats.occ_fallbacks.load(), 2u);
 }
 
-// --- validation-failure storm: trips the breaker, then recovers ---
+// --- validation-failure storm: the site goes to the lock, then recovers ---
 
 TEST_F(SwOccTest, ValidationStormTripsBreakerAndRecovers) {
-  OptiConfig cfg = GetOptiConfig();
-  cfg.use_perceptron = false;
-  cfg.breaker_threshold = 4;
-  cfg.breaker_cooldown_episodes = 16;
   // Default occ_max_retries (4): 5 validation failures exhaust one episode.
-  PublishOptiConfig(cfg);
-
   FaultPlan plan;
   plan.seed = seed_;
   plan.WithRule(Site::kOccValidate, 1.0, htm::AbortCode::kOccValidateFail);
@@ -264,32 +259,35 @@ TEST_F(SwOccTest, ValidationStormTripsBreakerAndRecovers) {
 
   const auto& stats = GlobalOptiStats();
   EXPECT_EQ(value.Load(), 8);
-  // Four exhausted validation budgets trip the breaker — the sw-OCC storm
-  // counts exactly like an HTM abort storm; the last four episodes
-  // short-circuit straight to the lock without speculating (attempts stop
-  // at 4 episodes x 5 tries each).
-  EXPECT_EQ(stats.breaker_trips.load(), 1u);
-  EXPECT_EQ(stats.htm_attempts.load(), 4u * (1u + 4u));
-  EXPECT_EQ(stats.breaker_short_circuits.load(), 4u);
+  // One exhausted validation budget (1 + 4 tries, each penalized at double
+  // weight) sends the site to the lock: the other seven episodes are
+  // perceptron slow decisions and never speculate.
+  EXPECT_EQ(stats.htm_attempts.load(), 1u + 4u);
+  EXPECT_EQ(stats.perceptron_slow_decisions.load(), 7u);
   EXPECT_EQ(stats.slow_acquires.load(), 8u);
-  EXPECT_EQ(stats.occ_fallbacks.load(), 4u);
-  EXPECT_EQ(stats.EpisodeAborts(htm::AbortCode::kOccValidateFail),
-            4u * (1u + 4u));
+  EXPECT_EQ(stats.occ_fallbacks.load(), 1u);
+  EXPECT_EQ(stats.EpisodeAborts(htm::AbortCode::kOccValidateFail), 1u + 4u);
   EXPECT_EQ(htm::fault::GlobalFaultStats()
                 .injected_by_site[static_cast<int>(Site::kOccValidate)]
                 .load(),
-            4u * (1u + 4u));
+            1u + 4u);
 
-  // Storm over: the pair re-probes after the cooldown and commits fast
-  // again — validation storms quarantine, they do not strand.
-  for (int i = 0; i < 16; ++i) {
+  // Storm over: the site stays on the lock until its decay period ends,
+  // then commits fast again — validation storms throttle, they do not
+  // strand.
+  int after = 0;
+  while (stats.perceptron_resets.load() == 0 &&
+         after < 2 * static_cast<int>(Perceptron::kDecayThreshold)) {
     ol.WithLock(&mu, [&] { value.Add(1); });
+    ++after;
   }
-  EXPECT_GE(stats.breaker_reprobes.load(), 1u);
+  EXPECT_EQ(stats.perceptron_resets.load(), 1u);
+  EXPECT_EQ(stats.htm_attempts.load(), 1u + 4u)
+      << "no re-probe before kDecayThreshold slow decisions";
   const uint64_t fast_before = stats.fast_commits.load();
   ol.WithLock(&mu, [&] { value.Add(1); });
   EXPECT_EQ(stats.fast_commits.load(), fast_before + 1);
-  EXPECT_EQ(value.Load(), 8 + 16 + 1);
+  EXPECT_EQ(value.Load(), 8 + after + 1);
 }
 
 // --- writer starvation: the pending flag stops the commit stream ---
