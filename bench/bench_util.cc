@@ -36,17 +36,12 @@ namespace gocc::bench {
 namespace {
 
 // Probe once: measured sections run on real RTM when the hardware commits
-// transactions, otherwise on SimTM. GOCC_BENCH_FORCE_SIM pins SimTM
-// regardless of the probe — committed baselines and the perf-smoke CI gate
-// use it so numbers never silently flip backend on hosts whose TSX passes
-// the probe but aborts under sustained load.
+// transactions, otherwise on the GOCC_BACKEND software backend.
+// GOCC_BACKEND=sim refuses the RTM switch — committed baselines and the
+// perf-smoke CI gate set it so numbers never silently flip backend on hosts
+// whose TSX passes the probe but aborts under sustained load.
 bool UseRtm() {
-  static const bool rtm = [] {
-    if (std::getenv("GOCC_BENCH_FORCE_SIM") != nullptr) {
-      return false;
-    }
-    return htm::EnableRtmIfSupported();
-  }();
+  static const bool rtm = htm::EnableRtmIfSupported();
   return rtm;
 }
 

@@ -230,17 +230,17 @@ void WorkerBody(SoakState& st, int wave, int index) {
   }
 }
 
-// Publishes a rotating set of OptiConfig variants while episodes run. Every
-// variant keeps the recover-and-count misuse policy (the harness injects
-// misuse on purpose) — everything else is fair game.
+// Publishes a rotating set of OptiConfig variants while episodes run. The
+// misuse policy is process-wide, not part of the config, so the
+// recover-and-count policy RunSoak sets holds throughout (the harness
+// injects misuse on purpose).
 void TogglerBody(SoakState& st) {
   uint64_t round = 0;
   while (!st.done.load(std::memory_order_acquire)) {
     optilib::OptiConfig next;
-    next.misuse_policy = support::MisusePolicy::kRecoverAndCount;
     next.trace_episodes = (round & 1) != 0;
     next.use_perceptron = (round & 2) == 0;
-    next.conflict_retries = static_cast<int>(round % 3);
+    next.conflict_retries = static_cast<uint8_t>(round % 3);
     next.backoff_base_pauses = (round & 4) != 0 ? 8 : 64;
     optilib::PublishOptiConfig(next);
     st.config_publishes.fetch_add(1, std::memory_order_relaxed);
@@ -316,9 +316,7 @@ SoakReport RunSoak(const SoakOptions& options) {
 
   const support::MisusePolicy prev_policy = support::GetMisusePolicy();
   support::SetMisusePolicy(support::MisusePolicy::kRecoverAndCount);
-  optilib::OptiConfig base;
-  base.misuse_policy = support::MisusePolicy::kRecoverAndCount;
-  optilib::PublishOptiConfig(base);
+  optilib::PublishOptiConfig(optilib::OptiConfig{});
 
   const int prev_procs = gosync::SetMaxProcs(options.threads_per_wave);
 
@@ -403,7 +401,7 @@ SoakReport RunSoak(const SoakOptions& options) {
   report.rss_end_kb = CurrentRssKb();
 
   // Leave the process in the run's base configuration.
-  optilib::PublishOptiConfig(base);
+  optilib::PublishOptiConfig(optilib::OptiConfig{});
   support::SetMisusePolicy(prev_policy);
   gosync::SetMaxProcs(prev_procs);
   return report;

@@ -30,7 +30,7 @@ enum class AbortCode : int {
   // sw-OCC backend only: commit-time (or per-read) validation observed a
   // version change on a subscribed lock word — an invisible read raced a
   // pessimistic holder or another OCC committer. Retryable with backoff up
-  // to the episode's occ_max_retries budget.
+  // to the episode's constant budget (optilib::OptiLock::kOccMaxRetries).
   kOccValidateFail = 7,
 };
 

@@ -11,7 +11,6 @@ namespace internal {
 
 TxConfig g_config;
 std::atomic<Backend> g_backend{Backend::kSim};
-constinit thread_local int t_backend_pin = kUnpinned;
 
 }  // namespace internal
 
@@ -40,7 +39,8 @@ Backend SoftwareBackend() {
 }
 
 // True when GOCC_BACKEND explicitly pins a software backend, which refuses
-// the RTM switch even on capable hardware.
+// the RTM switch even on capable hardware: the operational kill switch for
+// suspected TSX errata, and how benchmarks keep one backend across hosts.
 bool BackendPinnedSoftware() {
   const char* raw = support::EnvRaw("GOCC_BACKEND");
   return raw != nullptr &&
@@ -72,12 +72,6 @@ const char* BackendName(Backend backend) {
 
 bool EnableRtmIfSupported() {
   if (!RtmCompiledIn()) {
-    return false;
-  }
-  // Operational kill switch: force the software backend even on machines
-  // whose hardware probe passes (bisecting suspected TSX erratum behaviour,
-  // or pinning a fleet to one backend for comparable metrics).
-  if (support::EnvBool("GOCC_RTM_DISABLE", false)) {
     return false;
   }
   if (BackendPinnedSoftware()) {

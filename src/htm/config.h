@@ -54,14 +54,6 @@ namespace internal {
 // fast path, where an out-of-line getter call is measurable).
 extern TxConfig g_config;
 extern std::atomic<Backend> g_backend;
-// Per-thread backend pin (sentinel kUnpinned = follow g_backend). OptiLock
-// pins the backend it chose for the episode so every Tx* call inside —
-// including flat-nested critical sections — dispatches consistently even if
-// the global backend switches mid-episode (EnableRtmIfSupported or a
-// Force*Backend call on another thread). Constant-initialized: reads are a
-// guard-free TLS load.
-inline constexpr int kUnpinned = -1;
-extern constinit thread_local int t_backend_pin;
 }  // namespace internal
 
 // Returns the mutable global configuration. Not thread-safe against
@@ -71,52 +63,36 @@ inline TxConfig& MutableConfig() { return internal::g_config; }
 // Read-only accessor.
 inline const TxConfig& Config() { return internal::g_config; }
 
-// Active global backend (the GOCC_BACKEND-resolved software backend unless
-// EnableRtmIfSupported succeeded).
+// The process-wide backend every Tx* operation dispatches to (the
+// GOCC_BACKEND-resolved software backend unless EnableRtmIfSupported
+// succeeded). One backend for the whole process: the four switches below
+// may run only while no episode or transaction is in flight on any thread
+// (at program start, in a test fixture's SetUp, between benchmark cells),
+// so an episode begins, runs and commits on the backend it started on.
 inline Backend ActiveBackend() {
   return internal::g_backend.load(std::memory_order_relaxed);
-}
-
-// The backend the *calling thread's* Tx* operations dispatch to: the
-// episode pin when one is set, the global backend otherwise. Every Tx*
-// entry point routes through this, so an episode begun on one backend
-// commits on it even across a concurrent global switch.
-inline Backend CurrentBackend() {
-  const int pin = internal::t_backend_pin;
-  return pin == internal::kUnpinned
-             ? internal::g_backend.load(std::memory_order_relaxed)
-             : static_cast<Backend>(pin);
-}
-
-// Pins/unpins the calling thread's Tx* dispatch (OptiLock episode scope
-// only). Must not change while the thread has an open transaction.
-inline void PinThreadBackend(Backend backend) {
-  internal::t_backend_pin = static_cast<int>(backend);
-}
-inline void UnpinThreadBackend() {
-  internal::t_backend_pin = internal::kUnpinned;
-}
-inline bool ThreadBackendPinned() {
-  return internal::t_backend_pin != internal::kUnpinned;
 }
 
 // Probes the CPU for usable RTM and, if transactions actually commit,
 // switches the backend to kRtm. Returns true when RTM is now active.
 // Compiled to `return false` when the toolchain lacks -mrtm. A GOCC_BACKEND
-// pin to a software backend ("sim" / "swocc") refuses the switch.
+// pin to a software backend ("sim" / "swocc") refuses the switch. Call only
+// while no episode or transaction is in flight.
 bool EnableRtmIfSupported();
 
 // Forces the software backend (used by tests and by the benchmark harness to
-// make runs reproducible across hosts).
+// make runs reproducible across hosts). Call only while no episode or
+// transaction is in flight.
 void ForceSimBackend();
 
-// Forces the sw-OCC backend.
+// Forces the sw-OCC backend. Call only while no episode or transaction is
+// in flight.
 void ForceSwOccBackend();
 
 // Forces the software backend GOCC_BACKEND selects (kSwOcc for "swocc",
 // kSim otherwise) — the env-respecting form of ForceSimBackend that the
 // chaos/soak suites and the bench harness use, so one binary covers every
-// software backend.
+// software backend. Call only while no episode or transaction is in flight.
 void ForceSoftwareBackend();
 
 // The software backend GOCC_BACKEND resolves to (no side effects).

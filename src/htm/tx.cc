@@ -420,7 +420,7 @@ std::string TxStats::ToString() const {
 }
 
 bool InTx() {
-  switch (CurrentBackend()) {
+  switch (ActiveBackend()) {
     case Backend::kRtm:
       return RtmInTx();
     case Backend::kSwOcc:
@@ -432,17 +432,17 @@ bool InTx() {
 }
 
 int TxDepth() {
-  if (CurrentBackend() == Backend::kSwOcc) {
+  if (ActiveBackend() == Backend::kSwOcc) {
     return SwOccDepth();
   }
   return Tls().depth;
 }
 
 BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env) {
-  if (CurrentBackend() == Backend::kSwOcc) {
+  if (ActiveBackend() == Backend::kSwOcc) {
     return SwOccBeginImpl(setjmp_result, env);
   }
-  if (CurrentBackend() == Backend::kRtm) {
+  if (ActiveBackend() == Backend::kRtm) {
     // Pre-RTM decision path: an injected code is reported exactly like an
     // xbegin that aborted before the transaction ran (models best-effort
     // refusal and TSX being disabled mid-run by microcode).
@@ -492,11 +492,11 @@ BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env) {
 }
 
 void TxCommit() {
-  if (CurrentBackend() == Backend::kSwOcc) {
+  if (ActiveBackend() == Backend::kSwOcc) {
     SwOccCommit();
     return;
   }
-  if (CurrentBackend() == Backend::kRtm) {
+  if (ActiveBackend() == Backend::kRtm) {
     RtmCommit();
     g_stats.commits.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -519,10 +519,10 @@ void TxCommit() {
 }
 
 void TxAbort(AbortCode code) {
-  if (CurrentBackend() == Backend::kSwOcc) {
+  if (ActiveBackend() == Backend::kSwOcc) {
     SwOccAbort(code);
   }
-  if (CurrentBackend() == Backend::kRtm) {
+  if (ActiveBackend() == Backend::kRtm) {
     RtmAbort(code);
   }
   TxContext& tx = Tls();
@@ -533,11 +533,11 @@ void TxAbort(AbortCode code) {
 }
 
 void TxCancel(AbortCode code) {
-  if (CurrentBackend() == Backend::kSwOcc) {
+  if (ActiveBackend() == Backend::kSwOcc) {
     SwOccCancel(code);
     return;
   }
-  if (CurrentBackend() == Backend::kRtm) {
+  if (ActiveBackend() == Backend::kRtm) {
     // An exception unwind cannot reach software with a hardware transaction
     // still open: the first unwind step aborts it back to xbegin
     // ("unwind-is-abort"). Nothing to cancel here.
@@ -551,10 +551,10 @@ void TxCancel(AbortCode code) {
 }
 
 uint64_t TxLoad(const TxCell* cell) {
-  if (CurrentBackend() == Backend::kSwOcc) {
+  if (ActiveBackend() == Backend::kSwOcc) {
     return SwOccLoad(&cell->value);
   }
-  if (CurrentBackend() == Backend::kRtm) {
+  if (ActiveBackend() == Backend::kRtm) {
     // Inside an RTM transaction the hardware versions this load; outside,
     // it is a plain shared read.
     return cell->value.load(std::memory_order_acquire);
@@ -574,11 +574,11 @@ uint64_t TxLoad(const TxCell* cell) {
 }
 
 void TxStore(TxCell* cell, uint64_t value) {
-  if (CurrentBackend() == Backend::kSwOcc) {
+  if (ActiveBackend() == Backend::kSwOcc) {
     SwOccStore(&cell->value, value);
     return;
   }
-  if (CurrentBackend() == Backend::kRtm) {
+  if (ActiveBackend() == Backend::kRtm) {
     if (RtmInTx()) {
       cell->value.store(value, std::memory_order_relaxed);
     } else {
@@ -609,7 +609,7 @@ void TxStore(TxCell* cell, uint64_t value) {
 }
 
 uint64_t TxSubscribe(const std::atomic<uint64_t>* word) {
-  const Backend backend = CurrentBackend();
+  const Backend backend = ActiveBackend();
   if (backend == Backend::kSwOcc) [[unlikely]] {
     return SwOccSubscribe(word);
   }
@@ -621,10 +621,10 @@ uint64_t TxSubscribe(const std::atomic<uint64_t>* word) {
 
 uint64_t TxFetchAdd(TxCell* cell, uint64_t delta) {
   std::atomic<uint64_t>& word = cell->value;
-  if (CurrentBackend() == Backend::kSwOcc) {
+  if (ActiveBackend() == Backend::kSwOcc) {
     return SwOccFetchAdd(&word, delta);
   }
-  if (CurrentBackend() == Backend::kRtm) {
+  if (ActiveBackend() == Backend::kRtm) {
     if (RtmInTx()) {
       uint64_t next = word.load(std::memory_order_relaxed) + delta;
       word.store(next, std::memory_order_relaxed);
@@ -668,7 +668,7 @@ uint64_t TxFetchAdd(TxCell* cell, uint64_t delta) {
 }
 
 void CellGuardedUpdate(TxCell* cell, void (*fn)(void*), void* arg) {
-  const Backend backend = CurrentBackend();
+  const Backend backend = ActiveBackend();
   if (backend == Backend::kRtm || backend == Backend::kSwOcc) {
     // Real RTM gets strong atomicity from cache coherence. Under sw-OCC
     // nothing validates against cell version words, so the guarded update

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <type_traits>
 
 #include "src/gosync/runtime.h"
 #include "src/htm/config.h"
@@ -14,72 +12,19 @@
 #include "src/obs/ticks.h"
 #include "src/optilib/site_cache.h"
 #include "src/support/env.h"
+#include "src/support/misuse.h"
 #include "src/support/rng.h"
 
 namespace gocc::optilib {
 namespace {
 
-// Live configuration: one word array of relaxed atomics under a seqlock,
-// written only by PublishOptiConfig. Episode snapshots read it with a
-// word-wise retry copy: wait-free in practice (writers finish in
-// nanoseconds and are externally serialized), immune to the slot-reuse
-// window a pointer-swung ring has when a preempted reader sleeps through a
-// full ring of publishes, and every access is atomic, so the copy is
-// TSan-clean by construction.
-static_assert(std::is_trivially_copyable_v<OptiConfig>,
-              "config snapshots are word-wise memcpys");
-constexpr size_t kConfigWords = (sizeof(OptiConfig) + 7) / 8;
-
-class ConfigStore {
- public:
-  ConfigStore() { Write(OptiConfig{}); }
-
-  void Write(const OptiConfig& next) {
-    uint64_t raw[kConfigWords];
-    std::memset(raw, 0, sizeof(raw));  // deterministic tail padding
-    std::memcpy(raw, &next, sizeof(OptiConfig));
-    const uint64_t seq = seq_.load(std::memory_order_relaxed);
-    seq_.store(seq + 1, std::memory_order_relaxed);  // odd: in flight
-    std::atomic_thread_fence(std::memory_order_release);
-    for (size_t i = 0; i < kConfigWords; ++i) {
-      words_[i].store(raw[i], std::memory_order_relaxed);
-    }
-    seq_.store(seq + 2, std::memory_order_release);
-  }
-
-  // Seqlock-validated copy (Boehm's recipe: acquire seq, relaxed data,
-  // acquire fence, seq recheck).
-  OptiConfig Read() const {
-    uint64_t raw[kConfigWords];
-    while (true) {
-      const uint64_t before = seq_.load(std::memory_order_acquire);
-      if ((before & 1) == 0) {
-        for (size_t i = 0; i < kConfigWords; ++i) {
-          raw[i] = words_[i].load(std::memory_order_relaxed);
-        }
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (seq_.load(std::memory_order_relaxed) == before) {
-          break;
-        }
-      }
-      gosync::CpuPause();
-    }
-    OptiConfig out;
-    std::memcpy(&out, raw, sizeof(OptiConfig));
-    return out;
-  }
-
- private:
-  std::atomic<uint64_t> seq_{0};
-  std::atomic<uint64_t> words_[kConfigWords] = {};
-};
-
-// Seeded with OptiConfig{} on first use, so the env-derived defaults
-// (GOCC_OBS_TRACE, GOCC_MISUSE_POLICY, ...) resolve when the runtime first
-// needs a config, like any other default-constructed OptiConfig.
-ConfigStore& LiveConfig() {
-  static ConfigStore store;
-  return store;
+// Live configuration: one lock-free atomic word, written only by
+// PublishOptiConfig. Seeded with OptiConfig{} on first use, so the
+// env-derived default (GOCC_OBS_TRACE) resolves when the runtime first needs
+// a config, like any other default-constructed OptiConfig.
+std::atomic<OptiConfig>& LiveConfig() {
+  static std::atomic<OptiConfig> config{OptiConfig{}};
+  return config;
 }
 
 OptiStats g_stats;
@@ -142,35 +87,16 @@ bool OptiConfig::DefaultTraceEpisodes() {
   return kDefault;
 }
 
-int OptiConfig::DefaultOccMaxRetries() {
-  // Resolved once per process. Default 4: enough retries to ride out a
-  // burst of committers on the same word, small enough that a persistent
-  // validation storm reaches the lock (and trains the perceptron toward
-  // it) within a few microseconds of backoff.
-  static const int kDefault = static_cast<int>(
-      support::EnvInt("GOCC_OCC_MAX_RETRIES", 4, 0, 1 << 20));
-  return kDefault;
-}
-
-int OptiConfig::DefaultMultilockSpeculateMax() {
-  // Resolved once per process. Default: speculate on any set the episode
-  // can hold (kMaxLockSet); the knob exists so deployments whose OLTP
-  // transactions conflict heavily can cap speculation at 2–3 locks without
-  // rebuilding. 0 sends every multi-lock episode to sorted 2PL.
-  static const int kDefault = static_cast<int>(support::EnvInt(
-      "GOCC_MULTILOCK_SPECULATE_MAX", OptiLock::kMaxLockSet, 0,
-      OptiLock::kMaxLockSet));
-  return kDefault;
-}
-
-OptiConfig GetOptiConfig() { return LiveConfig().Read(); }
+OptiConfig GetOptiConfig() { return LiveConfig().load(); }
 
 void PublishOptiConfig(const OptiConfig& next) {
-  LiveConfig().Write(next);
-  // Ordered after the write (release bump / acquire epoch read): an episode
+  LiveConfig().store(next);
+  // Ordered after the store (release bump / acquire epoch read): an episode
   // that starts under the new epoch re-snapshots and sees the new config;
   // one that raced and kept the old epoch keeps the old verdicts with the
-  // old config — coherent either way.
+  // old config — coherent either way. Concurrent publishers need no
+  // serialization: each bump follows its own store, so an episode that
+  // observes the final epoch reads the last config stored.
   g_site_cache.BumpEpoch();
 }
 
@@ -220,8 +146,7 @@ void OptiLock::PrepareCommon() {
       // the fresh episode does not silently nest inside an abandoned one and
       // no lock is leaked. The teardown is visible in unwind_cancels /
       // unwind_slow_unlocks alongside the kDoubleFastLock misuse count.
-      support::ReportMisuse(support::MisuseKind::kDoubleFastLock,
-                            cfg_.misuse_policy, this,
+      support::ReportMisuse(support::MisuseKind::kDoubleFastLock, this,
                             "fast-lock-while-episode-open");
       AbandonEpisode();
     }
@@ -229,20 +154,18 @@ void OptiLock::PrepareCommon() {
   // Decision epoch for this episode: keys the site-cache consult and the
   // config snapshot. The acquire read pairs with the release bump at the end
   // of PublishOptiConfig, so observing a new epoch implies the new config
-  // words are visible. Every publish bumps the epoch, so the seqlock copy
-  // runs only when it has moved (a concurrent PublishOptiConfig yields a
-  // clean old-or-new snapshot, never a torn mix) and the steady state pays
-  // one compare.
+  // word is visible. Every publish bumps the epoch, so the snapshot is
+  // re-read only when it has moved and the steady state pays one compare.
   const uint64_t epoch = g_site_cache.Epoch();
   if (epoch != cache_epoch_) [[unlikely]] {
-    cfg_ = LiveConfig().Read();
+    cfg_ = GetOptiConfig();
     cache_epoch_ = epoch;
   }
   owner_ = ThreadAnchor();
-  flags_ &= kFlagBackendPinned;  // a pin outlives the whole flattened nest
-  attempts_left_ = cfg_.max_attempts;
+  flags_ = 0;
+  attempts_left_ = kMaxAttempts;
   conflict_retries_left_ = cfg_.conflict_retries;
-  occ_retries_left_ = cfg_.occ_max_retries;
+  occ_retries_left_ = kOccMaxRetries;
   backoff_exponent_ = 0;
   obs_retries_ = 0;
   obs_last_abort_ = htm::AbortCode::kNone;
@@ -280,26 +203,9 @@ void OptiLock::PrepareMutexSet(gosync::Mutex* const* mutexes, int count) {
     std::abort();
   }
   PrepareCommon();
-  // Insertion-sort into ascending address order (sets are tiny), dropping
-  // duplicates: locking the same mutex twice in one episode must behave as
-  // locking it once — the slow path would self-deadlock otherwise, and the
-  // fast path would double-subscribe for no benefit.
-  int n = 0;
-  for (int i = 0; i < count; ++i) {
-    gosync::Mutex* m = mutexes[i];
-    int j = n;
-    while (j > 0 && set_[j - 1] > m) {
-      --j;
-    }
-    if (j > 0 && set_[j - 1] == m) {
-      continue;
-    }
-    for (int k = n; k > j; --k) {
-      set_[k] = set_[k - 1];
-    }
-    set_[j] = m;
-    ++n;
-  }
+  // Sorted and deduplicated: the fast path subscribes each member once, in
+  // the order the slow path acquires them.
+  const int n = SortedUniqueLockSet(mutexes, count, set_);
   set_size_ = n;
   if (n == 1) {
     // One distinct lock: this IS a single-lock episode; take the exact
@@ -313,12 +219,6 @@ void OptiLock::PrepareMutexSet(gosync::Mutex* const* mutexes, int count) {
   kind_ = Target::kMutexSet;
   blamed_member_ = -1;
   Bump(OptiStats::kMultiLockEpisodes);
-  if (n > cfg_.multilock_speculate_max) {
-    // Admission gate: the set is wider than the deployment wants to
-    // speculate on. Straight to sorted 2PL, without training the
-    // perceptron (no prediction was made).
-    SetFlag(kFlagForceSlow);
-  }
 }
 
 void OptiLock::FastLockStep(int setjmp_code) {
@@ -375,7 +275,7 @@ void OptiLock::HandleAbort(htm::AbortCode code) {
       if (HasFlag(kFlagPredictedHtm) && cfg_.use_perceptron) {
         g_perceptron.PenalizeOccValidation(indices_);
       }
-      // Retry on a separate budget (occ_max_retries) with jittered backoff;
+      // Retry on a separate budget (kOccMaxRetries) with jittered backoff;
       // when it runs dry the episode pins itself to the real lock — the
       // livelock guard — and the slow finish penalizes the perceptron like
       // any other failed speculation.
@@ -401,7 +301,7 @@ void OptiLock::HandleAbort(htm::AbortCode code) {
 }
 
 void OptiLock::BackoffBeforeRetry() {
-  if (cfg_.backoff_base_pauses <= 0) {
+  if (cfg_.backoff_base_pauses == 0) {
     return;
   }
   int64_t limit = cfg_.backoff_base_pauses;
@@ -451,7 +351,7 @@ void OptiLock::AttemptLoop() {
 
     // Wait for the elided lock to become available before starting the
     // transaction — beginning while it is held guarantees an abort.
-    for (int i = 0; i < cfg_.spin_pauses_while_locked && TargetHeld(); ++i) {
+    for (int i = 0; i < kSpinPausesWhileLocked && TargetHeld(); ++i) {
       gosync::CpuPause();
     }
 
@@ -489,15 +389,14 @@ bool OptiLock::DecideElide() {
   }
   // Per-site decision cache (site_cache.h): an elide verdict memoized by an
   // earlier commit at this cell stands in for the perceptron consult; the
-  // episode still pins, checks eligibility, attempts, subscribes and
-  // validates a real transaction, and its commit still rewards the
-  // perceptron, so a stale verdict costs at most one wasted attempt, never
-  // soundness. Lock verdicts are never cached: every slow decision runs the
-  // dot-product, so a site goes back to speculating as soon as its summed
-  // weights do, and every one feeds the slow-streak decay (§5.4.1).
-  const bool cached_elide = g_site_cache.HoldsElide(
-      indices_.mutex_cell, cache_epoch_,
-      static_cast<uint32_t>(htm::ActiveBackend()));
+  // episode still checks eligibility, attempts, subscribes and validates a
+  // real transaction, and its commit still rewards the perceptron, so a
+  // stale verdict costs at most one wasted attempt, never soundness. Lock
+  // verdicts are never cached: every slow decision runs the dot-product, so
+  // a site goes back to speculating as soon as its summed weights do, and
+  // every one feeds the slow-streak decay (§5.4.1).
+  const bool cached_elide =
+      g_site_cache.HoldsElide(indices_.mutex_cell, cache_epoch_);
   if (cached_elide) [[likely]] {
     Bump(OptiStats::kSiteCacheHits);
   } else if (cfg_.use_perceptron && !g_perceptron.Predict(indices_)) {
@@ -508,23 +407,17 @@ bool OptiLock::DecideElide() {
     TakeSlowPath();
     return false;
   }
-  // Pin this thread's Tx dispatch to the backend chosen now, so every
-  // substrate call of the episode — begin, loads, the commit in
-  // FastUnlock, flat-nested sections — lands on one backend even if the
-  // global switches mid-episode (EnableRtmIfSupported, Force*Backend). One
-  // TLS store here, one in ResetEpisode; Tx ops pay a guard-free TLS load
-  // they already paid for the context pointer.
-  if (!htm::ThreadBackendPinned()) {
-    htm::PinThreadBackend(htm::ActiveBackend());
-    SetFlag(kFlagBackendPinned);
-  }
-  const htm::Backend backend = htm::CurrentBackend();
+  // The backend is process-wide and switched only while no episode is in
+  // flight (htm/config.h), so every substrate call of this episode lands
+  // on the one read here.
+  const htm::Backend backend = htm::ActiveBackend();
   if (backend != htm::Backend::kRtm && !SoftwareEligible(backend))
       [[unlikely]] {
     // The software backend cannot soundly elide this target (untracked
     // mutex, or an RWMutex write section under sw-OCC; on a cached elide,
-    // a hash collision aliasing an ineligible site onto an elide cell);
-    // the lock is the correct degradation.
+    // a hash collision aliasing an ineligible site onto an elide cell, or
+    // a verdict minted under another backend); the lock is the correct
+    // degradation.
     TakeSlowPath();
     return false;
   }
@@ -538,12 +431,11 @@ namespace {
 // a tracked mutex dips below the watermark of a multi-lock set this thread
 // already holds pessimistically. One thread-local compare; the tracked
 // check runs only once an inversion is otherwise established.
-inline void CheckSlowLockOrder(gosync::Mutex* m,
-                               support::MisusePolicy policy) {
+inline void CheckSlowLockOrder(gosync::Mutex* m) {
   if (t_lock_order_depth > 0 &&
       reinterpret_cast<uintptr_t>(m) < t_lock_order_watermark &&
       m->elision_tracked()) [[unlikely]] {
-    support::ReportMisuse(support::MisuseKind::kLockOrderInversion, policy, m,
+    support::ReportMisuse(support::MisuseKind::kLockOrderInversion, m,
                           "slow-acquire-below-held-multilock-watermark");
   }
 }
@@ -557,7 +449,7 @@ void OptiLock::TakeSlowPath() {
       // Recovery for a detected inversion is to proceed in the requested
       // order — the untransformed program's behaviour (the report is the
       // value; refusing the lock would turn a latent bug into a new one).
-      CheckSlowLockOrder(AsMutex(), cfg_.misuse_policy);
+      CheckSlowLockOrder(AsMutex());
       AsMutex()->Lock();
       return;
     case Target::kRWRead:
@@ -585,7 +477,7 @@ void OptiLock::AcquireSetSlow() {
     // Against the *outer* watermark: a nested set whose lowest member sits
     // below an enclosing set's ceiling is a real inversion; members above
     // it extend the order monotonically.
-    CheckSlowLockOrder(set_[i], cfg_.misuse_policy);
+    CheckSlowLockOrder(set_[i]);
     set_[i]->Lock();
   }
   const auto ceiling = reinterpret_cast<uintptr_t>(set_[set_size_ - 1]);
@@ -638,7 +530,7 @@ void OptiLock::SubscribeOrAbort() {
     SubscribeSetOrAbort();
     return;
   }
-  const htm::Backend backend = htm::CurrentBackend();
+  const htm::Backend backend = htm::ActiveBackend();
   if (backend != htm::Backend::kRtm) [[likely]] {
     if (!SoftwareEligible(backend)) [[unlikely]] {
       // Reachable only when a nested critical section subsumed into an
@@ -702,7 +594,7 @@ void OptiLock::SubscribeSetOrAbort() {
   // acquisition lands in this transaction's read set and defeats
   // validation, so mutual exclusion holds against every member's other
   // critical sections independently.
-  const htm::Backend backend = htm::CurrentBackend();
+  const htm::Backend backend = htm::ActiveBackend();
   const bool rtm = backend == htm::Backend::kRtm;
   if (!rtm && !SoftwareEligible(backend)) {
     // Nested section subsumed into an enclosing software transaction wants
@@ -819,8 +711,7 @@ void OptiLock::FinishFastEpisode() {
         // memoize it for this site under the episode's epoch. Hits never
         // re-install (the cell already says exactly this), so the steady
         // state writes nothing.
-        g_site_cache.InstallElide(indices_.mutex_cell, cache_epoch_,
-                                  static_cast<uint32_t>(htm::CurrentBackend()));
+        g_site_cache.InstallElide(indices_.mutex_cell, cache_epoch_);
         Bump(OptiStats::kSiteCacheInstalls);
       }
     }
@@ -873,32 +764,18 @@ void OptiLock::RecordEpisodeTrace(obs::Outcome outcome) {
 }
 
 void OptiLock::ResetEpisode() {
-  uint32_t keep = 0;
-  if (HasFlag(kFlagBackendPinned)) {
-    if (!htm::InTx()) {
-      // Outermost episode is done and its substrate is quiescent: let the
-      // thread's next Tx op follow the (possibly switched) global backend
-      // again. Nested episodes never pin, so a pin always outlives the
-      // whole flattened nest.
-      htm::UnpinThreadBackend();
-    } else {
-      // Still inside the (cancelled-later / enclosing) transaction: the pin
-      // must survive until the outermost episode resets.
-      keep = kFlagBackendPinned;
-    }
-  }
   target_ = nullptr;
   kind_ = Target::kNone;
   owner_ = nullptr;
-  flags_ = keep;
+  flags_ = 0;
   backoff_exponent_ = 0;
 }
 
 void OptiLock::HandleUnlockMisuse(Target requested, void* passed) {
   if (kind_ == Target::kNone) {
     // No episode in flight on this OptiLock: the unlock is unpaired.
-    support::ReportMisuse(support::MisuseKind::kUnpairedUnlock,
-                          cfg_.misuse_policy, this, "unlock-with-no-episode");
+    support::ReportMisuse(support::MisuseKind::kUnpairedUnlock, this,
+                          "unlock-with-no-episode");
     RecoverUnpairedUnlock(requested, passed);
     return;
   }
@@ -907,8 +784,7 @@ void OptiLock::HandleUnlockMisuse(Target requested, void* passed) {
     // transaction, checkpoint, and retry state are all thread-local, so a
     // foreign thread can neither commit nor abort it. Recovery leaves the
     // owner's episode untouched; this call site gets nothing.
-    support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock,
-                          cfg_.misuse_policy, this,
+    support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock, this,
                           "fast-unlock-from-foreign-thread");
     return;
   }
@@ -1012,8 +888,7 @@ void OptiLock::FastUnlock(gosync::Mutex* m) {
       // Foreign-thread release of a slow-path episode: the unlock itself is
       // Go's legal handoff, but the episode bookkeeping was another
       // thread's; count it and proceed.
-      support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock,
-                            cfg_.misuse_policy, this,
+      support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock, this,
                             "slow-unlock-from-foreign-thread");
     }
     // Unlock the mutex the program passed (identical to the untransformed
@@ -1033,16 +908,15 @@ void OptiLock::FastUnlock(gosync::Mutex* m) {
 void OptiLock::FastRUnlock(gosync::RWMutex* m) {
   if (HasFlag(kFlagSlowPath)) [[unlikely]] {
     if (owner_ != ThreadAnchor()) {
-      support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock,
-                            cfg_.misuse_policy, this,
+      support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock, this,
                             "slow-unlock-from-foreign-thread");
     }
     if (m == AsRW() && kind_ == Target::kRWWrite) {
       // Same lock, wrong mode: the episode holds the WRITE lock. Releasing
       // the mode actually held keeps the lock word sound; the requested
       // mode is what the (buggy) program asked for, counted as misuse.
-      support::ReportMisuse(support::MisuseKind::kWrongModeUnlock,
-                            cfg_.misuse_policy, m, "r-unlock-of-w-episode");
+      support::ReportMisuse(support::MisuseKind::kWrongModeUnlock, m,
+                            "r-unlock-of-w-episode");
       m->Unlock();
     } else {
       m->RUnlock();
@@ -1061,15 +935,14 @@ void OptiLock::FastRUnlock(gosync::RWMutex* m) {
 void OptiLock::FastWUnlock(gosync::RWMutex* m) {
   if (HasFlag(kFlagSlowPath)) [[unlikely]] {
     if (owner_ != ThreadAnchor()) {
-      support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock,
-                            cfg_.misuse_policy, this,
+      support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock, this,
                             "slow-unlock-from-foreign-thread");
     }
     if (m == AsRW() && kind_ == Target::kRWRead) {
       // Same lock, wrong mode: the episode holds a READ lock; a writer
       // unlock would corrupt readerCount. Release what is held.
-      support::ReportMisuse(support::MisuseKind::kWrongModeUnlock,
-                            cfg_.misuse_policy, m, "w-unlock-of-r-episode");
+      support::ReportMisuse(support::MisuseKind::kWrongModeUnlock, m,
+                            "w-unlock-of-r-episode");
       m->RUnlock();
     } else {
       m->Unlock();
@@ -1097,8 +970,7 @@ void OptiLock::FastUnlockSet() {
     // unpaired recovery there is no caller-passed lock to release (this
     // overload names nothing), so recovery is count-only; a stranded
     // non-set episode is recovered at its own unlock or the next FastLock.
-    support::ReportMisuse(support::MisuseKind::kUnpairedUnlock,
-                          cfg_.misuse_policy, this,
+    support::ReportMisuse(support::MisuseKind::kUnpairedUnlock, this,
                           "set-unlock-with-no-set-episode");
     return;
   }
@@ -1107,8 +979,7 @@ void OptiLock::FastUnlockSet() {
       // A multi-lock episode's sorted hold set is this thread's episode
       // state; releasing it from a foreign thread would unlock mutexes the
       // caller may not hold. Report and leave the owner's episode intact.
-      support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock,
-                            cfg_.misuse_policy, this,
+      support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock, this,
                             "set-unlock-from-foreign-thread");
       return;
     }
@@ -1118,8 +989,7 @@ void OptiLock::FastUnlockSet() {
     return;
   }
   if (owner_ != ThreadAnchor()) {
-    support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock,
-                          cfg_.misuse_policy, this,
+    support::ReportMisuse(support::MisuseKind::kCrossThreadUnlock, this,
                           "set-unlock-from-foreign-thread");
     return;
   }

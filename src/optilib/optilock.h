@@ -48,52 +48,20 @@
 #include "src/obs/event.h"
 #include "src/optilib/perceptron.h"
 #include "src/support/counter_table.h"
-#include "src/support/misuse.h"
 #include "src/support/sharded.h"
 
 namespace gocc::optilib {
 
 // Runtime policy knobs (defaults follow the paper; the ablation benchmarks
-// sweep them).
+// sweep them). Eight bytes with no padding, so the live configuration is one
+// lock-free atomic word (PublishOptiConfig). The retry and spin bounds the
+// paper keeps as constants are constants here too (OptiLock::kMaxAttempts,
+// kSpinPausesWhileLocked, kOccMaxRetries).
 struct OptiConfig {
   // Gate HTM attempts behind the hashed perceptron (§5.4.1).
   bool use_perceptron = true;
   // Skip HTM entirely when GOMAXPROCS==1 (§5.4.2).
   bool single_proc_bypass = true;
-  // Retries after a LockHeld abort (Listing 19's MAX_ATTEMPTS).
-  int max_attempts = 3;
-  // Extra retries after conflict/capacity/spurious aborts (paper: 0 — any
-  // non-LockHeld abort falls back to the lock immediately).
-  int conflict_retries = 0;
-  // Bounded pause-spin while the elided lock is held before starting a
-  // transaction (Listing 19: "spin with pause till lock held").
-  int spin_pauses_while_locked = 512;
-
-  // sw-OCC backend only: retries after a commit-time validation failure
-  // (kOccValidateFail) before the episode pins itself to the real lock —
-  // the per-site livelock guard. Each retry waits a jittered backoff (the
-  // same bounded-exponential schedule as conflict retries) so validation
-  // storms de-synchronize instead of re-colliding. The GOCC_OCC_MAX_RETRIES
-  // environment variable overrides the default.
-  int occ_max_retries = DefaultOccMaxRetries();
-  static int DefaultOccMaxRetries();
-
-  // Multi-lock episodes (WithLocks, DESIGN.md §4.12): largest lock-set size
-  // the runtime will still speculate on. Bigger sets go straight to the
-  // address-sorted pessimistic acquire — every extra member widens the
-  // conflict footprint and the expected abort cost grows with it, so the
-  // ceiling is the coarse guard in front of the per-set perceptron. Capped
-  // at OptiLock::kMaxLockSet (8); GOCC_MULTILOCK_SPECULATE_MAX overrides.
-  int multilock_speculate_max = DefaultMultilockSpeculateMax();
-  static int DefaultMultilockSpeculateMax();
-
-  // Bounded exponential backoff with deterministic jitter before retrying a
-  // conflict-class abort (applies only while conflict_retries remain, so the
-  // paper's default of immediate fallback is unchanged). Each retry waits a
-  // jittered [limit/2, limit] pause-spins, with limit doubling from
-  // backoff_base_pauses up to backoff_cap_pauses. 0 disables the wait.
-  int backoff_base_pauses = 16;
-  int backoff_cap_pauses = 2048;
 
   // Episode trace recorder (src/obs): when true, every completed episode
   // appends one compact event (site, mutex, outcome, last abort, retries,
@@ -105,14 +73,22 @@ struct OptiConfig {
   bool trace_episodes = DefaultTraceEpisodes();
   static bool DefaultTraceEpisodes();
 
-  // Episode snapshot of the lock-API misuse policy (support/misuse.h):
-  // governs recovery for misuse detected *inside* episodes (double
-  // FastLock, unpaired/cross-thread unlocks, wrong-mode slow unlocks).
-  // Defaults to the build-type policy with the GOCC_MISUSE_POLICY override;
-  // mutex destructors, which have no episode snapshot, consult
-  // support::GetMisusePolicy() instead.
-  support::MisusePolicy misuse_policy = support::DefaultMisusePolicy();
+  // Extra retries after conflict/capacity/spurious aborts (paper: 0 — any
+  // non-LockHeld abort falls back to the lock immediately).
+  uint8_t conflict_retries = 0;
+
+  // Bounded exponential backoff with deterministic jitter before retrying a
+  // conflict-class abort (applies only while conflict_retries remain, so the
+  // paper's default of immediate fallback is unchanged) or a sw-OCC
+  // validation failure. Each retry waits a jittered [limit/2, limit]
+  // pause-spins, with limit doubling from backoff_base_pauses up to
+  // backoff_cap_pauses. 0 disables the wait.
+  uint16_t backoff_base_pauses = 16;
+  uint16_t backoff_cap_pauses = 2048;
 };
+static_assert(sizeof(OptiConfig) == 8, "OptiConfig is one 8-byte word");
+static_assert(std::atomic<OptiConfig>::is_always_lock_free,
+              "the live OptiConfig is one lock-free atomic word");
 
 // The live configuration, by value: OptiConfig{} until the first
 // PublishOptiConfig, then the last published config. To change one knob,
@@ -123,15 +99,11 @@ struct OptiConfig {
 //   PublishOptiConfig(cfg);
 OptiConfig GetOptiConfig();
 
-// Atomically publishes `next` as the configuration for every episode that
-// *starts* after the call (in-flight episodes keep the snapshot they took).
-// Safe to call while episodes run on other threads: the value is written
-// into a seqlock-guarded word store that episode snapshots copy with a
-// validated atomic word-wise read, so a concurrent snapshot observes either
-// the old or the new config, never a torn mix — with no reader-lifetime
-// hazard (a reader preempted mid-copy simply retries; there is no slot that
-// can be reused out from under it). Publishers must be externally
-// serialized.
+// Publishes `next` as the configuration for every episode that *starts*
+// after the call (in-flight episodes keep the snapshot they took). One
+// atomic store plus a decision-epoch bump: safe to call while episodes run,
+// from any number of threads at once, and a concurrent snapshot observes
+// either the old or the new config, never a torn mix.
 void PublishOptiConfig(const OptiConfig& next);
 
 // Runtime counters, sharded per thread (support/sharded.h): an episode's
@@ -193,8 +165,8 @@ struct OptiStats {
   support::ShardedCounter unwind_slow_unlocks{&shards_, kUnwindSlowUnlocks};
 
   // sw-OCC hardening observability: episodes that exhausted the
-  // occ_max_retries validation budget and fell back to the lock (a subset
-  // of slow_acquires).
+  // OptiLock::kOccMaxRetries validation budget and fell back to the lock (a
+  // subset of slow_acquires).
   support::ShardedCounter occ_fallbacks{&shards_, kOccFallbacks};
 
   // Per-site decision-cache observability (§4.11): hits are elide decisions
@@ -324,6 +296,47 @@ class OptiLock {
   // nowhere to record which locks it would need to release.
   static constexpr int kMaxLockSet = 8;
 
+  // Sorts `count` (<= kMaxLockSet) mutexes into `out` in ascending address
+  // order, dropping duplicates, and returns the number of distinct members.
+  // Locking the same mutex twice in one episode must behave as locking it
+  // once (a pessimistic acquire would self-deadlock), and one global order
+  // makes concurrent sorted acquirers deadlock-free. Insertion sort: sets
+  // are tiny, and ledger-style callers run this on every transaction.
+  static int SortedUniqueLockSet(gosync::Mutex* const* mutexes, int count,
+                                 gosync::Mutex** out) {
+    int n = 0;
+    for (int i = 0; i < count; ++i) {
+      gosync::Mutex* m = mutexes[i];
+      int j = n;
+      while (j > 0 && out[j - 1] > m) {
+        --j;
+      }
+      if (j > 0 && out[j - 1] == m) {
+        continue;
+      }
+      for (int k = n; k > j; --k) {
+        out[k] = out[k - 1];
+      }
+      out[j] = m;
+      ++n;
+    }
+    return n;
+  }
+
+  // Retries after a LockHeld abort (Listing 19's MAX_ATTEMPTS).
+  static constexpr int kMaxAttempts = 3;
+  // Bounded pause-spin while the elided lock is held before starting a
+  // transaction (Listing 19: "spin with pause till lock held").
+  static constexpr int kSpinPausesWhileLocked = 512;
+  // sw-OCC backend only: retries after a commit-time validation failure
+  // (kOccValidateFail) before the episode pins itself to the real lock —
+  // the per-site livelock guard. Each retry waits the config's jittered
+  // backoff so validation storms de-synchronize instead of re-colliding.
+  // 4 rides out a burst of committers on the same word, yet a persistent
+  // storm reaches the lock (and trains the perceptron toward it) within a
+  // few microseconds of backoff.
+  static constexpr int kOccMaxRetries = 4;
+
   OptiLock() = default;
   OptiLock(const OptiLock&) = delete;
   OptiLock& operator=(const OptiLock&) = delete;
@@ -411,8 +424,7 @@ class OptiLock {
   void PrepareRead(gosync::RWMutex* m);
   void PrepareWrite(gosync::RWMutex* m);
   // Sorts and dedupes the caller's set into the episode (degrading to
-  // PrepareMutex when one distinct lock remains) and applies the
-  // multilock_speculate_max admission gate.
+  // PrepareMutex when one distinct lock remains).
   void PrepareMutexSet(gosync::Mutex* const* mutexes, int count);
   // Runs after the checkpoint: `setjmp_code` is 0 on first entry or the
   // AbortCode delivered by a SimTM abort. Returns with either a transaction
@@ -425,7 +437,7 @@ class OptiLock {
   void PrepareCommon();
   void AttemptLoop();
   // The first-attempt decision sequence (single-proc bypass, site cache,
-  // perceptron with decay, backend pin, software eligibility). Returns true
+  // perceptron with decay, software eligibility). Returns true
   // when the episode should speculate; false when it already took the slow
   // path.
   bool DecideElide();
@@ -511,9 +523,6 @@ class OptiLock {
   //  kFlagPredictedHtm   the decision was to speculate (trains on finish)
   //  kFlagOccFallback    a sw-OCC validation-retry budget ran dry; the slow
   //                      acquire is reported as obs::Outcome::kOccFallback
-  //  kFlagBackendPinned  this episode pinned the thread's Tx dispatch to
-  //                      the backend chosen at decision time; the outermost
-  //                      episode unpins in ResetEpisode once quiescent
   //  kFlagSiteCacheHit   the decision was served from the per-site cache
   //                      (a commit then skips the redundant re-install)
   static constexpr uint32_t kFlagSlowPath = 1u << 0;
@@ -521,8 +530,7 @@ class OptiLock {
   static constexpr uint32_t kFlagDecisionMade = 1u << 2;
   static constexpr uint32_t kFlagPredictedHtm = 1u << 3;
   static constexpr uint32_t kFlagOccFallback = 1u << 4;
-  static constexpr uint32_t kFlagBackendPinned = 1u << 5;
-  static constexpr uint32_t kFlagSiteCacheHit = 1u << 6;
+  static constexpr uint32_t kFlagSiteCacheHit = 1u << 5;
 
   bool HasFlag(uint32_t f) const { return (flags_ & f) != 0; }
   void SetFlag(uint32_t f) { flags_ |= f; }

@@ -24,8 +24,10 @@
 //  * An elide verdict only short-circuits the *decision*; the episode still
 //    begins a real transaction, subscribes the lock word, and validates at
 //    commit, so a wrong verdict costs one abort, not correctness.
-//  * Elide verdicts are tagged with the backend they were minted under and
-//    are ignored when the active backend has changed.
+//  * Cells carry no backend tag. The backend changes only while no episode
+//    is in flight, and the software-eligibility check that follows a hit
+//    refuses a verdict the new backend cannot honour (an untracked mutex,
+//    or an RWMutex write section under sw-OCC).
 //  * A cached elide verdict does not follow the weights: it stands until an
 //    episode at the cell falls back to the lock (which evicts it) or the
 //    epoch moves. So it also ignores later drops of the context cell, which
@@ -56,25 +58,24 @@ class SiteCache {
   // acquire so the bump is ordered after the state change it reports.
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_release); }
 
-  // True when `cell` holds an elide verdict minted under `epoch` for
-  // htm::Backend `backend`.
-  bool HoldsElide(uint32_t cell, uint64_t epoch, uint32_t backend) const {
+  // True when `cell` holds an elide verdict minted under `epoch`.
+  bool HoldsElide(uint32_t cell, uint64_t epoch) const {
     return cells_[cell & (kTableSize - 1)].word.load(
-               std::memory_order_relaxed) == Pack(epoch, backend);
+               std::memory_order_relaxed) == epoch;
   }
 
-  void InstallElide(uint32_t cell, uint64_t epoch, uint32_t backend) {
+  void InstallElide(uint32_t cell, uint64_t epoch) {
     std::atomic<uint64_t>& w = cells_[cell & (kTableSize - 1)].word;
-    const uint64_t packed = Pack(epoch, backend);
     // Redundant-store elision: steady state re-installs the same verdict,
     // and a silent load keeps the line shared instead of dirtying it.
-    if (w.load(std::memory_order_relaxed) != packed) {
-      w.store(packed, std::memory_order_relaxed);
+    if (w.load(std::memory_order_relaxed) != epoch) {
+      w.store(epoch, std::memory_order_relaxed);
     }
   }
 
   // Clears one cell; returns true when it actually held a verdict (the
-  // invalidation counters only count real evictions).
+  // invalidation counters only count real evictions). Epochs start at 1,
+  // so a verdict is never the empty word 0.
   bool Invalidate(uint32_t cell) {
     std::atomic<uint64_t>& w = cells_[cell & (kTableSize - 1)].word;
     if (w.load(std::memory_order_relaxed) == 0) {
@@ -85,12 +86,6 @@ class SiteCache {
   }
 
  private:
-  // Epochs start at 1, so a packed verdict is never the empty word 0.
-  static constexpr int kEpochShift = 2;  // htm::Backend fits in 2 bits
-  static uint64_t Pack(uint64_t epoch, uint32_t backend) {
-    return (epoch << kEpochShift) | backend;
-  }
-
   // One cell per cache line: a site's verdict load never false-shares with
   // a neighbouring site's install (same padding rationale as perceptron.h).
   struct alignas(64) Cell {

@@ -63,7 +63,7 @@ struct MachineParams {
   // to commit before validation catches it).
   double swocc_abort_penalty_ns = 25.0;
   // Bounded validation retries before the episode falls back to the real
-  // lock (GOCC_OCC_MAX_RETRIES default).
+  // lock (optilib::OptiLock::kOccMaxRetries).
   int occ_max_retries = 4;
 
   // Per-additional-member cost of a multi-lock episode's subscription (one

@@ -56,27 +56,8 @@ struct Pessimistic {
   template <typename Fn>
   static void LockSet(gosync::Mutex* const* mutexes, int count, Fn&& fn) {
     gosync::Mutex* sorted[optilib::OptiLock::kMaxLockSet];
-    int n = 0;
-    for (int i = 0; i < count; ++i) {
-      gosync::Mutex* m = mutexes[i];
-      int pos = n;
-      bool dup = false;
-      while (pos > 0 && sorted[pos - 1] >= m) {
-        if (sorted[pos - 1] == m) {
-          dup = true;
-          break;
-        }
-        --pos;
-      }
-      if (dup) {
-        continue;
-      }
-      for (int j = n; j > pos; --j) {
-        sorted[j] = sorted[j - 1];
-      }
-      sorted[pos] = m;
-      ++n;
-    }
+    const int n =
+        optilib::OptiLock::SortedUniqueLockSet(mutexes, count, sorted);
     for (int i = 0; i < n; ++i) {
       sorted[i]->Lock();
     }

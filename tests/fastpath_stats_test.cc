@@ -358,7 +358,6 @@ void StormOneEpisode(OptiLock& ol, gosync::Mutex& mu, uint64_t seed) {
 // (its commits reward only its own cells).
 TEST_F(FastPathStatsTest, BreakerCooldownNeverEndsEarlyUnderBatchedClock) {
   OptiConfig cfg = GetOptiConfig();
-  cfg.max_attempts = 1;
   cfg.conflict_retries = 0;
   PublishOptiConfig(cfg);
 
@@ -400,7 +399,6 @@ TEST_F(FastPathStatsTest, BreakerCooldownNeverEndsEarlyUnderBatchedClock) {
 // decisions at another call site neither shorten nor stretch its period.
 TEST_F(FastPathStatsTest, WatchdogCooldownNeverEndsEarlyUnderBatchedClock) {
   OptiConfig cfg = GetOptiConfig();
-  cfg.max_attempts = 1;
   cfg.conflict_retries = 0;
   PublishOptiConfig(cfg);
 

@@ -72,9 +72,7 @@ TEST(LintRuntimeCrosscheck, StaticLintFlagsTheAbbaFixture) {
 TEST(LintRuntimeCrosscheck, RuntimeCountsTheSameHazardAndSortedSetsFixIt) {
   htm::ForceSoftwareBackend();
   htm::MutableConfig() = htm::TxConfig{};
-  optilib::OptiConfig cfg;
-  cfg.misuse_policy = MisusePolicy::kRecoverAndCount;
-  optilib::PublishOptiConfig(cfg);
+  optilib::PublishOptiConfig(optilib::OptiConfig{});
   support::SetMisusePolicy(MisusePolicy::kRecoverAndCount);
   support::ResetMisuseCounters();
   int prev_procs = gosync::SetMaxProcs(1);  // every episode slow-held

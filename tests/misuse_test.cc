@@ -39,9 +39,7 @@ class MisuseTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    OptiConfig cfg;
-    cfg.misuse_policy = MisusePolicy::kRecoverAndCount;
-    PublishOptiConfig(cfg);
+    PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
     GlobalPerceptron().Reset();
     ResetHardeningState();
@@ -451,13 +449,11 @@ TEST_F(MisuseTest, EpisodeSnapshotAbortPolicyDiesOnDoubleFastLock) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        OptiConfig cfg = GetOptiConfig();
-        cfg.misuse_policy = MisusePolicy::kAbortProcess;
-        PublishOptiConfig(cfg);
+        support::SetMisusePolicy(MisusePolicy::kAbortProcess);
         gosync::Mutex mu;
         OptiLock ol;
         OPTI_FAST_LOCK(ol, &mu);
-        OPTI_FAST_LOCK(ol, &mu);  // the stale snapshot's policy applies
+        OPTI_FAST_LOCK(ol, &mu);  // episode reports read the process policy
       },
       "\\[gocc-misuse\\] kind=double-fast-lock policy=abort");
 }

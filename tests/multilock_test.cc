@@ -47,7 +47,6 @@ class MultiLockTest : public ::testing::Test {
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     OptiConfig cfg;
-    cfg.misuse_policy = MisusePolicy::kRecoverAndCount;
     // The perceptron starts untrained; pin the decision to "attempt" so the
     // fast/slow assertions below are exact rather than predictor-dependent.
     cfg.use_perceptron = false;
@@ -219,22 +218,36 @@ TEST_F(MultiLockTest, SingleProcBypassTakesSortedSlowPath) {
   EXPECT_FALSE(a.IsLocked() || b.IsLocked());
 }
 
-TEST_F(MultiLockTest, SpeculateMaxGateForcesSortedSlowPath) {
-  OptiConfig cfg = GetOptiConfig();
-  cfg.multilock_speculate_max = 2;
-  PublishOptiConfig(cfg);
-  gosync::Mutex a, b, c;
+// The largest legal set speculates like any other: one transaction
+// subscribes all kMaxLockSet members, listed here against address order,
+// and commits the whole set elided.
+TEST_F(MultiLockTest, FullSizeSetSpeculatesAndCommits) {
+  constexpr int kN = OptiLock::kMaxLockSet;
+  gosync::Mutex mus[kN];
+  gosync::Mutex* ptrs[kN];
+  htm::Shared<int64_t> cells[kN];
+  for (int i = 0; i < kN; ++i) {
+    ptrs[i] = &mus[kN - 1 - i];
+  }
   OptiLock ol;
-  // Three distinct members > the ceiling: straight to sorted 2PL, no
-  // transaction attempted.
-  ol.WithLocks({&a, &b, &c}, [&] { EXPECT_TRUE(ol.on_slow_path()); });
+  bool slow = true;
+  ol.WithLocks(ptrs, kN, [&] {
+    slow = ol.on_slow_path();
+    for (auto& cell : cells) {
+      cell.Add(1);
+    }
+  });
+  EXPECT_FALSE(slow);
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(cells[i].Load(), 1);
+    EXPECT_FALSE(mus[i].IsLocked());
+  }
   const auto& stats = GlobalOptiStats();
-  EXPECT_EQ(stats.multilock_slow_acquires.load(), 1u);
-  EXPECT_EQ(stats.htm_attempts.load(), 0u);
-  // At the ceiling: speculation still admitted.
-  ol.WithLocks({&a, &b}, [&] { EXPECT_FALSE(ol.on_slow_path()); });
+  EXPECT_EQ(stats.multilock_episodes.load(), 1u);
   EXPECT_EQ(stats.multilock_fast_commits.load(), 1u);
-  EXPECT_EQ(stats.multilock_episodes.load(), 2u);
+  EXPECT_EQ(stats.htm_attempts.load(), 1u);
+  EXPECT_EQ(stats.slow_acquires.load(), 0u);
+  EXPECT_EQ(stats.multilock_slow_acquires.load(), 0u);
 }
 
 TEST_F(MultiLockTest, OversizedOrEmptySetAbortsProcess) {

@@ -36,9 +36,7 @@ class OltpTest : public ::testing::Test {
     htm::ForceSoftwareBackend();
     htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
-    optilib::OptiConfig cfg;
-    cfg.misuse_policy = support::MisusePolicy::kRecoverAndCount;
-    optilib::PublishOptiConfig(cfg);
+    optilib::PublishOptiConfig(optilib::OptiConfig{});
     optilib::GlobalOptiStats().Reset();
     optilib::GlobalPerceptron().Reset();
     optilib::ResetHardeningState();

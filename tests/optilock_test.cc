@@ -16,7 +16,6 @@
 #include "src/htm/stats.h"
 #include "src/obs/recorder.h"
 #include "src/optilib/optilock.h"
-#include "src/support/misuse.h"
 
 namespace gocc::optilib {
 namespace {
@@ -120,9 +119,6 @@ TEST_F(OptiLockTest, FastAndSlowPathsInteroperate) {
 TEST_F(OptiLockTest, LockHeldAtFastLockFallsBackAndCompletes) {
   gosync::Mutex mu;
   htm::Shared<int64_t> value(0);
-  OptiConfig cfg = GetOptiConfig();
-  cfg.spin_pauses_while_locked = 1;  // don't out-wait holder
-  PublishOptiConfig(cfg);
   mu.Lock();
   std::thread contender([&] {
     OptiLock ol;
@@ -177,14 +173,15 @@ TEST_F(OptiLockTest, NestedElisionCommitsAtOutermost) {
   EXPECT_FALSE(inner.IsLocked());
 }
 
+// A third party holds the inner lock throughout. Every attempt of the
+// elided outer episode aborts with LockHeld at the nested subscription, so
+// the outer spends its kMaxAttempts retries and takes its lock; the inner
+// episode, now outside any transaction, spends its own budget the same way
+// and blocks on the inner lock until the holder lets go.
 TEST_F(OptiLockTest, NestedWithHeldInnerLockAbortsAndRecovers) {
   gosync::Mutex outer;
   gosync::Mutex inner;
   htm::Shared<int64_t> value(0);
-  OptiConfig cfg = GetOptiConfig();
-  cfg.spin_pauses_while_locked = 1;
-  cfg.max_attempts = 1;
-  PublishOptiConfig(cfg);
 
   inner.Lock();  // a third party holds the inner lock
   std::thread worker([&] {
@@ -195,12 +192,23 @@ TEST_F(OptiLockTest, NestedWithHeldInnerLockAbortsAndRecovers) {
       ol_inner.WithLock(&inner, [&] { value.Add(10); });
     });
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Release only once both episodes have gone to the lock, so every
+  // attempt met the held lock and the counts below are exact.
+  while (GlobalOptiStats().slow_acquires.load() < 2) {
+    std::this_thread::yield();
+  }
   inner.Unlock();
   worker.join();
   EXPECT_EQ(value.Load(), 11);
   EXPECT_FALSE(outer.IsLocked());
   EXPECT_FALSE(inner.IsLocked());
+  // Each episode: one attempt plus kMaxAttempts retries, all LockHeld.
+  const uint64_t tries = OptiLock::kMaxAttempts + 1;
+  const auto& stats = GlobalOptiStats();
+  EXPECT_EQ(stats.EpisodeAborts(htm::AbortCode::kLockHeld), 2 * tries);
+  EXPECT_EQ(stats.htm_attempts.load(), 2 * tries);
+  EXPECT_EQ(stats.slow_acquires.load(), 2u);
+  EXPECT_EQ(stats.fast_commits.load(), 0u);
 }
 
 // An HTM-hostile critical section (capacity overflow on every attempt) must
@@ -455,28 +463,18 @@ TEST_F(OptiLockTest, GetOptiConfigReturnsPublishedConfig) {
   OptiConfig c;
   c.use_perceptron = false;
   c.single_proc_bypass = false;
-  c.max_attempts = 7;
-  c.conflict_retries = 2;
-  c.spin_pauses_while_locked = 5;
-  c.occ_max_retries = 9;
-  c.multilock_speculate_max = 3;
-  c.backoff_base_pauses = 4;
-  c.backoff_cap_pauses = 32;
   c.trace_episodes = !OptiConfig{}.trace_episodes;
-  c.misuse_policy = support::MisusePolicy::kRecoverAndCount;
+  c.conflict_retries = 2;
+  c.backoff_base_pauses = 4;
+  c.backoff_cap_pauses = 4096;  // the largest value any caller sets
   PublishOptiConfig(c);
   const OptiConfig got = GetOptiConfig();
   EXPECT_EQ(got.use_perceptron, c.use_perceptron);
   EXPECT_EQ(got.single_proc_bypass, c.single_proc_bypass);
-  EXPECT_EQ(got.max_attempts, c.max_attempts);
+  EXPECT_EQ(got.trace_episodes, c.trace_episodes);
   EXPECT_EQ(got.conflict_retries, c.conflict_retries);
-  EXPECT_EQ(got.spin_pauses_while_locked, c.spin_pauses_while_locked);
-  EXPECT_EQ(got.occ_max_retries, c.occ_max_retries);
-  EXPECT_EQ(got.multilock_speculate_max, c.multilock_speculate_max);
   EXPECT_EQ(got.backoff_base_pauses, c.backoff_base_pauses);
   EXPECT_EQ(got.backoff_cap_pauses, c.backoff_cap_pauses);
-  EXPECT_EQ(got.trace_episodes, c.trace_episodes);
-  EXPECT_EQ(got.misuse_policy, c.misuse_policy);
 
   // An OptiLock keeps its config snapshot until the decision epoch moves:
   // a publish from another thread must reach its very next episode.

@@ -205,7 +205,6 @@ TEST_F(SwOccTest, MidEpisodePoisonDetectedAtValidation) {
 TEST_F(SwOccTest, LivelockGuardBoundsValidationRetries) {
   OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
-  cfg.occ_max_retries = 2;
   PublishOptiConfig(cfg);
 
   FaultPlan plan;
@@ -217,33 +216,25 @@ TEST_F(SwOccTest, LivelockGuardBoundsValidationRetries) {
   htm::Shared<int64_t> value(0);
   OptiLock ol;
   ol.WithLock(&mu, [&] { value.Add(1); });
+  htm::fault::Disarm();
 
-  // 1 initial attempt + 2 retries (each behind a jittered backoff), then
-  // the episode pins itself to the lock and completes there.
+  // 1 initial attempt + OptiLock::kOccMaxRetries (4) retries, each behind
+  // a jittered backoff, then the episode pins itself to the lock and
+  // completes there: the budget is a hard bound, not a hint.
   EXPECT_EQ(value.Load(), 1);
   const auto& stats = GlobalOptiStats();
-  EXPECT_EQ(stats.EpisodeAborts(htm::AbortCode::kOccValidateFail), 3u);
-  EXPECT_EQ(stats.backoff_waits.load(), 2u);
+  EXPECT_EQ(stats.EpisodeAborts(htm::AbortCode::kOccValidateFail), 5u);
+  EXPECT_EQ(stats.backoff_waits.load(), 4u);
   EXPECT_EQ(stats.slow_acquires.load(), 1u);
   EXPECT_EQ(stats.occ_fallbacks.load(), 1u);
   EXPECT_EQ(stats.fast_commits.load(), 0u);
-
-  // A zero budget falls back on the first validation failure: the knob is a
-  // hard bound, not a hint.
-  cfg.occ_max_retries = 0;
-  PublishOptiConfig(cfg);
-  ol.WithLock(&mu, [&] { value.Add(1); });
-  htm::fault::Disarm();
-  EXPECT_EQ(value.Load(), 2);
-  EXPECT_EQ(stats.EpisodeAborts(htm::AbortCode::kOccValidateFail), 4u);
-  EXPECT_EQ(stats.backoff_waits.load(), 2u) << "no retries, no backoff";
-  EXPECT_EQ(stats.occ_fallbacks.load(), 2u);
 }
 
 // --- validation-failure storm: the site goes to the lock, then recovers ---
 
 TEST_F(SwOccTest, ValidationStormTripsBreakerAndRecovers) {
-  // Default occ_max_retries (4): 5 validation failures exhaust one episode.
+  // OptiLock::kOccMaxRetries (4): 5 validation failures exhaust one
+  // episode.
   FaultPlan plan;
   plan.seed = seed_;
   plan.WithRule(Site::kOccValidate, 1.0, htm::AbortCode::kOccValidateFail);
