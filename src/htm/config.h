@@ -25,9 +25,10 @@ enum class Backend {
   // Real Intel RTM via xbegin/xend (requires hardware support; selected only
   // after a successful runtime probe).
   kRtm,
-  // Software OCC on the mutexes' versioned lock words (swocc_backend.h):
-  // invisible reads, thread-local write buffering, commit-time validation.
-  // Runs anywhere; selected via GOCC_BACKEND=swocc or ForceSwOccBackend.
+  // Software OCC on the mutexes' versioned lock words (swocc.h; the engine
+  // it shares with SimTM is tx.cc): invisible reads, thread-local write
+  // buffering, commit-time validation. Runs anywhere; selected via
+  // GOCC_BACKEND=swocc or ForceSwOccBackend.
   kSwOcc,
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
@@ -11,10 +10,59 @@
 #include "src/htm/fault.h"
 #include "src/htm/rtm_backend.h"
 #include "src/htm/stats.h"
-#include "src/htm/swocc_backend.h"
+#include "src/htm/swocc.h"
+#include "src/support/misuse.h"
 #include "src/support/rng.h"
 
 namespace gocc::htm {
+
+SwOccWordStats& GlobalSwOccWordStats() {
+  static SwOccWordStats stats;
+  return stats;
+}
+
+void OccWordAcquireExclusive(std::atomic<uint64_t>* word) {
+  uint64_t cur = word->load(std::memory_order_relaxed);
+  if (!OccUnavailable(cur) &&
+      word->compare_exchange_strong(cur, OccAcquired(cur),
+                                    std::memory_order_seq_cst,
+                                    std::memory_order_relaxed)) {
+    return;  // uncontended: no OCC committer holds the word
+  }
+  SwOccWordStats& stats = GlobalSwOccWordStats();
+  stats.writer_waits.fetch_add(1, std::memory_order_relaxed);
+  bool pending_raised = false;
+  int failed_rounds = 0;
+  while (true) {
+    if (OccIsExclusive(cur)) {
+      // An OCC committer is publishing; it releases in nanoseconds unless a
+      // fault-injected stall stretches it. Poison counts as exclusive here:
+      // locking a destroyed mutex is already undefined, spinning forever on
+      // it would only hide the destructor's misuse report.
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+      ++failed_rounds;
+      if (!pending_raised && failed_rounds >= kOccWriterStarvationSpins) {
+        // Starvation detection: raise the pending flag so new OCC episodes
+        // treat the word as held and stop winning the publish race from
+        // under this (state_-owning) writer. OccAcquired clears it again.
+        word->fetch_or(kOccWriterPendingBit, std::memory_order_relaxed);
+        stats.writer_pending_sets.fetch_add(1, std::memory_order_relaxed);
+        pending_raised = true;
+      }
+      cur = word->load(std::memory_order_relaxed);
+      continue;
+    }
+    if (word->compare_exchange_weak(cur, OccAcquired(cur),
+                                    std::memory_order_seq_cst,
+                                    std::memory_order_relaxed)) {
+      return;
+    }
+    ++failed_rounds;
+  }
+}
+
 namespace {
 
 constexpr int kCommitLockSpins = 256;
@@ -29,9 +77,9 @@ inline uint64_t Bumped(uint64_t unlocked_word) {
   return (CellVersion(unlocked_word) + 1) << 1;
 }
 
-// A read-set entry: a cell's version word, or a subscribed lock word
-// (TxSubscribe), and the value it held when first read. Both kinds
-// validate by value equality.
+// A read-set entry: a word and the value it held when first read. SimTM
+// records cell version words and subscribed lock words, sw-OCC only its
+// subscribed lock words; every entry validates by value equality.
 struct ReadEntry {
   const std::atomic<uint64_t>* word;
   uint64_t seen;
@@ -40,8 +88,14 @@ struct ReadEntry {
 struct WriteEntry {
   TxCell* cell;
   uint64_t value;
-  uint64_t pre_lock_word;  // once the commit holds the cell: the unlocked
-                           // version word its lock CAS replaced
+};
+
+// A word a writing commit holds — a SimTM written cell's version word or a
+// lock word sw-OCC subscribed — and the unlocked value its lock CAS
+// replaced (released on abort).
+struct HeldWord {
+  std::atomic<uint64_t>* word;
+  uint64_t pre;
 };
 
 // Dedup set tuned for SimTM's common case: a transformed critical section
@@ -89,13 +143,14 @@ class SmallSet {
   bool spilled_ = false;
 };
 
-// Per-thread SimTM transaction context. Containers keep their capacity
-// across transactions, so steady-state operation allocates nothing.
+// Per-thread transaction context of both software backends (the backend is
+// fixed while any transaction is open, config.h). Containers keep their
+// capacity across transactions, so steady-state operation allocates nothing.
 struct TxContext {
   int depth = 0;
   std::jmp_buf* env = nullptr;
 
-  // One entry per distinct version or lock word read (RecheckReads dedups).
+  // One entry per distinct word read (RecheckReads and OccSubscribe dedup).
   std::vector<ReadEntry> reads;
   // One entry per distinct cell written.
   std::vector<WriteEntry> writes;
@@ -103,17 +158,19 @@ struct TxContext {
   // below that, write lookups linear-scan `writes` directly.
   std::unordered_map<const TxCell*, size_t> write_index;
   bool writes_spilled = false;
+  // SimTM's capacity accounting.
   SmallSet<uintptr_t> read_lines;
   SmallSet<uintptr_t> write_lines;
-
-  // During a commit, writes[0, locked) are the cells it holds (released on
-  // abort).
-  size_t locked = 0;
+  // During a writing commit, the words it holds.
+  std::vector<HeldWord> held;
 
   SplitMix64 rng{0};
   bool rng_seeded = false;
 
-  void ResetSets() {
+  // Ends the transaction: no depth, no checkpoint, empty sets.
+  void Clear() {
+    depth = 0;
+    env = nullptr;
     reads.clear();
     writes.clear();
     if (writes_spilled) {
@@ -122,7 +179,7 @@ struct TxContext {
     }
     read_lines.clear();
     write_lines.clear();
-    locked = 0;
+    held.clear();
   }
 };
 
@@ -168,25 +225,39 @@ inline void BumpSlot(std::atomic<uint64_t>* shard, int slot) {
 }
 inline void BumpSlot(int slot) { BumpSlot(g_stats.LocalShard(), slot); }
 
-// Rollback half of an abort: releases cells held by an in-progress commit,
-// records the abort, and clears all transaction state. Shared by
-// AbortInternal (which then long-jumps) and TxCancel (which returns so a
-// C++ exception can keep unwinding).
+// Moves a sw-OCC word this commit holds to `to`, keeping a writer-pending
+// flag raised while it was held (only that bit can change under us: the
+// exclusive flag serializes every other writer of the word).
+void ReleaseOccWord(const HeldWord& h, uint64_t to) {
+  uint64_t cur = OccAcquired(h.pre);
+  while (!h.word->compare_exchange_weak(cur, to | (cur & kOccWriterPendingBit),
+                                        std::memory_order_release,
+                                        std::memory_order_relaxed)) {
+  }
+}
+
+// Rollback half of an abort: returns the words an in-progress commit holds
+// to their pre-lock values (no write was published yet: publication starts
+// only once every word is held), records the abort, and ends the
+// transaction. Shared by AbortInternal (which then long-jumps) and TxCancel
+// (which returns so a C++ exception can keep unwinding).
 void RollbackInternal(TxContext& tx, AbortCode code) {
-  for (size_t i = 0; i < tx.locked; ++i) {
-    tx.writes[i].cell->version.store(tx.writes[i].pre_lock_word,
-                                     std::memory_order_release);
+  const bool occ = ActiveBackend() == Backend::kSwOcc;
+  for (const HeldWord& h : tx.held) {
+    if (occ) {
+      ReleaseOccWord(h, h.pre);
+    } else {
+      h.word->store(h.pre, std::memory_order_release);
+    }
   }
   g_stats.RecordAbort(code);
-  tx.depth = 0;
-  tx.env = nullptr;
-  tx.ResetSets();
+  tx.Clear();
 }
 
 [[noreturn]] void AbortInternal(TxContext& tx, AbortCode code) {
   std::jmp_buf* env = tx.env;
   RollbackInternal(tx, code);
-  assert(env != nullptr && "SimTM abort without a checkpoint");
+  assert(env != nullptr && "software-TM abort without a checkpoint");
   std::longjmp(*env, static_cast<int>(code));
 }
 
@@ -214,19 +285,57 @@ void MaybeSpuriousAbort(TxContext& tx) {
   }
 }
 
-// Locks `w`'s cell for commit; returns false after bounded spinning. The
-// CAS is seq_cst: it and the seq_cst validation loads that follow are all
-// that orders this commit against another thread's cell lock and later
-// loads (the Dekker pairs of DESIGN.md §4.2).
-bool LockCellForCommit(WriteEntry& w) {
-  std::atomic<uint64_t>& version = w.cell->version;
+// Reader-side poison check (misuse taxonomy): a subscribed word that turned
+// into the destructor's poison pattern means the episode outlived its
+// mutex. Report once per detection, then abort — under the recover policy
+// the episode's retry loop re-subscribes, sees poison as "held", and
+// degrades to the slow path, which is the same terminal state SimTM
+// reaches when it sees the poisoned word.
+[[noreturn]] void ReportPoisonedRead(TxContext& tx,
+                                     const std::atomic<uint64_t>* word) {
+  support::ReportMisuse(support::MisuseKind::kElidedUseAfterDestroy, word,
+                        "occ-word-poisoned-mid-episode");
+  AbortInternal(tx, AbortCode::kOccValidateFail);
+}
+
+// sw-OCC validation: every subscribed word must still hold its subscribed
+// value. The loads are relaxed: every caller has just made an acquire load
+// (of a value or a word), which keeps them after it.
+void ValidateSubscriptions(TxContext& tx) {
+  for (const ReadEntry& r : tx.reads) {
+    const uint64_t cur = r.word->load(std::memory_order_relaxed);
+    if (cur != r.seen) {
+      if (OccIsPoisoned(cur)) {
+        ReportPoisonedRead(tx, r.word);
+      }
+      AbortInternal(tx, AbortCode::kOccValidateFail);
+    }
+  }
+}
+
+// Stores `value` into a cell the caller holds locked from `pre`, then
+// releases the cell at its next version. The value store is a release (the
+// writer half of Boehm's fence-free seqlock): a reader whose acquire load
+// of the value sees it also sees the locked or bumped word at its next
+// version-word load, so ReadCell needs no fence.
+void PublishCell(TxCell* cell, uint64_t value, uint64_t pre) {
+  cell->value.store(value, std::memory_order_release);
+  cell->version.store(Bumped(pre), std::memory_order_release);
+}
+
+// Locks `cell` for commit, recording it as held; returns false after
+// bounded spinning. The CAS is seq_cst: it and the seq_cst validation loads
+// that follow are all that orders this commit against another thread's
+// cell lock and later loads (the Dekker pairs of DESIGN.md §4.2).
+bool LockCellForCommit(TxContext& tx, TxCell* cell) {
+  std::atomic<uint64_t>& version = cell->version;
   for (int spin = 0; spin < kCommitLockSpins; ++spin) {
     uint64_t word = version.load(std::memory_order_relaxed);
     if (!CellIsLocked(word) &&
         version.compare_exchange_weak(word, word | kCellLockedBit,
                                       std::memory_order_seq_cst,
                                       std::memory_order_relaxed)) {
-      w.pre_lock_word = word;
+      tx.held.push_back({&version, word});
       return true;
     }
 #if defined(__x86_64__) || defined(__i386__)
@@ -236,20 +345,9 @@ bool LockCellForCommit(WriteEntry& w) {
   return false;
 }
 
-void CommitOutermost(TxContext& tx) {
-  if (tx.writes.empty()) {
-    // Read-only transaction: every read already re-validated all earlier
-    // ones, so the reads were consistent at the last read — the
-    // transaction serializes there. Nothing to validate or publish.
-    std::atomic<uint64_t>* shard = g_stats.LocalShard();
-    BumpSlot(shard, TxStats::kCommits);
-    BumpSlot(shard, TxStats::kReadOnlyCommits);
-    tx.depth = 0;
-    tx.env = nullptr;
-    tx.ResetSets();
-    return;
-  }
-
+// SimTM's writing commit: lock the written cells, validate the read set,
+// publish. held[i] is writes[i]'s cell.
+void CommitSimWrites(TxContext& tx) {
   // Lock the written cells in address order (prevents deadlock between
   // committers). The write set holds each cell once, so ordering it is the
   // whole job; a single write has nothing to sort. The sort leaves
@@ -260,11 +358,10 @@ void CommitOutermost(TxContext& tx) {
                 return std::less<>{}(a.cell, b.cell);
               });
   }
-  for (WriteEntry& w : tx.writes) {
-    if (!LockCellForCommit(w)) {
+  for (const WriteEntry& w : tx.writes) {
+    if (!LockCellForCommit(tx, w.cell)) {
       AbortInternal(tx, AbortCode::kConflict);
     }
-    ++tx.locked;
   }
 
   // Validate the read set: every entry must still hold the value first
@@ -276,27 +373,96 @@ void CommitOutermost(TxContext& tx) {
     if (now == r.seen) {
       continue;
     }
-    auto it = std::find_if(
-        tx.writes.begin(), tx.writes.end(),
-        [&](const WriteEntry& w) { return &w.cell->version == r.word; });
-    if (it == tx.writes.end() || it->pre_lock_word != r.seen) {
+    auto it = std::find_if(tx.held.begin(), tx.held.end(),
+                           [&](const HeldWord& h) { return h.word == r.word; });
+    if (it == tx.held.end() || it->pre != r.seen) {
       AbortInternal(tx, AbortCode::kConflict);
     }
   }
 
-  // Publish each buffered write and release its cell at the cell's own next
-  // version. The release fence orders the cell locks before the value
-  // stores for ValidatedRead's seqlock-style readers.
-  std::atomic_thread_fence(std::memory_order_release);
-  for (const WriteEntry& w : tx.writes) {
-    w.cell->value.store(w.value, std::memory_order_relaxed);
-    w.cell->version.store(Bumped(w.pre_lock_word), std::memory_order_release);
+  for (size_t i = 0; i < tx.writes.size(); ++i) {
+    PublishCell(tx.writes[i].cell, tx.writes[i].value, tx.held[i].pre);
+  }
+}
+
+// sw-OCC's writing commit: CAS every subscribed word from its subscribed
+// value to its bumped exclusive successor, in address order (the CAS *is*
+// the validation: any intervening exclusive owner changed the version; a
+// failure aborts and never spins, so two committers cannot hold-and-wait),
+// publish the buffered writes, then release the words at the new version.
+void CommitOccWrites(TxContext& tx) {
+  std::sort(tx.reads.begin(), tx.reads.end(),
+            [](const ReadEntry& a, const ReadEntry& b) {
+              return std::less<>{}(a.word, b.word);
+            });
+  for (const ReadEntry& r : tx.reads) {
+    auto* word = const_cast<std::atomic<uint64_t>*>(r.word);
+    uint64_t expected = r.seen;
+    if (!word->compare_exchange_strong(expected, OccAcquired(r.seen),
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+      if (OccIsPoisoned(expected)) {
+        ReportPoisonedRead(tx, r.word);
+      }
+      AbortInternal(tx, AbortCode::kOccValidateFail);
+    }
+    tx.held.push_back({word, r.seen});
   }
 
+  // Release stores: a reader whose acquire load sees a published value
+  // also sees its subscribed word exclusive (or bumped) at its next
+  // validation. A raw transaction with writes but no subscription publishes
+  // unguarded (only subscribing episodes get isolation, DESIGN.md §4.10).
+  for (const WriteEntry& w : tx.writes) {
+    w.cell->value.store(w.value, std::memory_order_release);
+  }
+  // Chaos hooks on the publish window: a stall here is a "delayed unlock"
+  // (the words stay exclusive, widening the window concurrent subscribers
+  // observe); an injected code is "version skew" (the release version jumps
+  // by an extra step, probing that nothing downstream assumes version
+  // continuity).
+  fault::MaybeStallAt(fault::Site::kOccPublish);
+  const bool skew =
+      fault::MaybeInject(fault::Site::kOccPublish) != AbortCode::kNone;
+  for (const HeldWord& h : tx.held) {
+    uint64_t release = OccAcquired(h.pre) & ~kOccExclusiveBit;
+    if (skew) {
+      release = OccAcquired(release) & ~kOccExclusiveBit;
+    }
+    ReleaseOccWord(h, release);
+  }
+  GlobalSwOccWordStats().occ_publishes.fetch_add(1, std::memory_order_relaxed);
+}
+
+void CommitOutermost(TxContext& tx, Backend backend) {
+  const bool occ = backend == Backend::kSwOcc;
+  if (occ) {
+    // Forced validation failure (chaos: models a validation step that
+    // loses every race) sits before the organic check so schedules can
+    // target it precisely.
+    MaybeInjectedAbort(tx, fault::Site::kOccValidate);
+  }
+  if (tx.writes.empty()) {
+    // Read-only transaction: SimTM's reads each re-validated all earlier
+    // ones, so they were consistent at the last read — the transaction
+    // serializes there; sw-OCC re-validates its subscriptions once more.
+    // Neither stores to shared memory.
+    if (occ) {
+      ValidateSubscriptions(tx);
+    }
+    std::atomic<uint64_t>* shard = g_stats.LocalShard();
+    BumpSlot(shard, TxStats::kCommits);
+    BumpSlot(shard, TxStats::kReadOnlyCommits);
+    tx.Clear();
+    return;
+  }
+  if (occ) {
+    CommitOccWrites(tx);
+  } else {
+    CommitSimWrites(tx);
+  }
   BumpSlot(TxStats::kCommits);
-  tx.depth = 0;
-  tx.env = nullptr;
-  tx.ResetSets();
+  tx.Clear();
 }
 
 // Re-checks every earlier read-set entry against the value it recorded,
@@ -320,7 +486,7 @@ void RecheckReads(TxContext& tx, const std::atomic<uint64_t>* word,
   }
 }
 
-// Counts `addr`'s line against the read capacity.
+// Counts `addr`'s line against SimTM's read capacity.
 void AccountReadLine(TxContext& tx, const void* addr) {
   if (tx.read_lines.insert(CacheLineOf(addr)) &&
       tx.read_lines.size() > Config().read_capacity_lines) {
@@ -328,64 +494,55 @@ void AccountReadLine(TxContext& tx, const void* addr) {
   }
 }
 
-// Validated read of `cell`, the core of every transactional data load. The
-// w1/value/fence/w2 sequence returns a value that was current while the
-// cell sat unlocked at one version; RecheckReads then makes it current
-// together with every earlier read.
-uint64_t ValidatedRead(TxContext& tx, const TxCell* cell) {
+// The transactional read of `cell`'s committed value, the one access step
+// where the backends differ.
+//  * SimTM: the w1 / acquire value load / w2 sequence (Boehm's fence-free
+//    seqlock reader) returns a value that was current while the cell sat
+//    unlocked at one version; RecheckReads then makes it current together
+//    with every earlier read, and the line counts against read capacity.
+//  * sw-OCC: an invisible read. The acquire value load keeps the re-check
+//    of every subscribed word after it, so a value a commit published
+//    while holding a subscribed word fails the check (the commit's release
+//    stores guarantee the reader sees that word exclusive or bumped).
+// Forced inline, like AppendWrite: both sit on every transactional access,
+// and GCC keeps them out of line once they hold both backends' branches,
+// which cost perfbench ledger-hot about 3 % of its ops/s (4-vCPU x86-64).
+[[gnu::always_inline]] inline uint64_t ReadCell(TxContext& tx,
+                                                Backend backend,
+                                                const TxCell* cell) {
+  if (backend == Backend::kSwOcc) {
+    const uint64_t value = cell->value.load(std::memory_order_acquire);
+    ValidateSubscriptions(tx);
+    return value;
+  }
   const uint64_t w1 = cell->version.load(std::memory_order_acquire);
   if (CellIsLocked(w1)) [[unlikely]] {
     AbortInternal(tx, AbortCode::kConflict);
   }
-  const uint64_t value = cell->value.load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
+  const uint64_t value = cell->value.load(std::memory_order_acquire);
   if (cell->version.load(std::memory_order_relaxed) != w1) [[unlikely]] {
     AbortInternal(tx, AbortCode::kConflict);
   }
   RecheckReads(tx, &cell->version, w1);
+  AccountReadLine(tx, cell);
   return value;
 }
 
-// Non-transactional read with strong atomicity: a committer publishes its
-// write set while holding the written cells, so waiting for an unlocked
-// cell guarantees we read the final committed value, never an in-flight
-// one. (Real RTM commits atomically at xend, making this window impossible
-// in hardware.) The wait load is seq_cst: a pessimistic lock holder's
-// version-word RMW and this load pair with a committer's cell-lock CAS and
-// validation load (DESIGN.md §4.2).
-uint64_t NonTxLoad(const TxCell* cell) {
-  while (CellIsLocked(cell->version.load(std::memory_order_seq_cst))) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
+// Appends a new write-set entry after charging it to the write capacity —
+// SimTM counts distinct lines, sw-OCC distinct cells — and indexes the set
+// once it spills.
+[[gnu::always_inline]] inline void AppendWrite(TxContext& tx,
+                                               Backend backend, TxCell* cell,
+                                               uint64_t value) {
+  const size_t capacity = Config().write_capacity_lines;
+  const bool full = backend == Backend::kSwOcc
+                        ? tx.writes.size() >= capacity
+                        : tx.write_lines.insert(CacheLineOf(cell)) &&
+                              tx.write_lines.size() > capacity;
+  if (full) {
+    AbortInternal(tx, AbortCode::kCapacity);
   }
-  return cell->value.load(std::memory_order_acquire);
-}
-
-// The one non-transactional write protocol — TxStore/TxFetchAdd outside a
-// transaction and CellGuardedUpdate: lock `cell`'s version word, run
-// `fn`, release the word at the cell's next version, so every transaction
-// that read the cell fails its next validation. The seq_cst CAS is this
-// side of the Dekker pairs LockCellForCommit describes; the release fence
-// orders the lock before `fn`'s stores, as in CommitOutermost's publish.
-template <typename Fn>
-void UnderCellLock(TxCell* cell, Fn&& fn) {
-  std::atomic<uint64_t>& version = cell->version;
-  uint64_t word = version.load(std::memory_order_relaxed);
-  while (CellIsLocked(word) ||
-         !version.compare_exchange_weak(word, word | kCellLockedBit,
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-    word = version.load(std::memory_order_relaxed);
-  }
-  std::atomic_thread_fence(std::memory_order_release);
-  fn();
-  version.store(Bumped(word), std::memory_order_release);
-}
-
-// Appends a new write-set entry, indexing the set once it spills.
-void AppendWrite(TxContext& tx, TxCell* cell, uint64_t value) {
-  tx.writes.push_back({cell, value, 0});
+  tx.writes.push_back({cell, value});
   if (tx.writes_spilled) {
     tx.write_index.emplace(cell, tx.writes.size() - 1);
   } else if (tx.writes.size() > SmallSet<uintptr_t>::kSpill) {
@@ -396,19 +553,70 @@ void AppendWrite(TxContext& tx, TxCell* cell, uint64_t value) {
   }
 }
 
-// SimTM subscription: the lock word itself is the read-set entry. No
-// lock-bit test (the caller classifies the value) and no write-set lookup
-// (lock words are never written transactionally).
-uint64_t SimSubscribe(TxContext& tx, const std::atomic<uint64_t>* word) {
-  if (tx.depth == 0) [[unlikely]] {
-    return word->load(std::memory_order_acquire);
+// Records a sw-OCC subscription. A poisoned word reports use-after-destroy;
+// a word already subscribed must still hold its first value (a flat-nested
+// episode racing an exclusive owner has an inconsistent snapshot). Returns
+// false for such a repeat, which records nothing.
+bool OccSubscribe(TxContext& tx, const std::atomic<uint64_t>* word,
+                  uint64_t value) {
+  if (OccIsPoisoned(value)) {
+    ReportPoisonedRead(tx, word);
   }
-  const uint64_t value = word->load(std::memory_order_acquire);
-  RecheckReads(tx, word, value);
-  AccountReadLine(tx, word);
-  MaybeInjectedAbort(tx, fault::Site::kLoad);
-  MaybeSpuriousAbort(tx);
-  return value;
+  for (const ReadEntry& r : tx.reads) {
+    if (r.word == word) {
+      if (r.seen != value) {
+        AbortInternal(tx, AbortCode::kOccValidateFail);
+      }
+      return false;
+    }
+  }
+  tx.reads.push_back({word, value});
+  return true;
+}
+
+// SimTM's non-transactional read with strong atomicity: a committer
+// publishes its write set while holding the written cells, so waiting for
+// an unlocked cell guarantees we read the final committed value, never an
+// in-flight one. (Real RTM commits atomically at xend, making this window
+// impossible in hardware.) The wait load is seq_cst: a pessimistic lock
+// holder's version-word RMW and this load pair with a committer's cell-lock
+// CAS and validation load (DESIGN.md §4.2).
+uint64_t NonTxLoad(const TxCell* cell) {
+  while (CellIsLocked(cell->version.load(std::memory_order_seq_cst))) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  return cell->value.load(std::memory_order_acquire);
+}
+
+// Locks `cell`'s version word for a SimTM non-transactional write and
+// returns the unlocked word it replaced; PublishCell releases it, so every
+// transaction that read the cell fails its next validation. The seq_cst
+// CAS is this side of the Dekker pairs LockCellForCommit describes.
+uint64_t LockCell(TxCell* cell) {
+  std::atomic<uint64_t>& version = cell->version;
+  uint64_t word = version.load(std::memory_order_relaxed);
+  while (CellIsLocked(word) ||
+         !version.compare_exchange_weak(word, word | kCellLockedBit,
+                                        std::memory_order_seq_cst,
+                                        std::memory_order_relaxed)) {
+    word = version.load(std::memory_order_relaxed);
+  }
+  return word;
+}
+
+// A store outside any transaction. SimTM makes it under the cell's lock
+// (strong atomicity: the version bump makes it visible to concurrent
+// transactions' validation). Real RTM gets strong atomicity from cache
+// coherence, and sw-OCC validates no cell version words, so there it is a
+// plain release store.
+void StoreOutsideTx(Backend backend, TxCell* cell, uint64_t value) {
+  if (backend == Backend::kSim) {
+    PublishCell(cell, value, LockCell(cell));
+  } else {
+    cell->value.store(value, std::memory_order_release);
+  }
 }
 
 }  // namespace
@@ -420,28 +628,15 @@ std::string TxStats::ToString() const {
 }
 
 bool InTx() {
-  switch (ActiveBackend()) {
-    case Backend::kRtm:
-      return RtmInTx();
-    case Backend::kSwOcc:
-      return SwOccInTx();
-    case Backend::kSim:
-      break;
+  if (ActiveBackend() == Backend::kRtm) {
+    return RtmInTx();
   }
   return Tls().depth > 0;
 }
 
-int TxDepth() {
-  if (ActiveBackend() == Backend::kSwOcc) {
-    return SwOccDepth();
-  }
-  return Tls().depth;
-}
+int TxDepth() { return Tls().depth; }
 
 BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env) {
-  if (ActiveBackend() == Backend::kSwOcc) {
-    return SwOccBeginImpl(setjmp_result, env);
-  }
   if (ActiveBackend() == Backend::kRtm) {
     // Pre-RTM decision path: an injected code is reported exactly like an
     // xbegin that aborted before the transaction ran (models best-effort
@@ -475,8 +670,8 @@ BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env) {
     return BeginStatus{true, AbortCode::kNone};
   }
   {
-    // Outermost SimTM begin: an injected failure is reported through the
-    // BeginStatus (no checkpoint exists yet to long-jump to).
+    // Outermost software begin: an injected failure is reported through
+    // the BeginStatus (no checkpoint exists yet to long-jump to).
     AbortCode injected = fault::MaybeInject(fault::Site::kBegin);
     if (injected != AbortCode::kNone) {
       g_stats.RecordAbort(injected);
@@ -485,18 +680,15 @@ BeginStatus TxBeginImpl(int setjmp_result, std::jmp_buf* env) {
   }
   tx.depth = 1;
   tx.env = env;
-  // No ResetSets here: every transaction exit (commit or abort) clears the
-  // sets, so they are already clean on entry.
+  // No reset here: every transaction exit (commit or abort) clears the
+  // context, so it is already clean on entry.
   BumpSlot(TxStats::kBegins);
   return BeginStatus{true, AbortCode::kNone};
 }
 
 void TxCommit() {
-  if (ActiveBackend() == Backend::kSwOcc) {
-    SwOccCommit();
-    return;
-  }
-  if (ActiveBackend() == Backend::kRtm) {
+  const Backend backend = ActiveBackend();
+  if (backend == Backend::kRtm) {
     RtmCommit();
     g_stats.commits.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -515,28 +707,19 @@ void TxCommit() {
   }
   tx.depth = 1;  // CommitOutermost may abort; keep state coherent until done
   MaybeInjectedAbort(tx, fault::Site::kCommit);
-  CommitOutermost(tx);
+  CommitOutermost(tx, backend);
 }
 
 void TxAbort(AbortCode code) {
-  if (ActiveBackend() == Backend::kSwOcc) {
-    SwOccAbort(code);
-  }
   if (ActiveBackend() == Backend::kRtm) {
     RtmAbort(code);
   }
   TxContext& tx = Tls();
   assert(tx.depth > 0 && "TxAbort outside a transaction");
   AbortInternal(tx, code);
-  // AbortInternal does not return.
-  std::abort();
 }
 
 void TxCancel(AbortCode code) {
-  if (ActiveBackend() == Backend::kSwOcc) {
-    SwOccCancel(code);
-    return;
-  }
   if (ActiveBackend() == Backend::kRtm) {
     // An exception unwind cannot reach software with a hardware transaction
     // still open: the first unwind step aborts it back to xbegin
@@ -551,34 +734,34 @@ void TxCancel(AbortCode code) {
 }
 
 uint64_t TxLoad(const TxCell* cell) {
-  if (ActiveBackend() == Backend::kSwOcc) {
-    return SwOccLoad(&cell->value);
-  }
-  if (ActiveBackend() == Backend::kRtm) {
+  const Backend backend = ActiveBackend();
+  if (backend == Backend::kRtm) {
     // Inside an RTM transaction the hardware versions this load; outside,
     // it is a plain shared read.
     return cell->value.load(std::memory_order_acquire);
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
-    return NonTxLoad(cell);
+    // sw-OCC is weakly atomic here (unlike SimTM's wait on the cell's
+    // lock): a read racing an in-flight publish can observe a partial
+    // write set. Data protected by a lock must be read under that lock —
+    // exactly Go's contract — and unprotected data never conflicts.
+    return backend == Backend::kSim
+               ? NonTxLoad(cell)
+               : cell->value.load(std::memory_order_acquire);
   }
   if (const WriteEntry* w = FindWrite(tx, cell)) {
     return w->value;
   }
-  const uint64_t value = ValidatedRead(tx, cell);
-  AccountReadLine(tx, cell);
+  const uint64_t value = ReadCell(tx, backend, cell);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeSpuriousAbort(tx);
   return value;
 }
 
 void TxStore(TxCell* cell, uint64_t value) {
-  if (ActiveBackend() == Backend::kSwOcc) {
-    SwOccStore(&cell->value, value);
-    return;
-  }
-  if (ActiveBackend() == Backend::kRtm) {
+  const Backend backend = ActiveBackend();
+  if (backend == Backend::kRtm) {
     if (RtmInTx()) {
       cell->value.store(value, std::memory_order_relaxed);
     } else {
@@ -588,21 +771,13 @@ void TxStore(TxCell* cell, uint64_t value) {
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
-    // Strong atomicity: the version bump makes the non-transactional store
-    // visible to concurrent transactions' validation.
-    UnderCellLock(cell,
-                  [&] { cell->value.store(value, std::memory_order_relaxed); });
+    StoreOutsideTx(backend, cell, value);
     return;
-  }
-
-  if (tx.write_lines.insert(CacheLineOf(cell)) &&
-      tx.write_lines.size() > Config().write_capacity_lines) {
-    AbortInternal(tx, AbortCode::kCapacity);
   }
   if (WriteEntry* w = FindWrite(tx, cell)) {
     w->value = value;
   } else {
-    AppendWrite(tx, cell, value);
+    AppendWrite(tx, backend, cell, value);
   }
   MaybeInjectedAbort(tx, fault::Site::kStore);
   MaybeSpuriousAbort(tx);
@@ -610,21 +785,34 @@ void TxStore(TxCell* cell, uint64_t value) {
 
 uint64_t TxSubscribe(const std::atomic<uint64_t>* word) {
   const Backend backend = ActiveBackend();
-  if (backend == Backend::kSwOcc) [[unlikely]] {
-    return SwOccSubscribe(word);
-  }
+  const uint64_t value = word->load(std::memory_order_acquire);
   if (backend == Backend::kRtm) [[unlikely]] {
-    return word->load(std::memory_order_acquire);
+    return value;
   }
-  return SimSubscribe(Tls(), word);
+  TxContext& tx = Tls();
+  if (tx.depth == 0) [[unlikely]] {
+    return value;
+  }
+  if (backend == Backend::kSwOcc) {
+    if (!OccSubscribe(tx, word, value)) {
+      return value;
+    }
+  } else {
+    // SimTM: the lock word itself is the read-set entry. No lock-bit test
+    // (the caller classifies the value) and no write-set lookup (lock words
+    // are never written transactionally).
+    RecheckReads(tx, word, value);
+    AccountReadLine(tx, word);
+  }
+  MaybeInjectedAbort(tx, fault::Site::kLoad);
+  MaybeSpuriousAbort(tx);
+  return value;
 }
 
 uint64_t TxFetchAdd(TxCell* cell, uint64_t delta) {
   std::atomic<uint64_t>& word = cell->value;
-  if (ActiveBackend() == Backend::kSwOcc) {
-    return SwOccFetchAdd(&word, delta);
-  }
-  if (ActiveBackend() == Backend::kRtm) {
+  const Backend backend = ActiveBackend();
+  if (backend == Backend::kRtm) {
     if (RtmInTx()) {
       uint64_t next = word.load(std::memory_order_relaxed) + delta;
       word.store(next, std::memory_order_relaxed);
@@ -634,13 +822,14 @@ uint64_t TxFetchAdd(TxCell* cell, uint64_t delta) {
   }
   TxContext& tx = Tls();
   if (tx.depth == 0) {
+    if (backend == Backend::kSwOcc) {
+      return word.fetch_add(delta, std::memory_order_acq_rel) + delta;
+    }
     // Non-transactional RMW under the cell's lock: strongly atomic against
     // both committing transactions and other non-transactional updaters.
-    uint64_t next = 0;
-    UnderCellLock(cell, [&] {
-      next = word.load(std::memory_order_relaxed) + delta;
-      word.store(next, std::memory_order_relaxed);
-    });
+    const uint64_t pre = LockCell(cell);
+    const uint64_t next = word.load(std::memory_order_relaxed) + delta;
+    PublishCell(cell, next, pre);
     return next;
   }
 
@@ -653,30 +842,16 @@ uint64_t TxFetchAdd(TxCell* cell, uint64_t delta) {
     return w->value;
   }
 
-  uint64_t value = ValidatedRead(tx, cell);
-  AccountReadLine(tx, cell);
-  if (tx.write_lines.insert(CacheLineOf(cell)) &&
-      tx.write_lines.size() > Config().write_capacity_lines) {
-    AbortInternal(tx, AbortCode::kCapacity);
-  }
-  value += delta;
-  AppendWrite(tx, cell, value);
+  const uint64_t value = ReadCell(tx, backend, cell) + delta;
+  AppendWrite(tx, backend, cell, value);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeInjectedAbort(tx, fault::Site::kStore);
   MaybeSpuriousAbort(tx);
   return value;
 }
 
-void CellGuardedUpdate(TxCell* cell, void (*fn)(void*), void* arg) {
-  const Backend backend = ActiveBackend();
-  if (backend == Backend::kRtm || backend == Backend::kSwOcc) {
-    // Real RTM gets strong atomicity from cache coherence. Under sw-OCC
-    // nothing validates against cell version words, so the guarded update
-    // is just the update.
-    fn(arg);
-    return;
-  }
-  UnderCellLock(cell, [&] { fn(arg); });
+void CellGuardedUpdate(TxCell* cell, uint64_t value) {
+  StoreOutsideTx(ActiveBackend(), cell, value);
 }
 
 }  // namespace gocc::htm

@@ -1,30 +1,39 @@
 // Transaction API with RTM semantics.
 //
-// Two backends implement this API (selected at runtime, see config.h):
+// Three backends implement this API (one per process, selected at runtime,
+// see config.h). The two software ones share one engine in tx.cc: one
+// per-thread context, lazy versioning (writes buffered until commit), flat
+// nesting (like RTM, an abort anywhere rolls back to the outermost begin)
+// and one begin/commit/abort path. They differ in what a read validates and
+// how a commit publishes:
 //
-//  * SimTM — a software transactional backend: lazy versioning (writes
-//    buffered until commit), a version lock in every cell (TxCell) that
-//    counts the cell's own versions, incremental validation (each read
-//    re-checks every version word read before it), commit-time locking of
-//    the written cells + read-set validation, capacity aborts modelled on
-//    cache geometry, flat nesting (like RTM, an abort anywhere rolls back
-//    to the outermost begin).
+//  * SimTM — a version lock in every cell (TxCell) that counts the cell's
+//    own versions, incremental validation (each read re-checks every
+//    version word read before it), commit-time locking of the written
+//    cells + read-set validation, capacity aborts modelled on cache
+//    geometry, strong atomicity for non-transactional accesses.
+//  * sw-OCC — invisible reads that re-check only the subscribed lock words
+//    (swocc.h); a writing commit CASes those words exclusive, publishes and
+//    releases them. Non-transactional accesses are plain (weak atomicity),
+//    and a transaction that subscribes no word gets no isolation (OptiLock
+//    episodes always subscribe).
 //  * RTM — real xbegin/xend/xabort (rtm_backend.cc) when the hardware probe
 //    succeeds; transactional loads/stores degrade to plain atomics because
 //    the hardware versions memory itself.
 //
 // Control-flow contract (mirrors xbegin): TxBegin records a checkpoint
-// (a setjmp env for SimTM, the hardware checkpoint for RTM). Any abort
-// transfers control back so that TxBegin appears to return again, this time
-// with `started == false` and the abort code. Use the GOCC_TX_BEGIN macro,
-// which plants the checkpoint in the caller's frame.
+// (a setjmp env for the software backends, the hardware one for RTM). Any
+// abort transfers control back so that TxBegin appears to return again,
+// this time with `started == false` and the abort code. Use the
+// GOCC_TX_BEGIN macro, which plants the checkpoint in the caller's frame.
 //
-// CAUTION (SimTM only): locals modified between the checkpoint and an abort
-// have indeterminate values after the longjmp unless declared volatile, and
-// destructors of locals constructed after the checkpoint do not run on abort.
-// Critical sections must route shared data through htm::Shared<T> and avoid
-// owning heap allocations across abort points. Real RTM has the same
-// discipline for different reasons (no faulting/IO inside transactions).
+// CAUTION (software backends only): locals modified between the checkpoint
+// and an abort have indeterminate values after the longjmp unless declared
+// volatile, and destructors of locals constructed after the checkpoint do
+// not run on abort. Critical sections must route shared data through
+// htm::Shared<T> and avoid owning heap allocations across abort points.
+// Real RTM has the same discipline for different reasons (no faulting/IO
+// inside transactions).
 
 #ifndef GOCC_SRC_HTM_TX_H_
 #define GOCC_SRC_HTM_TX_H_
@@ -94,9 +103,9 @@ void TxCancel(AbortCode code);
 // for the cell to be unlocked; the other backends load plainly.
 uint64_t TxLoad(const TxCell* cell);
 
-// Transactional store of a cell's value. Outside a transaction the store
-// is made under the cell's version lock so concurrent transactions observe
-// it (strong atomicity).
+// Transactional store of a cell's value. Outside a transaction SimTM makes
+// the store under the cell's version lock so concurrent transactions
+// observe it (strong atomicity); the other backends store plainly.
 void TxStore(TxCell* cell, uint64_t value);
 
 // Subscribes the open transaction to a lock word and returns the word's
@@ -112,25 +121,18 @@ uint64_t TxSubscribe(const std::atomic<uint64_t>* word);
 // Fused transactional read-modify-write: semantically TxStore(cell,
 // TxLoad(cell) + delta) (2^64 wrapping add in the bit domain), but performs
 // the write-set lookup, validation, and capacity accounting once. Outside a
-// transaction the whole RMW happens under the cell's version lock, so —
-// unlike a separate Load/Store pair — it is atomic against concurrent
-// non-transactional updaters too. Returns the new value.
+// transaction the whole RMW is atomic against concurrent non-transactional
+// updaters too (SimTM: under the cell's version lock; the other backends:
+// one fetch_add), unlike a separate Load/Store pair. Returns the new value.
 uint64_t TxFetchAdd(TxCell* cell, uint64_t delta);
 
-// Runs `fn` as a guarded non-transactional update of `cell`: lock its
-// version word -> fn() -> release it at its version + 1. An in-flight
-// transaction that read `cell` aborts at its next read or, if it writes,
-// at commit; a read-only one that reads nothing more serializes before the
-// update. This is the strong-atomicity hook for non-transactional writes to
-// memory transactions watch.
-void CellGuardedUpdate(TxCell* cell, void (*fn)(void*), void* arg);
-
-// Convenience overload for capturing lambdas.
-template <typename Fn>
-void CellGuardedUpdate(TxCell* cell, Fn&& fn) {
-  CellGuardedUpdate(
-      cell, [](void* raw) { (*static_cast<Fn*>(raw))(); }, &fn);
-}
+// Stores `value` into `cell` as a non-transactional write, even from inside
+// a transaction (the tests' remote-write hook). Under SimTM: lock the
+// cell's version word -> store -> release it at its version + 1, so an
+// in-flight transaction that read `cell` aborts at its next read or, if it
+// writes, at commit; a read-only one that reads nothing more serializes
+// before the update. The other backends store plainly.
+void CellGuardedUpdate(TxCell* cell, uint64_t value);
 
 }  // namespace gocc::htm
 

@@ -18,6 +18,29 @@ const char* PolicyName(MisusePolicy policy) {
   return policy == MisusePolicy::kAbortProcess ? "abort" : "recover";
 }
 
+MisusePolicy DefaultMisusePolicy() {
+  static const MisusePolicy kDefault = [] {
+#ifdef NDEBUG
+    MisusePolicy policy = MisusePolicy::kRecoverAndCount;
+#else
+    MisusePolicy policy = MisusePolicy::kAbortProcess;
+#endif
+    const char* value = EnvRaw("GOCC_MISUSE_POLICY");
+    if (value != nullptr && *value != '\0') {
+      if (std::string_view(value) == "abort") {
+        policy = MisusePolicy::kAbortProcess;
+      } else if (std::string_view(value) == "recover") {
+        policy = MisusePolicy::kRecoverAndCount;
+      } else {
+        WarnBadEnv("GOCC_MISUSE_POLICY", value, "not_abort_or_recover",
+                   PolicyName(policy));
+      }
+    }
+    return policy;
+  }();
+  return kDefault;
+}
+
 }  // namespace
 
 const char* MisuseKindName(MisuseKind kind) {
@@ -42,29 +65,6 @@ const char* MisuseKindName(MisuseKind kind) {
   return "unknown";
 }
 
-MisusePolicy DefaultMisusePolicy() {
-  static const MisusePolicy kDefault = [] {
-#ifdef NDEBUG
-    MisusePolicy policy = MisusePolicy::kRecoverAndCount;
-#else
-    MisusePolicy policy = MisusePolicy::kAbortProcess;
-#endif
-    const char* value = EnvRaw("GOCC_MISUSE_POLICY");
-    if (value != nullptr && *value != '\0') {
-      if (std::string_view(value) == "abort") {
-        policy = MisusePolicy::kAbortProcess;
-      } else if (std::string_view(value) == "recover") {
-        policy = MisusePolicy::kRecoverAndCount;
-      } else {
-        WarnBadEnv("GOCC_MISUSE_POLICY", value, "not_abort_or_recover",
-                   PolicyName(policy));
-      }
-    }
-    return policy;
-  }();
-  return kDefault;
-}
-
 MisusePolicy GetMisusePolicy() {
   int policy = g_policy.load(std::memory_order_relaxed);
   if (policy < 0) {
@@ -79,8 +79,8 @@ void SetMisusePolicy(MisusePolicy policy) {
   g_policy.store(static_cast<int>(policy), std::memory_order_relaxed);
 }
 
-void ReportMisuse(MisuseKind kind, MisusePolicy policy, const void* object,
-                  const char* detail) {
+void ReportMisuse(MisuseKind kind, const void* object, const char* detail) {
+  const MisusePolicy policy = GetMisusePolicy();
   const int index = static_cast<int>(kind);
   g_counts[index].fetch_add(1, std::memory_order_relaxed);
   const uint64_t reported =
@@ -98,10 +98,6 @@ void ReportMisuse(MisuseKind kind, MisusePolicy policy, const void* object,
   if (policy == MisusePolicy::kAbortProcess) {
     std::abort();
   }
-}
-
-void ReportMisuse(MisuseKind kind, const void* object, const char* detail) {
-  ReportMisuse(kind, GetMisusePolicy(), object, detail);
 }
 
 uint64_t MisuseCount(MisuseKind kind) {

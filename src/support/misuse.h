@@ -88,25 +88,19 @@ enum class MisusePolicy : int {
   kRecoverAndCount = 1,
 };
 
-// Build-type default (NDEBUG -> kRecoverAndCount) with the
-// GOCC_MISUSE_POLICY=abort|recover override applied; resolved once.
-MisusePolicy DefaultMisusePolicy();
-
-// Process-wide policy used by call sites that have no per-episode config
-// snapshot (mutex destructors). Initialized to DefaultMisusePolicy().
+// The process-wide policy every misuse report reads. Until a
+// SetMisusePolicy call it is the build-type default (NDEBUG ->
+// kRecoverAndCount) with the GOCC_MISUSE_POLICY=abort|recover override
+// applied, resolved once.
 MisusePolicy GetMisusePolicy();
 void SetMisusePolicy(MisusePolicy policy);
 
 // Counts the misuse, prints one structured line to stderr —
 //   [gocc-misuse] kind=<kind> policy=<abort|recover> object=<ptr> detail=<s>
-// — and aborts the process when `policy` is kAbortProcess. Returns only
+// — and aborts the process when the policy is kAbortProcess. Returns only
 // under kRecoverAndCount (the caller then applies its recovery). Reports
 // are rate-limited to kMisuseReportLimit lines per kind per process;
 // counters keep exact totals regardless.
-void ReportMisuse(MisuseKind kind, MisusePolicy policy, const void* object,
-                  const char* detail);
-
-// Convenience overload using the process-wide policy.
 void ReportMisuse(MisuseKind kind, const void* object, const char* detail);
 
 inline constexpr uint64_t kMisuseReportLimit = 16;

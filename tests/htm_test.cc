@@ -1,5 +1,6 @@
-// SimTM semantics: atomicity, isolation, abort codes, nesting, capacity,
-// strong atomicity, fault injection.
+// Software-TM semantics: atomicity, isolation, abort codes, nesting,
+// capacity, strong atomicity, fault injection. HtmTest runs on SimTM; every
+// backend-neutral body also runs on sw-OCC as HtmSwOccTest.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "src/htm/config.h"
 #include "src/htm/shared.h"
 #include "src/htm/stats.h"
+#include "src/htm/swocc.h"
 #include "src/htm/tx.h"
 
 namespace gocc::htm {
@@ -37,16 +39,38 @@ int RunTx(Fn&& body, int max_tries = 64) {
   return -1;
 }
 
-class HtmTest : public ::testing::Test {
+template <Backend kBackend>
+class TxTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ForceSimBackend();
+    if constexpr (kBackend == Backend::kSwOcc) {
+      ForceSwOccBackend();
+    } else {
+      ForceSimBackend();
+    }
     MutableConfig() = TxConfig{};
     GlobalTxStats().Reset();
   }
 };
 
-TEST_F(HtmTest, SharedRoundTripOutsideTx) {
+using HtmTest = TxTest<Backend::kSim>;
+using HtmSwOccTest = TxTest<Backend::kSwOcc>;
+
+// Defines a backend-neutral test body and registers it twice: as
+// HtmTest.Name on SimTM and as HtmSwOccTest.Name on sw-OCC.
+#define TX_TEST_BOTH_BACKENDS(Name)             \
+  void Name##Body();                            \
+  TEST_F(HtmTest, Name) { Name##Body(); }       \
+  TEST_F(HtmSwOccTest, Name) { Name##Body(); }  \
+  void Name##Body()
+
+// The code a failed validation aborts with on the active backend.
+AbortCode ValidationAbortCode() {
+  return ActiveBackend() == Backend::kSwOcc ? AbortCode::kOccValidateFail
+                                            : AbortCode::kConflict;
+}
+
+TX_TEST_BOTH_BACKENDS(SharedRoundTripOutsideTx) {
   Shared<int64_t> cell(5);
   EXPECT_EQ(cell.Load(), 5);
   cell.Store(-9);
@@ -55,7 +79,7 @@ TEST_F(HtmTest, SharedRoundTripOutsideTx) {
   EXPECT_EQ(cell.Load(), -5);
 }
 
-TEST_F(HtmTest, SharedHoldsDoublesAndPointers) {
+TX_TEST_BOTH_BACKENDS(SharedHoldsDoublesAndPointers) {
   Shared<double> d(1.25);
   EXPECT_DOUBLE_EQ(d.Load(), 1.25);
   int x = 0;
@@ -63,7 +87,7 @@ TEST_F(HtmTest, SharedHoldsDoublesAndPointers) {
   EXPECT_EQ(p.Load(), &x);
 }
 
-TEST_F(HtmTest, CommitPublishesWrites) {
+TX_TEST_BOTH_BACKENDS(CommitPublishesWrites) {
   Shared<int64_t> a(1);
   Shared<int64_t> b(2);
   int aborts = RunTx([&] {
@@ -75,7 +99,7 @@ TEST_F(HtmTest, CommitPublishesWrites) {
   EXPECT_EQ(b.Load(), 20);
 }
 
-TEST_F(HtmTest, ReadYourOwnWrite) {
+TX_TEST_BOTH_BACKENDS(ReadYourOwnWrite) {
   Shared<int64_t> a(1);
   RunTx([&] {
     a.Store(7);
@@ -86,7 +110,7 @@ TEST_F(HtmTest, ReadYourOwnWrite) {
   EXPECT_EQ(a.Load(), 8);
 }
 
-TEST_F(HtmTest, ExplicitAbortRollsBackBufferedWrites) {
+TX_TEST_BOTH_BACKENDS(ExplicitAbortRollsBackBufferedWrites) {
   Shared<int64_t> a(1);
   std::jmp_buf env;
   BeginStatus status = GOCC_TX_BEGIN(env);
@@ -100,7 +124,7 @@ TEST_F(HtmTest, ExplicitAbortRollsBackBufferedWrites) {
   EXPECT_EQ(a.Load(), 1);  // the write never became visible
 }
 
-TEST_F(HtmTest, AbortCodeLockHeldSurfaces) {
+TX_TEST_BOTH_BACKENDS(AbortCodeLockHeldSurfaces) {
   std::jmp_buf env;
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
@@ -110,7 +134,7 @@ TEST_F(HtmTest, AbortCodeLockHeldSurfaces) {
   EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kLockHeld), 1u);
 }
 
-TEST_F(HtmTest, WriteCapacityAbort) {
+TX_TEST_BOTH_BACKENDS(WriteCapacityAbort) {
   MutableConfig().write_capacity_lines = 4;
   std::vector<std::unique_ptr<Shared<int64_t>>> cells;
   for (int i = 0; i < 64; ++i) {
@@ -154,7 +178,7 @@ TEST_F(HtmTest, ReadCapacityAbort) {
   EXPECT_EQ(sum, 0);
 }
 
-TEST_F(HtmTest, RepeatedAccessToOneCellDoesNotExhaustCapacity) {
+TX_TEST_BOTH_BACKENDS(RepeatedAccessToOneCellDoesNotExhaustCapacity) {
   MutableConfig().write_capacity_lines = 2;
   MutableConfig().read_capacity_lines = 2;
   Shared<int64_t> a(0);
@@ -167,7 +191,7 @@ TEST_F(HtmTest, RepeatedAccessToOneCellDoesNotExhaustCapacity) {
   EXPECT_EQ(a.Load(), 10000);
 }
 
-TEST_F(HtmTest, NestedCommitDefersToOutermost) {
+TX_TEST_BOTH_BACKENDS(NestedCommitDefersToOutermost) {
   Shared<int64_t> a(0);
   std::jmp_buf outer_env;
   std::jmp_buf inner_env;
@@ -188,7 +212,7 @@ TEST_F(HtmTest, NestedCommitDefersToOutermost) {
   EXPECT_EQ(a.Load(), 2);
 }
 
-TEST_F(HtmTest, NestedAbortRollsBackToOutermost) {
+TX_TEST_BOTH_BACKENDS(NestedAbortRollsBackToOutermost) {
   Shared<int64_t> a(0);
   std::jmp_buf outer_env;
   volatile bool aborted = false;
@@ -223,7 +247,7 @@ TEST_F(HtmTest, NonTxWriteInvalidatesWritingReaderAtCommit) {
       pass = 1;
       // A "remote" strongly-atomic write to the subscribed cell (what a
       // slow-path mutex acquisition does to the subscribed lock word).
-      CellGuardedUpdate(a.cell(), [&] {});
+      CellGuardedUpdate(a.cell(), 0);
     }
     TxCommit();  // first pass must fail read-set validation
     EXPECT_EQ(pass, 1);
@@ -246,7 +270,7 @@ TEST_F(HtmTest, ReadOnlyTxSerializesBeforeLaterRemoteWrite) {
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
     seen = a.Load();
-    CellGuardedUpdate(a.cell(), [&] {});  // remote write after our read
+    CellGuardedUpdate(a.cell(), 7);  // remote write after our read
     TxCommit();
   }
   EXPECT_TRUE(status.started);
@@ -267,7 +291,7 @@ TEST_F(HtmTest, ReadAfterRemoteBumpAbortsEagerly) {
       (void)a.Load();
       state = 1;
       // A strongly-atomic remote write to the cell already read.
-      CellGuardedUpdate(a.cell(), [&] { a.StoreRelaxedInit(1); });
+      CellGuardedUpdate(a.cell(), 1);
       (void)b.Load();
       ADD_FAILURE() << "read after a remote write to the read set did not "
                        "abort";
@@ -290,17 +314,17 @@ TEST_F(HtmTest, FirstReadAfterRemoteWriteCommitsWithNewValue) {
   std::jmp_buf env;
   BeginStatus status = GOCC_TX_BEGIN(env);
   ASSERT_TRUE(status.started) << "a first read after a remote write aborted";
-  CellGuardedUpdate(a.cell(), [&] { a.StoreRelaxedInit(5); });
+  CellGuardedUpdate(a.cell(), 5);
   out.Store(a.Load());
   TxCommit();
   EXPECT_EQ(out.Load(), 5);
   EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kConflict), 0u);
 }
 
-// A subscribed lock word is its own read-set entry, checked by value: a
-// holder's plain RMW on it (no cell involved) aborts the subscriber at its
-// next read...
-TEST_F(HtmTest, SubscribedWordChangeAbortsNextRead) {
+// A subscribed lock word is its own read-set entry (sw-OCC: subscription),
+// checked by value: a holder's plain RMW on it (no cell involved) aborts
+// the subscriber at its next read...
+TX_TEST_BOTH_BACKENDS(SubscribedWordChangeAbortsNextRead) {
   std::atomic<uint64_t> word{0};
   Shared<int64_t> b(0);
   std::jmp_buf env;
@@ -316,7 +340,7 @@ TEST_F(HtmTest, SubscribedWordChangeAbortsNextRead) {
     }
     TxCommit();
   } else {
-    EXPECT_EQ(status.abort_code, AbortCode::kConflict);
+    EXPECT_EQ(status.abort_code, ValidationAbortCode());
     EXPECT_EQ(state, 1) << "the abort must come at the read of b";
     state = 2;
   }
@@ -324,7 +348,7 @@ TEST_F(HtmTest, SubscribedWordChangeAbortsNextRead) {
 }
 
 // ...and fails a writing commit that reads nothing more.
-TEST_F(HtmTest, SubscribedWordChangeAbortsWritingCommit) {
+TX_TEST_BOTH_BACKENDS(SubscribedWordChangeAbortsWritingCommit) {
   std::atomic<uint64_t> word{0};
   Shared<int64_t> b(0);
   std::jmp_buf env;
@@ -338,13 +362,13 @@ TEST_F(HtmTest, SubscribedWordChangeAbortsWritingCommit) {
     TxCommit();
     ADD_FAILURE() << "commit validated a changed subscribed word";
   } else {
-    EXPECT_EQ(status.abort_code, AbortCode::kConflict);
+    EXPECT_EQ(status.abort_code, ValidationAbortCode());
     EXPECT_EQ(state, 1);
   }
   EXPECT_EQ(b.Load(), 0);
 }
 
-TEST_F(HtmTest, SpuriousAbortInjection) {
+TX_TEST_BOTH_BACKENDS(SpuriousAbortInjection) {
   MutableConfig().spurious_abort_probability = 1.0;
   Shared<int64_t> a(0);
   std::jmp_buf env;
@@ -358,7 +382,7 @@ TEST_F(HtmTest, SpuriousAbortInjection) {
   EXPECT_EQ(a.LoadRelaxed(), 0);
 }
 
-TEST_F(HtmTest, StatsCountCommitsAndAborts) {
+TX_TEST_BOTH_BACKENDS(StatsCountCommitsAndAborts) {
   Shared<int64_t> a(0);
   RunTx([&] { a.Store(1); });
   RunTx([&] { (void)a.Load(); });
@@ -374,6 +398,85 @@ TEST_F(HtmTest, StatsCountCommitsAndAborts) {
   EXPECT_EQ(stats.begins.load(), 3u);
 }
 
+// One per-thread context serves both software backends. A SimTM commit
+// that aborts while holding its written cells releases them, and a sw-OCC
+// transaction that follows on the same thread starts clean: it commits,
+// holds no word afterwards and leaves the cells' version words alone.
+TEST_F(HtmTest, SimAbortHoldingCellsLeavesContextCleanForSwOcc) {
+  std::atomic<uint64_t> word{0};
+  Shared<int64_t> a(0);
+  Shared<int64_t> b(0);
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    EXPECT_EQ(TxSubscribe(&word), 0u);
+    a.Store(1);
+    b.Store(2);
+    word.fetch_add(4);  // validation fails once both cells are locked
+    TxCommit();
+    ADD_FAILURE() << "commit validated a changed subscribed word";
+  }
+  EXPECT_EQ(status.abort_code, AbortCode::kConflict);
+  EXPECT_FALSE(InTx());
+  const uint64_t a_version = a.cell()->version.load();
+  const uint64_t b_version = b.cell()->version.load();
+  EXPECT_EQ(a_version, 0u) << "the aborted commit left a's cell held";
+  EXPECT_EQ(b_version, 0u) << "the aborted commit left b's cell held";
+
+  ForceSwOccBackend();
+  const int aborts = RunTx([&] {
+    EXPECT_EQ(TxSubscribe(&word), 4u);
+    a.Store(3);
+    b.Add(5);
+  });
+  EXPECT_EQ(aborts, 0);
+  EXPECT_FALSE(InTx());
+  EXPECT_FALSE(OccIsExclusive(word.load()));
+  EXPECT_EQ(OccVersion(word.load()), OccVersion(4) + 1);
+  EXPECT_EQ(a.Load(), 3);
+  EXPECT_EQ(b.Load(), 5);
+  EXPECT_EQ(a.cell()->version.load(), a_version);
+  EXPECT_EQ(b.cell()->version.load(), b_version);
+}
+
+// The reverse order: a sw-OCC commit that aborts while holding a lock word
+// restores it, and a SimTM transaction that follows on the same thread
+// commits and leaves every lock word as it found it.
+TEST_F(HtmTest, SwOccAbortHoldingWordLeavesContextCleanForSim) {
+  ForceSwOccBackend();
+  // Address order is the commit's lock order: words[0] is held when the
+  // CAS on the changed words[1] fails.
+  std::atomic<uint64_t> words[2] = {0, 0};
+  Shared<int64_t> a(0);
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    EXPECT_EQ(TxSubscribe(&words[0]), 0u);
+    EXPECT_EQ(TxSubscribe(&words[1]), 0u);
+    a.Store(1);
+    words[1].fetch_add(4);
+    TxCommit();
+    ADD_FAILURE() << "commit validated a changed subscribed word";
+  }
+  EXPECT_EQ(status.abort_code, AbortCode::kOccValidateFail);
+  EXPECT_FALSE(InTx());
+  EXPECT_EQ(words[0].load(), 0u) << "the aborted commit left words[0] held";
+  EXPECT_EQ(a.Load(), 0);
+
+  ForceSimBackend();
+  const int aborts = RunTx([&] {
+    EXPECT_EQ(TxSubscribe(&words[0]), 0u);
+    EXPECT_EQ(TxSubscribe(&words[1]), 4u);
+    a.Store(a.Load() + 7);
+  });
+  EXPECT_EQ(aborts, 0);
+  EXPECT_FALSE(InTx());
+  EXPECT_EQ(words[0].load(), 0u);
+  EXPECT_EQ(words[1].load(), 4u);
+  EXPECT_EQ(a.Load(), 7);
+  EXPECT_FALSE(CellIsLocked(a.cell()->version.load()));
+}
+
 // Each cell carries its own version word: a guarded update bumps that word
 // by exactly one version, releases it, and leaves the neighbouring cell's
 // word alone.
@@ -381,7 +484,7 @@ TEST_F(HtmTest, StripeHelpers) {
   Shared<int64_t> cells[2];
   const uint64_t before = cells[0].cell()->version.load();
   const uint64_t neighbour = cells[1].cell()->version.load();
-  CellGuardedUpdate(cells[0].cell(), [] {});
+  CellGuardedUpdate(cells[0].cell(), 0);
   const uint64_t after = cells[0].cell()->version.load();
   EXPECT_EQ(CellVersion(after), CellVersion(before) + 1);
   EXPECT_FALSE(CellIsLocked(after));
@@ -408,7 +511,7 @@ TEST_F(HtmTest, AdjacentCellsDoNotConflict) {
     const int64_t seen = line.a.Load();
     if (pass == 1) {
       // A committed remote write to the adjacent cell.
-      CellGuardedUpdate(line.b.cell(), [&] { line.b.StoreRelaxedInit(9); });
+      CellGuardedUpdate(line.b.cell(), 9);
     }
     out.Store(seen + line.b.Load());
     TxCommit();

@@ -56,16 +56,18 @@ class MultiLockTest : public ::testing::Test {
     ResetHardeningState();
     htm::fault::Disarm();
     support::ResetMisuseCounters();
+    prev_policy_ = support::GetMisusePolicy();
     support::SetMisusePolicy(MisusePolicy::kRecoverAndCount);
     prev_procs_ = gosync::SetMaxProcs(4);
   }
   void TearDown() override {
     htm::fault::Disarm();
-    support::SetMisusePolicy(support::DefaultMisusePolicy());
+    support::SetMisusePolicy(prev_policy_);
     gosync::SetMaxProcs(prev_procs_);
   }
 
   int prev_procs_ = 1;
+  support::MisusePolicy prev_policy_ = support::MisusePolicy::kAbortProcess;
 };
 
 struct Boom : std::runtime_error {

@@ -42,15 +42,17 @@ class OltpTest : public ::testing::Test {
     optilib::ResetHardeningState();
     htm::fault::Disarm();
     support::ResetMisuseCounters();
+    prev_policy_ = support::GetMisusePolicy();
     support::SetMisusePolicy(support::MisusePolicy::kRecoverAndCount);
     prev_procs_ = gosync::SetMaxProcs(4);
   }
   void TearDown() override {
-    support::SetMisusePolicy(support::DefaultMisusePolicy());
+    support::SetMisusePolicy(prev_policy_);
     gosync::SetMaxProcs(prev_procs_);
   }
 
   int prev_procs_ = 1;
+  support::MisusePolicy prev_policy_ = support::MisusePolicy::kAbortProcess;
 };
 
 // --- bank ledger ------------------------------------------------------------
