@@ -13,7 +13,7 @@ uint64_t SteadyNowNanos() {
 
 namespace {
 
-double Calibrate() {
+[[gnu::cold]] double Calibrate() {
 #if defined(__x86_64__) || defined(__i386__)
   using Clock = std::chrono::steady_clock;
   const auto wall_start = Clock::now();
@@ -38,7 +38,10 @@ double Calibrate() {
 
 }  // namespace
 
-double TicksPerMicrosecond() {
+// Cold, like the calibration: callers read the rate once and keep it, and
+// in .text.unlikely the code sits beside the start-up code instead of in a
+// text page a process would first map when it builds its first service.
+[[gnu::cold]] double TicksPerMicrosecond() {
   static const double rate = Calibrate();
   return rate;
 }

@@ -23,12 +23,12 @@
 #define GOCC_SRC_SERVICE_ROUTER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "src/htm/fault.h"
+#include "src/obs/ticks.h"
 #include "src/service/service.h"
 #include "src/support/rng.h"
 #include "src/workloads/gocache.h"
@@ -42,7 +42,9 @@ class CacheService {
   using Cache = workloads::GoCache<Policy>;
 
   explicit CacheService(const ServiceConfig& cfg)
-      : cfg_(cfg), start_(std::chrono::steady_clock::now()) {
+      : cfg_(cfg),
+        ns_per_tick_(1000.0 / obs::TicksPerMicrosecond()),
+        start_ticks_(obs::NowTicks()) {
     if (cfg_.shards < 1) {
       cfg_.shards = 1;
     }
@@ -85,6 +87,10 @@ class CacheService {
   Cache& cache(int shard) {
     return shards_[static_cast<size_t>(shard)]->cache;
   }
+  // The shard's in-flight count as admission sees it. Requests count
+  // themselves only while the process has at least queue_limit live
+  // request threads (CountsQueueDepth); below that this reads 0 however
+  // many requests the shard holds.
   int32_t QueueDepth(int shard) const {
     return shards_[static_cast<size_t>(shard)]->queue_depth.load(
         std::memory_order_relaxed);
@@ -100,12 +106,18 @@ class CacheService {
     shards_[static_cast<size_t>(shard)]->latency.Prime(ns, count);
   }
 
-  // Monotone ns since service construction.
+  // Monotone ns since service construction: the obs tick counter (rdtsc
+  // on x86, no vDSO call) scaled by the once-per-process calibrated rate.
+  // A reading a hair before start_ticks_ (another core's counter) is 0.
   uint64_t NowNs() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
+    const auto ticks = static_cast<int64_t>(obs::NowTicks() - start_ticks_);
+    if (ticks <= 0) {
+      return 0;
+    }
+    // Via int64_t: double to int64_t is one instruction, to uint64_t a
+    // branch more.
+    const double ns = static_cast<double>(ticks) * ns_per_tick_;
+    return static_cast<uint64_t>(static_cast<int64_t>(ns));
   }
 
  private:
@@ -117,9 +129,10 @@ class CacheService {
     std::atomic<uint64_t> snap_keys[Cache::kSlots] = {};
     std::atomic<int64_t> snap_vals[Cache::kSlots] = {};
     // The request-path fields, grouped by who writes them (DESIGN.md
-    // §4.14): every request writes queue_depth, so it sits between pads;
-    // health and the estimator's tick and cached p99 are read by every
-    // request and written rarely; the estimator's batches pad themselves.
+    // §4.14): requests write queue_depth once queue_limit request threads
+    // are alive, so it sits between pads; health and the estimator's tick
+    // and cached p99 are read by every request and written rarely; the
+    // estimator's batches pad themselves.
     char depth_pad[kLinePad];
     std::atomic<int32_t> queue_depth{0};
     char health_pad[kLinePad];
@@ -220,13 +233,14 @@ class CacheService {
     }
 
     const uint64_t p99 = sh.latency.P99();
+    // Decided once, so the decrement below matches the increment.
+    const bool counted = CountsQueueDepth(cfg_.queue_limit);
 
     // Admission control (probes bypass: they exist to test the shard).
     if (!probe) {
       const bool queue_full =
-          cfg_.queue_limit != 0 &&
-          sh.queue_depth.load(std::memory_order_relaxed) >=
-              static_cast<int32_t>(cfg_.queue_limit);
+          counted && sh.queue_depth.load(std::memory_order_relaxed) >=
+                         static_cast<int32_t>(cfg_.queue_limit);
       const bool p99_breach =
           cfg_.p99_shed_us != 0 && p99 > cfg_.p99_shed_us * 1000;
       if (queue_full || p99_breach) {
@@ -294,7 +308,9 @@ class CacheService {
     }
 
     // Primary: the shard critical section.
-    sh.queue_depth.fetch_add(1, std::memory_order_relaxed);
+    if (counted) {
+      sh.queue_depth.fetch_add(1, std::memory_order_relaxed);
+    }
     bool hit = false;
     int64_t value_out = 0;
     if (is_write) {
@@ -303,7 +319,9 @@ class CacheService {
     } else {
       hit = sh.cache.Get(key, static_cast<int64_t>(start), &value_out);
     }
-    sh.queue_depth.fetch_sub(1, std::memory_order_relaxed);
+    if (counted) {
+      sh.queue_depth.fetch_sub(1, std::memory_order_relaxed);
+    }
     sh.latency.Record(NowNs() - start);
     sh.health.OnSuccess();
 
@@ -342,7 +360,8 @@ class CacheService {
   }
 
   ServiceConfig cfg_;
-  std::chrono::steady_clock::time_point start_;
+  double ns_per_tick_;
+  uint64_t start_ticks_;
   ServiceStats stats_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

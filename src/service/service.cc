@@ -6,21 +6,55 @@
 
 namespace gocc::service {
 
+namespace internal {
+// constinit: a thread may register from another file's static initializer.
+constinit LiveThreadCount g_live_request_threads;
+}  // namespace internal
+
+namespace {
+
+constinit std::atomic<uint64_t> next_ordinal{0};
+
+// A thread's ordinal and its place in the live count, from its first
+// ThreadOrdinal() call until the thread exits.
+struct RequestThread {
+  RequestThread()
+      : ordinal(next_ordinal.fetch_add(1, std::memory_order_relaxed)) {
+    internal::g_live_request_threads.n.fetch_add(1,
+                                                 std::memory_order_relaxed);
+  }
+  ~RequestThread() {
+    internal::g_live_request_threads.n.fetch_sub(1,
+                                                 std::memory_order_relaxed);
+  }
+  const uint64_t ordinal;
+};
+
+}  // namespace
+
 uint64_t ThreadOrdinal() {
-  static std::atomic<uint64_t> next_ordinal{0};
-  thread_local const uint64_t ordinal =
-      next_ordinal.fetch_add(1, std::memory_order_relaxed);
-  return ordinal;
+  thread_local const RequestThread self;
+  return self.ordinal;
 }
 
 // Deterministic per-thread jitter streams keyed by the thread ordinal (the
 // same compromise the fault injector documents: cross-thread interleaving
-// is scheduler-dependent, each thread's stream is exact).
+// is scheduler-dependent, each thread's stream is exact). A thread that
+// moves to a config with another seed starts that seed's stream.
 uint64_t RetryAfterJitterNs(const ServiceConfig& cfg) {
-  thread_local SplitMix64 rng(cfg.seed ^
-                              SplitMix64(ThreadOrdinal() + 1).Next());
+  struct Stream {
+    bool seeded = false;
+    uint64_t seed = 0;
+    SplitMix64 rng{0};
+  };
+  thread_local Stream stream;
+  if (!stream.seeded || stream.seed != cfg.seed) {
+    stream.seeded = true;
+    stream.seed = cfg.seed;
+    stream.rng = SplitMix64(cfg.seed ^ SplitMix64(ThreadOrdinal() + 1).Next());
+  }
   const uint64_t base = cfg.retry_after_us * 1000;
-  return base + rng.NextBelow(base == 0 ? 1 : base);
+  return base + stream.rng.NextBelow(base == 0 ? 1 : base);
 }
 
 const ServiceConfig& DefaultConfig() {

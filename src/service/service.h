@@ -49,7 +49,9 @@ struct ServiceConfig {
   uint64_t deadline_us = 2000;
 
   // Admission: shed when a shard's in-flight count reaches the limit
-  // (0 disables) ...
+  // (0 disables; requests are counted only while at least queue_limit
+  // request threads are alive, since with fewer no shard can hold that
+  // many: see CountsQueueDepth) ...
   uint32_t queue_limit = 64;
   // ... or when its windowed p99 exceeds this (0 disables).
   uint64_t p99_shed_us = 1000;
@@ -121,8 +123,27 @@ inline constexpr int kStripes = 16;
 inline constexpr int kLinePad = 64;
 
 // Process-wide ordinal of the calling thread, handed out on first use in
-// call order and never reused.
+// call order and never reused. The first call also counts the thread in
+// LiveRequestThreads() until it exits.
 uint64_t ThreadOrdinal();
+
+namespace internal {
+// The live request-thread count on a line of its own: written when a
+// request thread starts or exits, read by requests.
+struct LiveThreadCount {
+  char pad[kLinePad] = {};
+  std::atomic<int32_t> n{0};
+  char tail_pad[kLinePad] = {};
+};
+extern LiveThreadCount g_live_request_threads;
+}  // namespace internal
+
+// Threads alive now that have made a request: a thread counts from its
+// first ThreadStripe() (every request makes one before it reads this count)
+// until it exits. Unlike the ordinals, the count shrinks as threads exit.
+inline int32_t LiveRequestThreads() {
+  return internal::g_live_request_threads.n.load(std::memory_order_relaxed);
+}
 
 inline int ThreadStripe() {
   thread_local int stripe = -1;
@@ -130,6 +151,17 @@ inline int ThreadStripe() {
     stripe = static_cast<int>(ThreadOrdinal() % kStripes);
   }
   return stripe;
+}
+
+// Whether a request must count itself in its shard's queue depth: only
+// once `queue_limit` (nonzero) request threads are alive, the calling one
+// included. Below that, no shard can hold queue_limit requests.
+inline bool CountsQueueDepth(uint32_t queue_limit) {
+  if (queue_limit == 0) {
+    return false;
+  }
+  ThreadStripe();  // counts the caller as live before the count is read
+  return static_cast<uint32_t>(LiveRequestThreads()) >= queue_limit;
 }
 
 // Service-level counters. Outcome slots form a conservation identity the
@@ -371,9 +403,9 @@ class LatencyWindow {
 
 // Jittered retry-after hint in [base, 2*base) ns, base from
 // cfg.retry_after_us; deterministic per-thread streams seeded from
-// cfg.seed. The jitter is the thundering-herd defence: shed clients that
-// all retry exactly retry_after later just re-create the spike they were
-// shed to dissolve.
+// cfg.seed, re-seeded when a thread's cfg.seed changes. The jitter is the
+// thundering-herd defence: shed clients that all retry exactly retry_after
+// later just re-create the spike they were shed to dissolve.
 uint64_t RetryAfterJitterNs(const ServiceConfig& cfg);
 
 }  // namespace gocc::service

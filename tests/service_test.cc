@@ -289,6 +289,63 @@ TEST_F(ServiceTest, RetryAfterJitterStaysInBounds) {
   EXPECT_GT(distinct.size(), 8u);
 }
 
+// One thread serving two configs: the hints under the second seed are
+// that seed's stream, not the continuation of the first one's.
+TEST_F(ServiceTest, RetryAfterJitterReseedsWhenTheSeedChanges) {
+  ServiceConfig a = TestConfig();
+  ServiceConfig b = TestConfig();
+  b.seed = a.seed ^ SplitMix64(seed_).Next();
+  ASSERT_NE(a.seed, b.seed);
+  const uint64_t base = a.retry_after_us * 1000;
+  constexpr int kDraws = 32;
+  std::vector<uint64_t> got_a, got_b, want_a, want_b;
+  std::thread([&] {
+    const uint64_t mix = SplitMix64(ThreadOrdinal() + 1).Next();
+    SplitMix64 ref_a(a.seed ^ mix);
+    SplitMix64 ref_b(b.seed ^ mix);
+    for (int i = 0; i < kDraws; ++i) {
+      got_a.push_back(RetryAfterJitterNs(a));
+      want_a.push_back(base + ref_a.NextBelow(base));
+    }
+    for (int i = 0; i < kDraws; ++i) {
+      got_b.push_back(RetryAfterJitterNs(b));
+      want_b.push_back(base + ref_b.NextBelow(base));
+    }
+  }).join();
+  EXPECT_EQ(got_a, want_a);
+  EXPECT_EQ(got_b, want_b);
+}
+
+// NowNs() runs on the obs tick counter: over a 25-ms sleep it stays within
+// 1% of the steady clock, and on one thread it never steps back. Each end
+// brackets the NowNs() read between two steady-clock reads, so a
+// preemption between reads widens the allowed range instead of failing.
+TEST_F(ServiceTest, NowNsTracksTheSteadyClockAndNeverStepsBack) {
+  using Clock = std::chrono::steady_clock;
+  PessimisticService svc(TestConfig());
+  const auto s0 = Clock::now();
+  const uint64_t n0 = svc.NowNs();
+  const auto s0_end = Clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  const auto s1 = Clock::now();
+  const uint64_t n1 = svc.NowNs();
+  const auto s1_end = Clock::now();
+  const auto ns = [](Clock::duration d) {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  };
+  const double elapsed = static_cast<double>(n1 - n0);
+  EXPECT_GE(elapsed, 0.99 * ns(s1 - s0_end));
+  EXPECT_LE(elapsed, 1.01 * ns(s1_end - s0));
+
+  uint64_t prev = svc.NowNs();
+  for (int i = 0; i < 1'000'000; ++i) {
+    const uint64_t now = svc.NowNs();
+    ASSERT_GE(now, prev) << "read " << i;
+    prev = now;
+  }
+}
+
 TEST_F(ServiceTest, WindowedP99BreachShedsWithJitteredRetryAfter) {
   ServiceConfig cfg = TestConfig();
   cfg.p99_shed_us = 1000;  // shed above 1 ms
@@ -426,6 +483,147 @@ TEST_F(ServiceTest, QueueDepthLimitShedsWhileShardIsStalled) {
   EXPECT_GT(htm::fault::GlobalFaultStats().stalls.load(), 0u);
   std::string why;
   EXPECT_TRUE(svc.stats().ConservationHolds(3, &why)) << why;
+}
+
+// Below queue_limit live request threads no shard can hold queue_limit
+// requests, so requests do not count themselves: a stalled writer leaves
+// the depth at 0 and a read behind it is served, not shed. The limits
+// derive from the live count, since the chaos battery runs every case in
+// one process.
+TEST_F(ServiceTest, QueueDepthStaysUncountedBelowTheLiveThreadLimit) {
+  ThreadStripe();  // counts this thread, whatever ran before
+  const int32_t live0 = LiveRequestThreads();
+  ASSERT_GE(live0, 1);
+
+  ServiceConfig cfg = TestConfig();
+  cfg.queue_limit = static_cast<uint32_t>(live0) + 2;  // writer + 1 spare
+  PessimisticService svc(cfg);
+  const uint64_t key = KeyForShard(svc, 1);
+  svc.Set(key, 7);
+
+  FaultPlan plan;
+  plan.seed = seed_;
+  plan.only_shard = 1;
+  plan.WithStallAt(Site::kShardStall, 1.0, /*pauses=*/5'000'000);
+  htm::fault::Arm(plan);
+
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    svc.Set(key, 8);
+    writer_done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (htm::fault::GlobalFaultStats().stalls.load() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(htm::fault::GlobalFaultStats().stalls.load(), 1u)
+      << "writer never entered the shard";
+  EXPECT_EQ(LiveRequestThreads(), live0 + 1);
+  EXPECT_EQ(svc.QueueDepth(1), 0);
+  EXPECT_FALSE(writer_done.load()) << "the stall ended before the check";
+
+  // Only the writer stalls; the read waits for its lock and is served.
+  htm::fault::Disarm();
+  RequestResult r = svc.Get(key);
+  EXPECT_EQ(r.outcome, Outcome::kOk);
+  EXPECT_EQ(r.value, 8);
+
+  writer.join();
+  EXPECT_EQ(svc.QueueDepth(1), 0);
+  EXPECT_EQ(LiveRequestThreads(), live0);
+  std::string why;
+  EXPECT_TRUE(svc.stats().ConservationHolds(3, &why)) << why;
+}
+
+// Once queue_limit request threads are alive every request counts itself:
+// two stalled writers at limit 2 (this thread makes the count at least 3)
+// put the depth at 2, and a read is shed.
+TEST_F(ServiceTest, QueueDepthCountsOnceLiveThreadsReachTheLimit) {
+  ServiceConfig cfg = TestConfig();
+  cfg.queue_limit = 2;
+  PessimisticService svc(cfg);
+  const uint64_t key = KeyForShard(svc, 1);
+  svc.Set(key, 7);
+  const int32_t live0 = LiveRequestThreads();
+  ASSERT_GE(live0, 1) << "this thread's request must count it";
+
+  FaultPlan plan;
+  plan.seed = seed_;
+  plan.only_shard = 1;
+  plan.WithStallAt(Site::kShardStall, 1.0, /*pauses=*/5'000'000);
+  htm::fault::Arm(plan);
+
+  std::thread writers[2];
+  for (int w = 0; w < 2; ++w) {
+    writers[w] = std::thread([&, w] { svc.Set(key, 8 + w); });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (svc.QueueDepth(1) < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(svc.QueueDepth(1), 2) << "writers never both entered the shard";
+  EXPECT_GE(LiveRequestThreads(), 2);
+
+  RequestResult r = svc.Get(key);
+  EXPECT_EQ(r.outcome, Outcome::kShedOverload);
+  EXPECT_GE(r.retry_after_ns, cfg.retry_after_us * 1000);
+
+  for (std::thread& w : writers) {
+    w.join();
+  }
+  htm::fault::Disarm();
+  EXPECT_EQ(svc.QueueDepth(1), 0) << "every increment has its decrement";
+  EXPECT_EQ(LiveRequestThreads(), live0);
+  std::string why;
+  EXPECT_TRUE(svc.stats().ConservationHolds(4, &why)) << why;
+  EXPECT_EQ(svc.stats().Count(Outcome::kShedOverload), 1u);
+}
+
+// A thread counts as live from its first request until it exits, and the
+// count shrinks again as threads exit (thread ordinals never do).
+TEST_F(ServiceTest, LiveRequestThreadsCountFromFirstRequestUntilExit) {
+  PessimisticService svc(TestConfig());
+  svc.Get(1);
+  const int32_t live0 = LiveRequestThreads();
+  const uint64_t ordinal0 = ThreadOrdinal();
+
+  constexpr int kThreads = 6;
+  std::atomic<int> requested{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      svc.Get(2);
+      requested.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  std::thread idle([&] {
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+  while (requested.load() < kThreads) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(LiveRequestThreads(), live0 + kThreads)
+      << "a thread that made no request is not a request thread";
+  release.store(true);
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  idle.join();
+  EXPECT_EQ(LiveRequestThreads(), live0);
+
+  std::thread([] { ThreadOrdinal(); }).join();
+  EXPECT_EQ(LiveRequestThreads(), live0);
+  EXPECT_EQ(ThreadOrdinal(), ordinal0);
 }
 
 TEST_F(ServiceTest, HedgeDuplicateIsSuppressedWhenPrimaryAnswers) {
