@@ -98,50 +98,10 @@ struct HeldWord {
   uint64_t pre;
 };
 
-// Dedup set tuned for SimTM's common case: a transformed critical section
-// touches a handful of addresses, so membership is a linear scan over a
-// reused flat vector — no hashing, no node allocation, and clear() is a
-// size reset. Transactions that outgrow kSpill migrate into the hash set
-// once and keep O(1) membership from then on (read/write capacity limits
-// are in the hundreds of lines, where the scan would be quadratic).
-template <typename T>
-class SmallSet {
- public:
-  static constexpr size_t kSpill = 16;
-
-  // Returns true when `v` was newly inserted.
-  bool insert(T v) {
-    if (!spilled_) {
-      for (const T& x : vec_) {
-        if (x == v) {
-          return false;
-        }
-      }
-      vec_.push_back(v);
-      if (vec_.size() > kSpill) {
-        spill_.insert(vec_.begin(), vec_.end());
-        spilled_ = true;
-      }
-      return true;
-    }
-    return spill_.insert(v).second;
-  }
-
-  size_t size() const { return spilled_ ? spill_.size() : vec_.size(); }
-
-  void clear() {
-    vec_.clear();
-    if (spilled_) {
-      spill_.clear();
-      spilled_ = false;
-    }
-  }
-
- private:
-  std::vector<T> vec_;
-  std::unordered_set<T> spill_;
-  bool spilled_ = false;
-};
+// Write lookups linear-scan the write set up to this many entries; a
+// larger set is indexed by a hash map (FindWrite), where the scan would be
+// quadratic.
+constexpr size_t kWriteIndexSpill = 16;
 
 // Per-thread transaction context of both software backends (the backend is
 // fixed while any transaction is open, config.h). Containers keep their
@@ -154,13 +114,16 @@ struct TxContext {
   std::vector<ReadEntry> reads;
   // One entry per distinct cell written.
   std::vector<WriteEntry> writes;
-  // Populated only once the write set spills past SmallSet::kSpill entries;
+  // Populated only once the write set spills past kWriteIndexSpill entries;
   // below that, write lookups linear-scan `writes` directly.
   std::unordered_map<const TxCell*, size_t> write_index;
   bool writes_spilled = false;
-  // SimTM's capacity accounting.
-  SmallSet<uintptr_t> read_lines;
-  SmallSet<uintptr_t> write_lines;
+  // SimTM's capacity accounting: the distinct lines read and written.
+  // Distinct lines never outnumber entries, so each set stays empty until
+  // its entries pass the capacity (AccountReadLine, WriteLinesOverflow); a
+  // transaction below both capacities keeps no line set at all.
+  std::unordered_set<uintptr_t> read_lines;
+  std::unordered_set<uintptr_t> write_lines;
   // During a writing commit, the words it holds.
   std::vector<HeldWord> held;
 
@@ -177,8 +140,14 @@ struct TxContext {
       write_index.clear();
       writes_spilled = false;
     }
-    read_lines.clear();
-    write_lines.clear();
+    // clear() zeroes the bucket array even when the set is empty, and the
+    // array keeps the size a built set grew it to.
+    if (!read_lines.empty()) {
+      read_lines.clear();
+    }
+    if (!write_lines.empty()) {
+      write_lines.clear();
+    }
     held.clear();
   }
 };
@@ -346,7 +315,7 @@ bool LockCellForCommit(TxContext& tx, TxCell* cell) {
 }
 
 // SimTM's writing commit: lock the written cells, validate the read set,
-// publish. held[i] is writes[i]'s cell.
+// publish. held[i] is writes[i]'s version word.
 void CommitSimWrites(TxContext& tx) {
   // Lock the written cells in address order (prevents deadlock between
   // committers). The write set holds each cell once, so ordering it is the
@@ -367,15 +336,22 @@ void CommitSimWrites(TxContext& tx) {
   // Validate the read set: every entry must still hold the value first
   // observed (a cell: unlocked at that version; a lock word: no holder
   // since) — or be a cell this commit locked at that version. A write-only
-  // cell may carry any version (we hold its lock).
+  // cell may carry any version (we hold its lock). An entry that moved is a
+  // conflict or a cell read and then written, now locked by this commit;
+  // binary search finds the latter in the address-sorted write set (a
+  // cell's version word is its first member, so both sort alike).
   for (const ReadEntry& r : tx.reads) {
     const uint64_t now = r.word->load(std::memory_order_seq_cst);
     if (now == r.seen) {
       continue;
     }
-    auto it = std::find_if(tx.held.begin(), tx.held.end(),
-                           [&](const HeldWord& h) { return h.word == r.word; });
-    if (it == tx.held.end() || it->pre != r.seen) {
+    auto it = std::lower_bound(
+        tx.writes.begin(), tx.writes.end(), r.word,
+        [](const WriteEntry& w, const std::atomic<uint64_t>* word) {
+          return std::less<>{}(&w.cell->version, word);
+        });
+    if (it == tx.writes.end() || &it->cell->version != r.word ||
+        tx.held[static_cast<size_t>(it - tx.writes.begin())].pre != r.seen) {
       AbortInternal(tx, AbortCode::kConflict);
     }
   }
@@ -486,12 +462,42 @@ void RecheckReads(TxContext& tx, const std::atomic<uint64_t>* word,
   }
 }
 
-// Counts `addr`'s line against SimTM's read capacity.
+// Counts the line of the read just recorded at `addr` against SimTM's read
+// capacity. The reads cannot span more lines than they have entries, so
+// nothing is counted until the entries first pass the capacity; then the
+// line set is built from every entry, this one included, and it grows with
+// each later read. The abort fires at the same read as a count kept from
+// the first access would.
 void AccountReadLine(TxContext& tx, const void* addr) {
-  if (tx.read_lines.insert(CacheLineOf(addr)) &&
-      tx.read_lines.size() > Config().read_capacity_lines) {
+  const size_t capacity = Config().read_capacity_lines;
+  if (tx.reads.size() <= capacity) [[likely]] {
+    return;
+  }
+  if (tx.read_lines.empty()) {
+    for (const ReadEntry& r : tx.reads) {
+      tx.read_lines.insert(CacheLineOf(r.word));
+    }
+  } else {
+    tx.read_lines.insert(CacheLineOf(addr));
+  }
+  if (tx.read_lines.size() > capacity) {
     AbortInternal(tx, AbortCode::kCapacity);
   }
+}
+
+// SimTM's write capacity counts distinct lines, which never outnumber
+// entries: the line set is built from the write set the first time the
+// entries reach the capacity, then grows with each new entry. True when
+// `cell`'s line takes the set past the capacity.
+[[gnu::noinline]] bool WriteLinesOverflow(TxContext& tx, const TxCell* cell,
+                                          size_t capacity) {
+  if (tx.write_lines.empty()) {
+    for (const WriteEntry& w : tx.writes) {
+      tx.write_lines.insert(CacheLineOf(w.cell));
+    }
+  }
+  tx.write_lines.insert(CacheLineOf(cell));
+  return tx.write_lines.size() > capacity;
 }
 
 // The transactional read of `cell`'s committed value, the one access step
@@ -530,22 +536,21 @@ void AccountReadLine(TxContext& tx, const void* addr) {
 
 // Appends a new write-set entry after charging it to the write capacity —
 // SimTM counts distinct lines, sw-OCC distinct cells — and indexes the set
-// once it spills.
+// once it spills. Below the capacity in entries neither count can be full.
 [[gnu::always_inline]] inline void AppendWrite(TxContext& tx,
                                                Backend backend, TxCell* cell,
                                                uint64_t value) {
   const size_t capacity = Config().write_capacity_lines;
-  const bool full = backend == Backend::kSwOcc
-                        ? tx.writes.size() >= capacity
-                        : tx.write_lines.insert(CacheLineOf(cell)) &&
-                              tx.write_lines.size() > capacity;
-  if (full) {
-    AbortInternal(tx, AbortCode::kCapacity);
+  if (tx.writes.size() >= capacity) [[unlikely]] {
+    if (backend == Backend::kSwOcc ||
+        WriteLinesOverflow(tx, cell, capacity)) {
+      AbortInternal(tx, AbortCode::kCapacity);
+    }
   }
   tx.writes.push_back({cell, value});
   if (tx.writes_spilled) {
     tx.write_index.emplace(cell, tx.writes.size() - 1);
-  } else if (tx.writes.size() > SmallSet<uintptr_t>::kSpill) {
+  } else if (tx.writes.size() > kWriteIndexSpill) {
     for (size_t i = 0; i < tx.writes.size(); ++i) {
       tx.write_index.emplace(tx.writes[i].cell, i);
     }

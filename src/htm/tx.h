@@ -11,7 +11,9 @@
 //    own versions, incremental validation (each read re-checks every
 //    version word read before it), commit-time locking of the written
 //    cells + read-set validation, capacity aborts modelled on cache
-//    geometry, strong atomicity for non-transactional accesses.
+//    geometry (distinct lines, tracked only once a transaction's entries
+//    outnumber the capacity), strong atomicity for non-transactional
+//    accesses.
 //  * sw-OCC — invisible reads that re-check only the subscribed lock words
 //    (swocc.h); a writing commit CASes those words exclusive, publishes and
 //    releases them. Non-transactional accesses are plain (weak atomicity),

@@ -10,7 +10,6 @@
 #include "src/htm/swocc.h"
 #include "src/obs/recorder.h"
 #include "src/obs/ticks.h"
-#include "src/optilib/site_cache.h"
 #include "src/support/env.h"
 #include "src/support/misuse.h"
 #include "src/support/rng.h"
@@ -29,7 +28,25 @@ std::atomic<OptiConfig>& LiveConfig() {
 
 OptiStats g_stats;
 Perceptron g_perceptron;
-SiteCache g_site_cache;
+
+// Decision epoch (DESIGN.md §4.11): every cached elide verdict in the
+// perceptron's mutex cells carries the epoch it was minted under, and any
+// event that could change a verdict (PublishOptiConfig,
+// ResetHardeningState) bumps it, retiring every verdict in O(1). The epoch
+// is monotone and never reused; 0 is the never-valid sentinel, so it starts
+// at 1. The same epoch keys each OptiLock's config snapshot. Every episode
+// reads it and only a publish writes it, so it owns its line.
+struct alignas(64) DecisionEpoch {
+  std::atomic<uint64_t> value{1};
+
+  // Acquire: a reader that observes a new epoch also observes the (config)
+  // writes published before the bump.
+  uint64_t Load() const { return value.load(std::memory_order_acquire); }
+  // Release pairs with Load()'s acquire, so the bump is ordered after the
+  // state change it reports.
+  void Bump() { value.fetch_add(1, std::memory_order_release); }
+};
+DecisionEpoch g_decision_epoch;
 
 // Per-thread identity for cross-thread unlock detection: constant
 // initialization keeps reads guard-free, and the address is unique among
@@ -97,7 +114,7 @@ void PublishOptiConfig(const OptiConfig& next) {
   // old config — coherent either way. Concurrent publishers need no
   // serialization: each bump follows its own store, so an episode that
   // observes the final epoch reads the last config stored.
-  g_site_cache.BumpEpoch();
+  g_decision_epoch.Bump();
 }
 
 OptiStats& GlobalOptiStats() { return g_stats; }
@@ -115,9 +132,9 @@ std::string OptiStats::ToString() const {
                                  support::MisuseCounts());
 }
 
-void ResetHardeningState() { g_site_cache.BumpEpoch(); }
+void ResetHardeningState() { g_decision_epoch.Bump(); }
 
-uint64_t SiteDecisionCacheEpoch() { return g_site_cache.Epoch(); }
+uint64_t SiteDecisionCacheEpoch() { return g_decision_epoch.Load(); }
 
 // Every OptiLock function an episode runs (prepare, decide, attempt,
 // subscribe, abort handling, backoff, slow path, finish, unlock) is
@@ -166,7 +183,7 @@ uint64_t SiteDecisionCacheEpoch() { return g_site_cache.Epoch(); }
   // of PublishOptiConfig, so observing a new epoch implies the new config
   // word is visible. Every publish bumps the epoch, so the snapshot is
   // re-read only when it has moved and the steady state pays one compare.
-  const uint64_t epoch = g_site_cache.Epoch();
+  const uint64_t epoch = g_decision_epoch.Load();
   if (epoch != cache_epoch_) [[unlikely]] {
     cfg_ = GetOptiConfig();
     cache_epoch_ = epoch;
@@ -345,6 +362,17 @@ uint64_t SiteDecisionCacheEpoch() { return g_site_cache.Epoch(); }
       // and subscribe to this lock too. Taking a real lock inside a
       // transaction is never attempted.
       htm::TxBeginImpl(0, &env_);
+      const htm::Backend backend = htm::ActiveBackend();
+      if (backend != htm::Backend::kRtm && !SoftwareEligible(backend))
+          [[unlikely]] {
+        // The one way an episode reaches a target its software backend
+        // cannot cover (an untracked mutex or set member, or an RWMutex
+        // write section under sw-OCC): this branch skips DecideElide.
+        // Abort the whole nest; the enclosing episode's retry budget drains
+        // and it degrades to the lock, under which this section re-runs
+        // pessimistically.
+        htm::TxAbort(htm::AbortCode::kExplicit);
+      }
       SubscribeOrAbort();
       ClearFlag(kFlagSlowPath);
       return;
@@ -398,16 +426,16 @@ uint64_t SiteDecisionCacheEpoch() { return g_site_cache.Epoch(); }
   } else {
     indices_ = Perceptron::IndicesFor(target_, this);
   }
-  // Per-site decision cache (site_cache.h): an elide verdict memoized by an
-  // earlier commit at this cell stands in for the perceptron consult; the
-  // episode still checks eligibility, attempts, subscribes and validates a
-  // real transaction, and its commit still rewards the perceptron, so a
-  // stale verdict costs at most one wasted attempt, never soundness. Lock
-  // verdicts are never cached: every slow decision runs the dot-product, so
-  // a site goes back to speculating as soon as its summed weights do, and
-  // every one feeds the slow-streak decay (§5.4.1).
-  const bool cached_elide =
-      g_site_cache.HoldsElide(indices_.mutex_cell, cache_epoch_);
+  // Per-site decision cache (perceptron.h): an elide verdict memoized in
+  // this site's mutex cell by an earlier commit stands in for the
+  // perceptron consult; the episode still checks eligibility, attempts,
+  // subscribes and validates a real transaction, and its commit still
+  // rewards the perceptron, so a stale verdict costs at most one wasted
+  // attempt, never soundness. Lock verdicts are never cached: every slow
+  // decision runs the dot-product, so a site goes back to speculating as
+  // soon as its summed weights do, and every one feeds the slow-streak
+  // decay (§5.4.1).
+  const bool cached_elide = g_perceptron.HoldsElide(indices_, cache_epoch_);
   if (cached_elide) [[likely]] {
     Bump(OptiStats::kSiteCacheHits);
   } else if (cfg_.use_perceptron && !g_perceptron.Predict(indices_)) {
@@ -541,16 +569,9 @@ inline void CheckSlowLockOrder(gosync::Mutex* m) {
     SubscribeSetOrAbort();
     return;
   }
-  const htm::Backend backend = htm::ActiveBackend();
-  if (backend != htm::Backend::kRtm) [[likely]] {
-    if (!SoftwareEligible(backend)) [[unlikely]] {
-      // Reachable only when a nested critical section subsumed into an
-      // enclosing software transaction wants a target the backend cannot
-      // cover. Abort the whole nest; the enclosing episode's retry budget
-      // drains and it degrades to the lock, under which this section
-      // re-runs pessimistically.
-      htm::TxAbort(htm::AbortCode::kExplicit);
-    }
+  // Eligibility was settled once per episode (DecideElide, or the nested
+  // branch of AttemptLoop), and the backend cannot change mid-episode.
+  if (htm::ActiveBackend() != htm::Backend::kRtm) [[likely]] {
     if (kind_ != Target::kRWWrite) [[likely]] {
       // SimTM and sw-OCC subscribe the versioned lock word: every
       // exclusive acquisition bumps it, so validation catches any
@@ -605,14 +626,7 @@ inline void CheckSlowLockOrder(gosync::Mutex* m) {
   // acquisition lands in this transaction's read set and defeats
   // validation, so mutual exclusion holds against every member's other
   // critical sections independently.
-  const htm::Backend backend = htm::ActiveBackend();
-  const bool rtm = backend == htm::Backend::kRtm;
-  if (!rtm && !SoftwareEligible(backend)) {
-    // Nested section subsumed into an enclosing software transaction wants
-    // a set the backend cannot cover (untracked member). Same recovery as
-    // the single-lock case: abort the nest, degrade under the lock.
-    htm::TxAbort(htm::AbortCode::kExplicit);
-  }
+  const bool rtm = htm::ActiveBackend() == htm::Backend::kRtm;
   blamed_member_ = -1;
   set_subscribed_ = 0;
   for (int i = 0; i < set_size_; ++i) {
@@ -722,7 +736,7 @@ inline void CheckSlowLockOrder(gosync::Mutex* m) {
         // memoize it for this site under the episode's epoch. Hits never
         // re-install (the cell already says exactly this), so the steady
         // state writes nothing.
-        g_site_cache.InstallElide(indices_.mutex_cell, cache_epoch_);
+        g_perceptron.InstallElide(indices_, cache_epoch_);
         Bump(OptiStats::kSiteCacheInstalls);
       }
     }
@@ -743,7 +757,7 @@ inline void CheckSlowLockOrder(gosync::Mutex* m) {
     // The elide verdict (cached or fresh) failed: evict the cell so the
     // next episode re-derives its decision against the newly-penalized
     // weights instead of replaying a prediction the world just refuted.
-    if (g_site_cache.Invalidate(indices_.mutex_cell)) {
+    if (g_perceptron.InvalidateElide(indices_)) {
       Bump(OptiStats::kSiteCacheInvalidations);
     }
   }

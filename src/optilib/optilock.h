@@ -464,6 +464,8 @@ class OptiLock {
   // untracked mutexes never (nothing maintains their version word), and
   // RWMutex WRITE sections under SimTM only (slow-path readers do not touch
   // the version word, and only SimTM can validate reader_count_ soundly).
+  // Checked once per episode: in DecideElide, or in AttemptLoop's nested
+  // branch, which skips the decision.
   bool SoftwareEligible(htm::Backend backend) const;
   bool TargetHeld() const;
   void FinishFastEpisode();
@@ -576,7 +578,7 @@ class OptiLock {
   // releases (the watermark is a thread-local; nesting restores outward).
   uintptr_t saved_watermark_ = 0;
   // Decision epoch observed at episode start (0 = no episode yet; epochs
-  // start at 1): keys this episode's site-cache lookups and installs (a
+  // start at 1): keys this episode's cached-verdict lookups and installs (a
   // concurrent bump makes both dead, never wrong) and tags cfg_ below.
   uint64_t cache_epoch_ = 0;
   // Config snapshot, re-copied in PrepareCommon only when the decision

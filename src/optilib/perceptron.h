@@ -15,6 +15,21 @@
 // Layout: cells are cache-line padded and trained cells elide redundant
 // stores, so in steady state a committing episode reads its two cells but
 // writes nothing shared (see DESIGN.md "fast-path cost model").
+//
+// Per-site decision cache (DESIGN.md §4.11): each mutex-table cell also
+// holds a memoized elide verdict, the decision epoch it was minted under
+// (0 = none). A matching verdict stands in for the dot-product, and it sits
+// on the line the commit's reward reads anyway, so the cache costs no table
+// and no extra line. Only elide verdicts are cached: a lock verdict keyed
+// on this cell alone would outlive the prediction, because Predict() also
+// reads the site's context cell, which commits of every other mutex locked
+// at that site raise. A cached elide verdict does not follow the weights
+// either: it stands until an episode at the cell falls back to the lock
+// (which evicts it) or the epoch moves, so it ignores later drops of the
+// context cell that the uncached decision would have obeyed. The verdict is
+// a performance hint only: the episode still subscribes, validates and
+// commits a real transaction, so a stale one costs one abort. Reset()
+// zeroes weights and streaks but leaves verdicts to the epoch.
 
 #ifndef GOCC_SRC_OPTILIB_PERCEPTRON_H_
 #define GOCC_SRC_OPTILIB_PERCEPTRON_H_
@@ -129,9 +144,37 @@ class Perceptron {
                std::memory_order_relaxed);
   }
 
-  // Zeroes every cell (benchmark isolation). Cells already zero are only
-  // read, so a reset neither dirties their lines nor faults in table pages
-  // no episode has touched.
+  // True when the mutex cell holds an elide verdict minted under `epoch`.
+  bool HoldsElide(Indices idx, uint64_t epoch) const {
+    return mutex_table_[idx.mutex_cell].elide_epoch.load(
+               std::memory_order_relaxed) == epoch;
+  }
+
+  // Memoizes an elide verdict under `epoch`. Redundant-store elision: the
+  // steady state re-installs the same verdict, and a silent load keeps the
+  // line shared instead of dirtying it.
+  void InstallElide(Indices idx, uint64_t epoch) {
+    std::atomic<uint64_t>& v = mutex_table_[idx.mutex_cell].elide_epoch;
+    if (v.load(std::memory_order_relaxed) != epoch) {
+      v.store(epoch, std::memory_order_relaxed);
+    }
+  }
+
+  // Evicts the mutex cell's verdict; returns true when the cell held one,
+  // of any epoch (what the invalidation counter counts).
+  bool InvalidateElide(Indices idx) {
+    std::atomic<uint64_t>& v = mutex_table_[idx.mutex_cell].elide_epoch;
+    if (v.load(std::memory_order_relaxed) == 0) {
+      return false;
+    }
+    v.store(0, std::memory_order_relaxed);
+    return true;
+  }
+
+  // Zeroes every cell's weight and streak (benchmark isolation); verdicts
+  // are retired by the decision epoch, not here. Cells already zero are
+  // only read, so a reset neither dirties their lines nor faults in table
+  // pages no episode has touched.
   void Reset() {
     for (uint32_t i = 0; i < kTableSize; ++i) {
       ClearCell(mutex_table_[i]);
@@ -145,10 +188,16 @@ class Perceptron {
   // ping-pong that line between their threads even though their locks are
   // disjoint. 64-byte alignment trades table footprint (2 x 256 KiB,
   // cold cells are never faulted in) for zero cross-cell false sharing.
+  // The padding also houses the cached elide verdict (used in mutex cells
+  // only), so the decision's cache load and the commit's reward share one
+  // line.
   struct alignas(64) Cell {
     std::atomic<int32_t> weight{0};
     std::atomic<uint32_t> slow_streak{0};
+    std::atomic<uint64_t> elide_epoch{0};
   };
+  static_assert(sizeof(Cell) == 64,
+                "the verdict word and the weight share one 64-B cell");
 
   static uint32_t Hash(uintptr_t key) {
     // OptiLocks are word-aligned; drop the dead low bits, then take the

@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <csetjmp>
+#include <memory>
 #include <type_traits>
+#include <vector>
 
 #include "src/htm/config.h"
 #include "src/htm/shared.h"
@@ -178,6 +180,121 @@ TEST_F(HtmTest, ReadCapacityAbort) {
   EXPECT_EQ(sum, 0);
 }
 
+// Four 16-B cells share each 64-B line, so a transaction's entries pass a
+// line capacity long before its lines do.
+struct alignas(64) PackedLine {
+  Shared<int64_t> cells[4];
+};
+static_assert(sizeof(PackedLine) == 64);
+
+// SimTM's read capacity counts distinct lines: eight cells on two lines fit
+// a two-line capacity, and the abort fires at exactly the read that touches
+// a third line (the count of completed reads lives outside the rollback).
+TEST_F(HtmTest, ReadCapacityCountsLinesAndAbortsAtTheThirdLine) {
+  MutableConfig().read_capacity_lines = 2;
+  PackedLine lines[3];
+  for (PackedLine& l : lines) {
+    for (Shared<int64_t>& c : l.cells) {
+      c.Store(1);
+    }
+  }
+  int64_t sum = 0;
+  EXPECT_EQ(RunTx([&] {
+              int64_t local = 0;
+              for (int l = 0; l < 2; ++l) {
+                for (Shared<int64_t>& c : lines[l].cells) {
+                  local += c.Load();
+                }
+              }
+              sum = local;
+            }),
+            0);
+  EXPECT_EQ(sum, 8);
+  EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kCapacity), 0u);
+
+  volatile int completed = 0;
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    for (int l = 0; l < 2; ++l) {
+      for (Shared<int64_t>& c : lines[l].cells) {
+        (void)c.Load();
+        completed = completed + 1;
+      }
+    }
+    (void)lines[2].cells[0].Load();
+    completed = completed + 1;
+    TxCommit();
+  }
+  EXPECT_FALSE(status.started);
+  EXPECT_EQ(status.abort_code, AbortCode::kCapacity);
+  EXPECT_EQ(completed, 8);
+}
+
+// The same bound on the write side: eight packed cells on two lines commit
+// under a two-line write capacity; a ninth on a third line aborts at that
+// store and publishes nothing.
+TEST_F(HtmTest, WriteCapacityCountsLinesAndAbortsAtTheThirdLine) {
+  MutableConfig().write_capacity_lines = 2;
+  PackedLine lines[3];
+  EXPECT_EQ(RunTx([&] {
+              for (int l = 0; l < 2; ++l) {
+                for (Shared<int64_t>& c : lines[l].cells) {
+                  c.Store(7);
+                }
+              }
+            }),
+            0);
+  EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kCapacity), 0u);
+
+  volatile int completed = 0;
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    for (int l = 0; l < 2; ++l) {
+      for (Shared<int64_t>& c : lines[l].cells) {
+        c.Store(9);
+        completed = completed + 1;
+      }
+    }
+    lines[2].cells[0].Store(9);
+    completed = completed + 1;
+    TxCommit();
+  }
+  EXPECT_FALSE(status.started);
+  EXPECT_EQ(status.abort_code, AbortCode::kCapacity);
+  EXPECT_EQ(completed, 8);
+  for (int l = 0; l < 2; ++l) {
+    for (Shared<int64_t>& c : lines[l].cells) {
+      EXPECT_EQ(c.Load(), 7);
+    }
+  }
+  EXPECT_EQ(lines[2].cells[0].Load(), 0);
+}
+
+// sw-OCC's write capacity counts cells, whatever lines they share: with a
+// capacity of two, the third distinct cell aborts.
+TEST_F(HtmSwOccTest, WriteCapacityCountsCellsAndAbortsAtTheThird) {
+  MutableConfig().write_capacity_lines = 2;
+  PackedLine line;
+  volatile int completed = 0;
+  std::jmp_buf env;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    for (Shared<int64_t>& c : line.cells) {
+      c.Store(1);
+      completed = completed + 1;
+    }
+    TxCommit();
+  }
+  EXPECT_FALSE(status.started);
+  EXPECT_EQ(status.abort_code, AbortCode::kCapacity);
+  EXPECT_EQ(completed, 2);
+  for (Shared<int64_t>& c : line.cells) {
+    EXPECT_EQ(c.Load(), 0);
+  }
+}
+
 TX_TEST_BOTH_BACKENDS(RepeatedAccessToOneCellDoesNotExhaustCapacity) {
   MutableConfig().write_capacity_lines = 2;
   MutableConfig().read_capacity_lines = 2;
@@ -256,6 +373,48 @@ TEST_F(HtmTest, NonTxWriteInvalidatesWritingReaderAtCommit) {
     pass = 2;
   }
   EXPECT_EQ(pass, 2) << "commit after a conflicting non-tx write must abort";
+}
+
+// A read-modify-write over many cells: every read entry of a written cell
+// has moved by commit time (the commit holds its lock), and the commit must
+// match each to the lock it took at the version first read. A depth-0
+// store to one of those cells between the read and the commit still fails
+// validation.
+TEST_F(HtmTest, WideReadModifyWriteCommitsExactlyAndCatchesARemoteStore) {
+  constexpr int kCells = 300;
+  auto cells = std::make_unique<Shared<int64_t>[]>(kCells);
+  for (int i = 0; i < kCells; ++i) {
+    cells[i].Store(i);
+  }
+  EXPECT_EQ(RunTx([&] {
+              for (int i = kCells - 1; i >= 0; --i) {  // unsorted write set
+                cells[i].Store(cells[i].Load() + 1000);
+              }
+            }),
+            0);
+  for (int i = 0; i < kCells; ++i) {
+    ASSERT_EQ(cells[i].Load(), i + 1000) << "cell " << i;
+  }
+
+  constexpr int kVictim = kCells / 2 + 1;
+  std::jmp_buf env;
+  volatile int pass = 0;
+  BeginStatus status = GOCC_TX_BEGIN(env);
+  if (status.started) {
+    pass = pass + 1;
+    for (int i = 0; i < kCells; ++i) {
+      cells[i].Store(cells[i].Load() + 1);
+    }
+    CellGuardedUpdate(cells[kVictim].cell(), -5);
+    TxCommit();
+  }
+  EXPECT_FALSE(status.started);
+  EXPECT_EQ(status.abort_code, AbortCode::kConflict);
+  EXPECT_EQ(pass, 1);
+  EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kConflict), 1u);
+  for (int i = 0; i < kCells; ++i) {
+    ASSERT_EQ(cells[i].Load(), i == kVictim ? -5 : i + 1000) << "cell " << i;
+  }
 }
 
 // A read-only transaction serializes at its last read (every read re-checks

@@ -211,6 +211,76 @@ TEST_F(OptiLockTest, NestedWithHeldInnerLockAbortsAndRecovers) {
   EXPECT_EQ(stats.fast_commits.load(), 0u);
 }
 
+// A nested episode subsumed into an enclosing SimTM transaction skips the
+// decision, so it checks its target's eligibility itself: an untracked
+// inner mutex aborts the nest once (kExplicit), the outer episode degrades
+// to its lock, and the inner section then takes its own lock.
+TEST_F(OptiLockTest, NestedUntrackedMutexAbortsTheNestOnceAndRunsLocked) {
+  gosync::Mutex outer;
+  gosync::Mutex inner(gosync::ElisionTracking::kDisabled);
+  htm::Shared<int64_t> value(0);
+  std::atomic<int> inner_runs{0};
+  std::atomic<bool> both_held{false};
+  OptiLock ol_outer;
+  OptiLock ol_inner;
+  ol_outer.WithLock(&outer, [&] {
+    value.Add(1);
+    ol_inner.WithLock(&inner, [&] {
+      value.Add(10);
+      inner_runs.fetch_add(1);
+      both_held.store(outer.IsLocked() && inner.IsLocked());
+    });
+    value.Add(100);
+  });
+  EXPECT_EQ(value.Load(), 111);
+  EXPECT_EQ(inner_runs.load(), 1);
+  EXPECT_TRUE(both_held.load());
+  EXPECT_FALSE(outer.IsLocked());
+  EXPECT_FALSE(inner.IsLocked());
+  const auto& stats = GlobalOptiStats();
+  EXPECT_EQ(stats.EpisodeAborts(htm::AbortCode::kExplicit), 1u);
+  EXPECT_EQ(htm::GlobalTxStats().Aborts(htm::AbortCode::kExplicit), 1u);
+  EXPECT_EQ(stats.htm_attempts.load(), 1u);
+  EXPECT_EQ(stats.slow_acquires.load(), 2u);
+  EXPECT_EQ(stats.fast_commits.load(), 0u);
+}
+
+// The same when the nested episode is a lock set with one untracked member:
+// the set cannot be validated, so the nest aborts once and both sections
+// run under their locks.
+TEST_F(OptiLockTest, NestedSetWithUntrackedMemberAbortsTheNestOnceAndRunsLocked) {
+  gosync::Mutex outer;
+  gosync::Mutex tracked;
+  gosync::Mutex untracked(gosync::ElisionTracking::kDisabled);
+  htm::Shared<int64_t> value(0);
+  std::atomic<int> inner_runs{0};
+  std::atomic<bool> all_held{false};
+  OptiLock ol_outer;
+  OptiLock ol_inner;
+  ol_outer.WithLock(&outer, [&] {
+    value.Add(1);
+    ol_inner.WithLocks({&tracked, &untracked}, [&] {
+      value.Add(10);
+      inner_runs.fetch_add(1);
+      all_held.store(outer.IsLocked() && tracked.IsLocked() &&
+                     untracked.IsLocked());
+    });
+    value.Add(100);
+  });
+  EXPECT_EQ(value.Load(), 111);
+  EXPECT_EQ(inner_runs.load(), 1);
+  EXPECT_TRUE(all_held.load());
+  EXPECT_FALSE(outer.IsLocked());
+  EXPECT_FALSE(tracked.IsLocked());
+  EXPECT_FALSE(untracked.IsLocked());
+  const auto& stats = GlobalOptiStats();
+  EXPECT_EQ(stats.EpisodeAborts(htm::AbortCode::kExplicit), 1u);
+  EXPECT_EQ(htm::GlobalTxStats().Aborts(htm::AbortCode::kExplicit), 1u);
+  EXPECT_EQ(stats.htm_attempts.load(), 1u);
+  EXPECT_EQ(stats.slow_acquires.load(), 2u);
+  EXPECT_EQ(stats.fast_commits.load(), 0u);
+}
+
 // An HTM-hostile critical section (capacity overflow on every attempt) must
 // converge to the slow path via the perceptron instead of thrashing.
 TEST_F(OptiLockTest, PerceptronLearnsToAvoidHostileCriticalSection) {

@@ -1,4 +1,6 @@
-// Per-site decision cache coherence (DESIGN.md §4.11, site_cache.h).
+// Per-site decision cache coherence (DESIGN.md §4.11). The cached verdict
+// is a word in the perceptron's mutex cell (perceptron.h), keyed by the
+// decision epoch.
 //
 // The cache is a pure performance hint that memoizes elide verdicts only,
 // so every test here checks the same contract from a different angle: a
@@ -15,7 +17,10 @@
 //      `ctest -L chaos` and `-L swocc` seed batteries);
 //   4. lock verdicts are never cached: every slow decision runs the
 //      perceptron, so it feeds the slow-streak decay and follows the
-//      site's context cell as soon as other mutexes at the site train it.
+//      site's context cell as soon as other mutexes at the site train it;
+//   5. the verdict shares the perceptron cell without sharing its state: a
+//      weight reset leaves verdicts to the epoch, and neither an epoch bump
+//      nor an install or eviction moves a weight or a slow streak.
 
 #include <gtest/gtest.h>
 
@@ -322,6 +327,88 @@ TEST_F(SiteCacheTest, SlowDecisionFollowsContextCellTraining) {
       << "B stayed on the lock after its prediction turned to elide";
   EXPECT_EQ(GlobalOptiStats().slow_acquires.load(), 1u);
   EXPECT_EQ(value.LoadRelaxed(), 12u);
+}
+
+// --- 5. the verdict word and the perceptron state stay independent ---------
+
+// True when `idx`'s cells, whose slow streaks are expected at `streak`,
+// reach the decay reset at exactly the kDecayThreshold-th slow decision.
+// Consumes the streak (the reset zeroes the cells).
+bool StreakIsExactly(Perceptron& p, Perceptron::Indices idx,
+                     uint32_t streak) {
+  for (uint32_t n = streak + 1; n < Perceptron::kDecayThreshold; ++n) {
+    if (p.NoteSlowDecision(idx)) {
+      return false;
+    }
+  }
+  return p.NoteSlowDecision(idx);
+}
+
+TEST_F(SiteCacheTest, VerdictSurvivesPerceptronResetUntilTheEpochMoves) {
+  gosync::Mutex mu;
+  htm::Shared<uint64_t> value{0};
+  OptiLock ol;
+  const Perceptron::Indices idx = Perceptron::IndicesFor(&mu, &ol);
+
+  ol.WithLock(&mu, [&] { value.Add(1); });  // mints the verdict
+  ASSERT_EQ(Installs(), 1u);
+  GlobalPerceptron().Reset();
+  EXPECT_TRUE(GlobalPerceptron().HoldsElide(idx, SiteDecisionCacheEpoch()));
+  ol.WithLock(&mu, [&] { value.Add(1); });
+  EXPECT_EQ(Hits(), 1u) << "a weight reset retired the verdict";
+
+  ResetHardeningState();
+  EXPECT_FALSE(GlobalPerceptron().HoldsElide(idx, SiteDecisionCacheEpoch()));
+  ol.WithLock(&mu, [&] { value.Add(1); });  // re-derived, re-installed
+  EXPECT_EQ(Hits(), 1u);
+  EXPECT_EQ(Installs(), 2u);
+  EXPECT_EQ(value.LoadRelaxed(), 3u);
+}
+
+TEST_F(SiteCacheTest, EpochBumpLeavesEveryWeightAndStreak) {
+  Perceptron& p = GlobalPerceptron();
+  auto cells = [](uint32_t i) { return Perceptron::Indices{i, i}; };
+  for (uint32_t i = 0; i < Perceptron::kTableSize; ++i) {
+    for (uint32_t k = 0; k < i % 7; ++k) {
+      p.PenalizeHtm(cells(i));
+    }
+    for (uint32_t k = 0; k < i % 5; ++k) {
+      p.NoteSlowDecision(cells(i));
+    }
+    p.InstallElide(cells(i), SiteDecisionCacheEpoch());
+  }
+  PublishOptiConfig(OptiConfig{});
+  ResetHardeningState();
+  for (uint32_t i = 0; i < Perceptron::kTableSize; ++i) {
+    EXPECT_FALSE(p.HoldsElide(cells(i), SiteDecisionCacheEpoch()));
+    ASSERT_EQ(p.WeightSum(cells(i)), -2 * static_cast<int32_t>(i % 7))
+        << "cell " << i;
+    ASSERT_TRUE(StreakIsExactly(p, cells(i), i % 5)) << "cell " << i;
+  }
+}
+
+TEST_F(SiteCacheTest, InstallAndEvictionLeaveWeightAndStreak) {
+  Perceptron& p = GlobalPerceptron();
+  int mu = 0;
+  int site = 0;
+  const Perceptron::Indices idx = Perceptron::IndicesFor(&mu, &site);
+  const uint64_t epoch = SiteDecisionCacheEpoch();
+  for (int i = 0; i < 3; ++i) {
+    p.RewardHtm(idx);
+  }
+  for (int i = 0; i < 7; ++i) {
+    p.NoteSlowDecision(idx);
+  }
+  ASSERT_EQ(p.WeightSum(idx), 6);
+
+  p.InstallElide(idx, epoch);
+  EXPECT_TRUE(p.HoldsElide(idx, epoch));
+  EXPECT_EQ(p.WeightSum(idx), 6);
+  EXPECT_TRUE(p.InvalidateElide(idx));
+  EXPECT_FALSE(p.HoldsElide(idx, epoch));
+  EXPECT_FALSE(p.InvalidateElide(idx)) << "an empty cell counted an eviction";
+  EXPECT_EQ(p.WeightSum(idx), 6);
+  EXPECT_TRUE(StreakIsExactly(p, idx, 7));
 }
 
 }  // namespace
