@@ -18,7 +18,6 @@
 #include "bench/bench_util.h"
 #include "src/gosync/mutex.h"
 #include "src/gosync/runtime.h"
-#include "src/htm/config.h"
 #include "src/htm/fault.h"
 #include "src/htm/shared.h"
 #include "src/htm/stats.h"
@@ -143,7 +142,6 @@ void ConflictRetryAblation() {
 
 // Fresh runtime state for one sweep point.
 void ResetRuntime() {
-  gocc::htm::MutableConfig() = gocc::htm::TxConfig{};
   gocc::htm::GlobalTxStats().Reset();
   gocc::optilib::PublishOptiConfig(gocc::optilib::OptiConfig{});
   gocc::optilib::GlobalOptiStats().Reset();

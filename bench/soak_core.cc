@@ -333,7 +333,8 @@ SoakReport RunSoak(const SoakOptions& options) {
                   options.fault_rate / 2, htm::AbortCode::kConflict);
     plan.WithRule(htm::fault::Site::kMultiLockCommit, options.fault_rate / 4,
                   htm::AbortCode::kConflict);
-    plan.WithStall(options.fault_rate, 32);
+    plan.WithStallAt(htm::fault::Site::kLockTransition, options.fault_rate,
+                     32);
     htm::fault::Arm(plan);
   } else {
     htm::fault::Disarm();

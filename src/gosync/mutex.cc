@@ -64,7 +64,7 @@ bool Mutex::AcquiringCas(uint64_t& expected, uint64_t desired) {
   if (tracking_ == ElisionTracking::kEnabled) {
     // Chaos hook: widen the window between a transaction's subscription read
     // and this slow-path acquisition (no-op unless the injector is armed).
-    htm::fault::MaybeStall();
+    htm::fault::MaybeStallAt(htm::fault::Site::kLockTransition);
     if (!state_.compare_exchange_strong(expected, desired,
                                         std::memory_order_acquire,
                                         std::memory_order_relaxed)) {
@@ -85,7 +85,7 @@ bool Mutex::AcquiringCas(uint64_t& expected, uint64_t desired) {
 
 void Mutex::AcquiringAdd(int64_t delta) {
   if (tracking_ == ElisionTracking::kEnabled) {
-    htm::fault::MaybeStall();
+    htm::fault::MaybeStallAt(htm::fault::Site::kLockTransition);
   }
   state_.fetch_add(static_cast<uint64_t>(delta), std::memory_order_acq_rel);
   if (tracking_ == ElisionTracking::kEnabled) {

@@ -34,7 +34,7 @@ int64_t RWMutex::ReaderCountAdd(int64_t delta) {
   if (tracking_ == ElisionTracking::kEnabled) {
     // Chaos hook: stretch the reader-count transition so injected schedules
     // can interleave with subscribed transactions.
-    htm::fault::MaybeStall();
+    htm::fault::MaybeStallAt(htm::fault::Site::kLockTransition);
   }
   // seq_cst: for a SimTM write episode that validates reader_count_, this
   // RMW is the holder's side of the committer/holder Dekker pair (DESIGN.md

@@ -9,7 +9,6 @@ namespace gocc::htm {
 
 namespace internal {
 
-TxConfig g_config;
 std::atomic<Backend> g_backend{Backend::kSim};
 
 }  // namespace internal

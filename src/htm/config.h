@@ -1,19 +1,21 @@
-// Global configuration of the transactional-memory substrate.
+// Global configuration of the transactional-memory substrate: the backend
+// every transaction runs on and the capacities the software backends abort
+// at.
 //
-// The capacity limits model the cache structures that bound real RTM
+// The capacities model the cache structures that bound real RTM
 // transactions: the write set is limited by L1D (32 KiB / 64 B = 512 lines on
-// the paper's Coffee Lake; we default slightly lower, as measured capacities
-// are), while the read set can spill to L2/L3 tracking structures and is much
-// larger. `spurious_abort_probability` models TSX's best-effort nature
-// (transactions may abort with no architectural cause); it is zero by default
-// and enabled by fault-injection tests.
+// the paper's Coffee Lake; the constant is slightly lower, as measured
+// capacities are), while the read set can spill to L2/L3 tracking structures
+// and is much larger. They are constants: a test that needs a capacity abort
+// touches more lines than the capacity, and every other abort a test needs
+// (spurious aborts included, TSX being best-effort) comes from an armed
+// fault plan (fault.h).
 
 #ifndef GOCC_SRC_HTM_CONFIG_H_
 #define GOCC_SRC_HTM_CONFIG_H_
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 
 namespace gocc::htm {
 
@@ -36,33 +38,19 @@ enum class Backend {
 // values; used in bench metadata and reports.
 const char* BackendName(Backend backend);
 
-struct TxConfig {
-  // Maximum distinct 64-byte lines a transaction may read before a capacity
-  // abort. Models L2/L3-assisted read-set tracking.
-  size_t read_capacity_lines = 8192;
-  // Maximum distinct 64-byte lines a transaction may write before a capacity
-  // abort. Models L1D write-set tracking.
-  size_t write_capacity_lines = 448;
-  // Probability that any transactional access spuriously aborts the
-  // transaction (fault injection; 0 disables).
-  double spurious_abort_probability = 0.0;
-  // Seed for the per-thread RNG driving spurious aborts.
-  uint64_t spurious_seed = 0x9e3779b97f4a7c15ULL;
-};
+// Distinct 64-byte lines a SimTM transaction may read before a capacity
+// abort. Models L2/L3-assisted read-set tracking. sw-OCC has no read
+// capacity.
+inline constexpr size_t kReadCapacityLines = 8192;
+// Write capacity: distinct 64-byte lines on SimTM, distinct cells on
+// sw-OCC. Models L1D write-set tracking.
+inline constexpr size_t kWriteCapacityLines = 448;
 
 namespace internal {
-// Storage for the inline accessors below (they sit on the per-access SimTM
-// fast path, where an out-of-line getter call is measurable).
-extern TxConfig g_config;
+// Storage for ActiveBackend (inline: it sits on every transactional
+// access, where an out-of-line getter call is measurable).
 extern std::atomic<Backend> g_backend;
 }  // namespace internal
-
-// Returns the mutable global configuration. Not thread-safe against
-// concurrent transactions; set it up before starting workers (tests do).
-inline TxConfig& MutableConfig() { return internal::g_config; }
-
-// Read-only accessor.
-inline const TxConfig& Config() { return internal::g_config; }
 
 // The process-wide backend every Tx* operation dispatches to (the
 // GOCC_BACKEND-resolved software backend unless EnableRtmIfSupported

@@ -120,8 +120,6 @@ const char* SiteName(Site site) {
       return "commit";
     case Site::kLockTransition:
       return "lock_transition";
-    case Site::kOccValidate:
-      return "occ_validate";
     case Site::kOccPublish:
       return "occ_publish";
     case Site::kMultiLockSubscribe:

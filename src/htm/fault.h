@@ -13,18 +13,21 @@
 //     (BeginStatus{false, code}). A 100% kBegin schedule models RTM dying
 //     mid-run (e.g. the MDS/TAA microcode path that turns every xbegin into
 //     an abort).
-//   * kLoad / kStore — SimTM transactional accesses; the injected code
-//     aborts the in-flight transaction through the normal rollback path.
-//   * kCommit — commit-time abort, as if read-set validation failed.
+//   * kLoad / kStore — software-TM transactional accesses (kLoad: every
+//     TxLoad, TxSubscribe and TxFetchAdd; kStore: every TxStore and
+//     TxFetchAdd); the injected code aborts the in-flight transaction
+//     through the normal rollback path. A kSpurious rule here is how a
+//     best-effort spurious abort (an interrupt, say) is modelled.
+//   * kCommit — commit-time abort at the outermost commit, as if read-set
+//     validation failed. On sw-OCC a kOccValidateFail rule is a forced
+//     validation failure; at 100 % it models a validation-failure storm (the
+//     sw-OCC analogue of an HTM abort storm): it must train the perceptron
+//     to send the site to the lock, and the site must elide again after the
+//     storm.
 //   * kLockTransition — not an abort: an injected bounded stall at the
 //     tracked slow-path lock transitions (gosync), widening the race
 //     window between a transaction's lock-word subscription and a slow-path
 //     acquisition.
-//   * kOccValidate — sw-OCC commit-time validation: the injected code is
-//     raised as if the read-set validation found a changed occ word. A 100%
-//     kOccValidate schedule models a validation-failure storm (the sw-OCC
-//     analogue of an HTM abort storm): it must train the perceptron to send
-//     the site to the lock, and the site must elide again after the storm.
 //   * kOccPublish — sw-OCC commit publication: a stall rule holds the locked
 //     occ words exclusive mid-commit (delayed-unlock fault, starving
 //     concurrent subscribers); an abort-code rule injects version skew (an
@@ -60,14 +63,15 @@
 // are ordered lists of such steps.
 //
 // Fast-path cost when disarmed: one relaxed atomic load (the `MaybeInject`
-// and `MaybeStall` wrappers are inline and branch out immediately), so the
+// and `MaybeStallAt` wrappers are inline and branch out immediately), so the
 // injector can stay compiled into production builds.
 //
 // Thread-safety: Arm/Disarm must not race with in-flight transactions (the
-// same discipline TxConfig follows). Probability draws are per-thread
-// deterministic; schedule counters are shared atomics, so cross-thread
-// interleaving of a schedule is scheduler-dependent while each thread's
-// Bernoulli stream is exactly reproducible from (seed, thread ordinal).
+// same discipline as the backend switches in config.h). Probability draws
+// are per-thread deterministic; schedule counters are shared atomics, so
+// cross-thread interleaving of a schedule is scheduler-dependent while each
+// thread's Bernoulli stream is exactly reproducible from (seed, thread
+// ordinal).
 
 #ifndef GOCC_SRC_HTM_FAULT_H_
 #define GOCC_SRC_HTM_FAULT_H_
@@ -87,14 +91,13 @@ enum class Site : int {
   kStore = 2,
   kCommit = 3,
   kLockTransition = 4,
-  kOccValidate = 5,
-  kOccPublish = 6,
-  kMultiLockSubscribe = 7,
-  kMultiLockCommit = 8,
-  kShardStall = 9,
-  kShardStorm = 10,
+  kOccPublish = 5,
+  kMultiLockSubscribe = 6,
+  kMultiLockCommit = 7,
+  kShardStall = 8,
+  kShardStorm = 9,
 };
-inline constexpr int kNumSites = 11;
+inline constexpr int kNumSites = 10;
 
 // Human-readable site name.
 const char* SiteName(Site site);
@@ -142,9 +145,6 @@ struct FaultPlan {
                       AbortCode code = AbortCode::kConflict) {
     site_rules[static_cast<int>(site)] = SiteRule{probability, code, 0};
     return *this;
-  }
-  FaultPlan& WithStall(double probability, int pauses) {
-    return WithStallAt(Site::kLockTransition, probability, pauses);
   }
   FaultPlan& WithStallAt(Site site, double probability, int pauses) {
     site_rules[static_cast<int>(site)] =
@@ -229,9 +229,6 @@ inline void MaybeStallAt(Site site) {
   }
   internal::StallSlow(site);
 }
-
-// Legacy spelling for the tracked lock-transition stall.
-inline void MaybeStall() { MaybeStallAt(Site::kLockTransition); }
 
 }  // namespace gocc::htm::fault
 

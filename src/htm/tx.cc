@@ -12,7 +12,6 @@
 #include "src/htm/stats.h"
 #include "src/htm/swocc.h"
 #include "src/support/misuse.h"
-#include "src/support/rng.h"
 
 namespace gocc::htm {
 
@@ -127,9 +126,6 @@ struct TxContext {
   // During a writing commit, the words it holds.
   std::vector<HeldWord> held;
 
-  SplitMix64 rng{0};
-  bool rng_seeded = false;
-
   // Ends the transaction: no depth, no checkpoint, empty sets.
   void Clear() {
     depth = 0;
@@ -236,21 +232,6 @@ void MaybeInjectedAbort(TxContext& tx, fault::Site site) {
   AbortCode code = fault::MaybeInject(site);
   if (code != AbortCode::kNone) {
     AbortInternal(tx, code);
-  }
-}
-
-void MaybeSpuriousAbort(TxContext& tx) {
-  const TxConfig& cfg = Config();
-  if (cfg.spurious_abort_probability <= 0.0) {
-    return;
-  }
-  if (!tx.rng_seeded) {
-    tx.rng = SplitMix64(cfg.spurious_seed ^
-                        reinterpret_cast<uintptr_t>(&tx));
-    tx.rng_seeded = true;
-  }
-  if (tx.rng.NextBool(cfg.spurious_abort_probability)) {
-    AbortInternal(tx, AbortCode::kSpurious);
   }
 }
 
@@ -412,12 +393,6 @@ void CommitOccWrites(TxContext& tx) {
 
 void CommitOutermost(TxContext& tx, Backend backend) {
   const bool occ = backend == Backend::kSwOcc;
-  if (occ) {
-    // Forced validation failure (chaos: models a validation step that
-    // loses every race) sits before the organic check so schedules can
-    // target it precisely.
-    MaybeInjectedAbort(tx, fault::Site::kOccValidate);
-  }
   if (tx.writes.empty()) {
     // Read-only transaction: SimTM's reads each re-validated all earlier
     // ones, so they were consistent at the last read — the transaction
@@ -469,8 +444,7 @@ void RecheckReads(TxContext& tx, const std::atomic<uint64_t>* word,
 // each later read. The abort fires at the same read as a count kept from
 // the first access would.
 void AccountReadLine(TxContext& tx, const void* addr) {
-  const size_t capacity = Config().read_capacity_lines;
-  if (tx.reads.size() <= capacity) [[likely]] {
+  if (tx.reads.size() <= kReadCapacityLines) [[likely]] {
     return;
   }
   if (tx.read_lines.empty()) {
@@ -480,7 +454,7 @@ void AccountReadLine(TxContext& tx, const void* addr) {
   } else {
     tx.read_lines.insert(CacheLineOf(addr));
   }
-  if (tx.read_lines.size() > capacity) {
+  if (tx.read_lines.size() > kReadCapacityLines) {
     AbortInternal(tx, AbortCode::kCapacity);
   }
 }
@@ -489,15 +463,14 @@ void AccountReadLine(TxContext& tx, const void* addr) {
 // entries: the line set is built from the write set the first time the
 // entries reach the capacity, then grows with each new entry. True when
 // `cell`'s line takes the set past the capacity.
-[[gnu::noinline]] bool WriteLinesOverflow(TxContext& tx, const TxCell* cell,
-                                          size_t capacity) {
+[[gnu::noinline]] bool WriteLinesOverflow(TxContext& tx, const TxCell* cell) {
   if (tx.write_lines.empty()) {
     for (const WriteEntry& w : tx.writes) {
       tx.write_lines.insert(CacheLineOf(w.cell));
     }
   }
   tx.write_lines.insert(CacheLineOf(cell));
-  return tx.write_lines.size() > capacity;
+  return tx.write_lines.size() > kWriteCapacityLines;
 }
 
 // The transactional read of `cell`'s committed value, the one access step
@@ -540,10 +513,8 @@ void AccountReadLine(TxContext& tx, const void* addr) {
 [[gnu::always_inline]] inline void AppendWrite(TxContext& tx,
                                                Backend backend, TxCell* cell,
                                                uint64_t value) {
-  const size_t capacity = Config().write_capacity_lines;
-  if (tx.writes.size() >= capacity) [[unlikely]] {
-    if (backend == Backend::kSwOcc ||
-        WriteLinesOverflow(tx, cell, capacity)) {
+  if (tx.writes.size() >= kWriteCapacityLines) [[unlikely]] {
+    if (backend == Backend::kSwOcc || WriteLinesOverflow(tx, cell)) {
       AbortInternal(tx, AbortCode::kCapacity);
     }
   }
@@ -711,6 +682,9 @@ void TxCommit() {
     return;  // nested commit defers to the outermost (RTM behaviour)
   }
   tx.depth = 1;  // CommitOutermost may abort; keep state coherent until done
+  // Forced commit-time failure, ahead of the organic validation so a
+  // schedule targets it precisely. On sw-OCC a kOccValidateFail rule here
+  // is a validation-failure storm (a validation that loses every race).
   MaybeInjectedAbort(tx, fault::Site::kCommit);
   CommitOutermost(tx, backend);
 }
@@ -760,7 +734,6 @@ uint64_t TxLoad(const TxCell* cell) {
   }
   const uint64_t value = ReadCell(tx, backend, cell);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
-  MaybeSpuriousAbort(tx);
   return value;
 }
 
@@ -785,7 +758,6 @@ void TxStore(TxCell* cell, uint64_t value) {
     AppendWrite(tx, backend, cell, value);
   }
   MaybeInjectedAbort(tx, fault::Site::kStore);
-  MaybeSpuriousAbort(tx);
 }
 
 uint64_t TxSubscribe(const std::atomic<uint64_t>* word) {
@@ -810,7 +782,6 @@ uint64_t TxSubscribe(const std::atomic<uint64_t>* word) {
     AccountReadLine(tx, word);
   }
   MaybeInjectedAbort(tx, fault::Site::kLoad);
-  MaybeSpuriousAbort(tx);
   return value;
 }
 
@@ -843,7 +814,6 @@ uint64_t TxFetchAdd(TxCell* cell, uint64_t delta) {
     // truth, no validation or set accounting is needed.
     w->value += delta;
     MaybeInjectedAbort(tx, fault::Site::kStore);
-    MaybeSpuriousAbort(tx);
     return w->value;
   }
 
@@ -851,7 +821,6 @@ uint64_t TxFetchAdd(TxCell* cell, uint64_t delta) {
   AppendWrite(tx, backend, cell, value);
   MaybeInjectedAbort(tx, fault::Site::kLoad);
   MaybeInjectedAbort(tx, fault::Site::kStore);
-  MaybeSpuriousAbort(tx);
   return value;
 }
 

@@ -757,7 +757,7 @@ inline void CheckSlowLockOrder(gosync::Mutex* m) {
     // The elide verdict (cached or fresh) failed: evict the cell so the
     // next episode re-derives its decision against the newly-penalized
     // weights instead of replaying a prediction the world just refuted.
-    if (g_perceptron.InvalidateElide(indices_)) {
+    if (g_perceptron.InvalidateElide(indices_, cache_epoch_)) {
       Bump(OptiStats::kSiteCacheInvalidations);
     }
   }

@@ -130,7 +130,7 @@ struct OptiStats {
     kOccFallbacks,       // sw-OCC validation-retry budgets exhausted
     kSiteCacheHits,      // decisions served from a cached elide verdict
     kSiteCacheInstalls,  // elide verdicts (re-)memoized into a site cell
-    kSiteCacheInvalidations,  // cells evicted by a failed elide
+    kSiteCacheInvalidations,  // live verdicts evicted by a failed elide
     kMultiLockEpisodes,       // WithLocks episodes with >= 2 distinct locks
     kMultiLockFastCommits,    // ... that committed the whole set elided
     kMultiLockSlowAcquires,   // ... that ended on the sorted-2PL slow path

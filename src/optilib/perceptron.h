@@ -160,15 +160,17 @@ class Perceptron {
     }
   }
 
-  // Evicts the mutex cell's verdict; returns true when the cell held one,
-  // of any epoch (what the invalidation counter counts).
-  bool InvalidateElide(Indices idx) {
+  // Evicts the mutex cell's verdict, whatever its epoch; returns true only
+  // when the verdict was minted under `epoch` (what the invalidation counter
+  // counts: a verdict of an older epoch could never be served again).
+  bool InvalidateElide(Indices idx, uint64_t epoch) {
     std::atomic<uint64_t>& v = mutex_table_[idx.mutex_cell].elide_epoch;
-    if (v.load(std::memory_order_relaxed) == 0) {
+    const uint64_t held = v.load(std::memory_order_relaxed);
+    if (held == 0) {
       return false;
     }
     v.store(0, std::memory_order_relaxed);
-    return true;
+    return held == epoch;
   }
 
   // Zeroes every cell's weight and streak (benchmark isolation); verdicts

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/htm/config.h"
 #include "src/support/rng.h"
 
 namespace gocc::sim {
@@ -45,8 +46,9 @@ struct MachineParams {
   // speculative lines bounce through the directory and the winner re-fetches
   // them (ns added to the serialized lock path per abort).
   double abort_interference_ns = 12.0;
-  // Modelled write-set capacity (64-byte lines, L1D-bound).
-  int write_capacity_lines = 448;
+  // Modelled write-set capacity (64-byte lines, L1D-bound): SimTM's own
+  // figure, so the model and the substrate it models cannot drift apart.
+  int write_capacity_lines = static_cast<int>(htm::kWriteCapacityLines);
   // optiLib policy knobs (ablation sweeps).
   int lock_held_retries = 3;     // Listing 19's MAX_ATTEMPTS
   int perceptron_decay = 1000;   // weight-decay threshold (§5.4.1)

@@ -9,8 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -24,6 +22,7 @@
 #include "src/htm/stats.h"
 #include "src/optilib/optilock.h"
 #include "src/optilib/perceptron.h"
+#include "tests/chaos_seed.h"
 
 namespace gocc::optilib {
 namespace {
@@ -31,19 +30,10 @@ namespace {
 using htm::fault::FaultPlan;
 using htm::fault::Site;
 
-uint64_t ChaosSeed() {
-  const char* env = std::getenv("GOCC_CHAOS_SEED");
-  if (env != nullptr && *env != '\0') {
-    return static_cast<uint64_t>(std::strtoull(env, nullptr, 0));
-  }
-  return 1;
-}
-
 class AbortStormTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSoftwareBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
@@ -53,8 +43,6 @@ class AbortStormTest : public ::testing::Test {
     htm::fault::GlobalFaultStats().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);
     seed_ = ChaosSeed();
-    std::printf("[chaos] GOCC_CHAOS_SEED=%llu\n",
-                static_cast<unsigned long long>(seed_));
   }
   void TearDown() override {
     htm::fault::Disarm();

@@ -12,9 +12,11 @@
 #include "src/gosync/runtime.h"
 #include "src/gosync/rwmutex.h"
 #include "src/htm/config.h"
+#include "src/htm/fault.h"
 #include "src/htm/shared.h"
 #include "src/htm/stats.h"
 #include "src/optilib/optilock.h"
+#include "tests/chaos_seed.h"
 
 namespace gocc {
 namespace {
@@ -23,16 +25,27 @@ class EdgeCaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSimBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     optilib::PublishOptiConfig(optilib::OptiConfig{});
     optilib::GlobalOptiStats().Reset();
     optilib::GlobalPerceptron().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);
   }
-  void TearDown() override { gosync::SetMaxProcs(prev_procs_); }
+  void TearDown() override {
+    htm::fault::Disarm();
+    gosync::SetMaxProcs(prev_procs_);
+  }
   int prev_procs_ = 1;
 };
+
+// A seeded plan that aborts each transactional read (TxLoad, TxSubscribe,
+// TxFetchAdd) with kSpurious at probability `p`: TSX's best-effort aborts.
+htm::fault::FaultPlan SpuriousReadPlan(double p) {
+  htm::fault::FaultPlan plan;
+  plan.seed = ChaosSeed();
+  plan.WithRule(htm::fault::Site::kLoad, p, htm::AbortCode::kSpurious);
+  return plan;
+}
 
 TEST_F(EdgeCaseTest, ThreeLevelNestedElisionCommitsOnce) {
   gosync::Mutex a;
@@ -58,7 +71,7 @@ TEST_F(EdgeCaseTest, ThreeLevelNestedElisionCommitsOnce) {
 }
 
 TEST_F(EdgeCaseTest, SpuriousAbortsThroughOptiLockStayExact) {
-  htm::MutableConfig().spurious_abort_probability = 0.2;
+  htm::fault::Arm(SpuriousReadPlan(0.2));
   gosync::Mutex mu;
   htm::Shared<int64_t> counter(0);
   constexpr int kThreads = 4;
@@ -171,14 +184,14 @@ TEST_F(EdgeCaseTest, TryLockUnderContention) {
 }
 
 TEST_F(EdgeCaseTest, PerceptronDecayRecoversAfterPhaseChange) {
-  // Phase 1: capacity-hostile critical sections park the site on the lock.
-  htm::MutableConfig().write_capacity_lines = 2;
+  // Phase 1: capacity-hostile critical sections (one line past the write
+  // capacity) park the site on the lock.
   gosync::Mutex mu;
   struct alignas(64) Line {
     htm::Shared<int64_t> cell;
   };
   std::vector<std::unique_ptr<Line>> lines;
-  for (int i = 0; i < 8; ++i) {
+  for (size_t i = 0; i < htm::kWriteCapacityLines + 1; ++i) {
     lines.push_back(std::make_unique<Line>());
   }
   optilib::OptiLock ol;
@@ -194,7 +207,6 @@ TEST_F(EdgeCaseTest, PerceptronDecayRecoversAfterPhaseChange) {
 
   // Phase 2: the workload becomes HTM-friendly; after ~kDecayThreshold
   // slow decisions the perceptron resets and re-probes HTM successfully.
-  htm::MutableConfig().write_capacity_lines = 448;
   for (uint32_t e = 0; e < optilib::Perceptron::kDecayThreshold + 200; ++e) {
     ol.WithLock(&mu, [&] { lines[0]->cell.Add(1); });
   }
@@ -210,7 +222,7 @@ TEST_F(EdgeCaseTest, ConflictRetryConfigRetriesBeforeFallback) {
   cfg.conflict_retries = 5;
   cfg.use_perceptron = false;  // isolate the retry knob
   optilib::PublishOptiConfig(cfg);
-  htm::MutableConfig().spurious_abort_probability = 0.9;
+  htm::fault::Arm(SpuriousReadPlan(0.9));
   gosync::Mutex mu;
   htm::Shared<int64_t> value(0);
   optilib::OptiLock ol;
@@ -218,6 +230,7 @@ TEST_F(EdgeCaseTest, ConflictRetryConfigRetriesBeforeFallback) {
     ol.WithLock(&mu, [&] { value.Add(1); });
   }
   EXPECT_EQ(value.Load(), 200);
+  EXPECT_GT(htm::GlobalTxStats().Aborts(htm::AbortCode::kSpurious), 0u);
   // With retries enabled, attempts exceed episodes noticeably.
   EXPECT_GT(htm::GlobalTxStats().begins.load(), 250u);
 }

@@ -16,8 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,20 +29,13 @@
 #include "src/htm/stats.h"
 #include "src/optilib/optilock.h"
 #include "src/optilib/perceptron.h"
+#include "tests/chaos_seed.h"
 
 namespace gocc::optilib {
 namespace {
 
 using htm::fault::FaultPlan;
 using htm::fault::Site;
-
-uint64_t ChaosSeed() {
-  const char* env = std::getenv("GOCC_CHAOS_SEED");
-  if (env != nullptr && *env != '\0') {
-    return static_cast<uint64_t>(std::strtoull(env, nullptr, 0));
-  }
-  return 1;
-}
 
 uint64_t EpisodeSum() {
   OptiStats& s = GlobalOptiStats();
@@ -57,7 +48,6 @@ class FastPathStatsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSoftwareBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
@@ -67,8 +57,6 @@ class FastPathStatsTest : public ::testing::Test {
     htm::fault::GlobalFaultStats().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);
     seed_ = ChaosSeed();
-    std::printf("[chaos] GOCC_CHAOS_SEED=%llu\n",
-                static_cast<unsigned long long>(seed_));
   }
   void TearDown() override {
     htm::fault::Disarm();

@@ -11,8 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -25,6 +23,7 @@
 #include "src/htm/stats.h"
 #include "src/optilib/optilock.h"
 #include "src/support/rng.h"
+#include "tests/chaos_seed.h"
 
 namespace gocc::optilib {
 namespace {
@@ -32,19 +31,10 @@ namespace {
 using htm::fault::FaultPlan;
 using htm::fault::Site;
 
-uint64_t ChaosSeed() {
-  const char* env = std::getenv("GOCC_CHAOS_SEED");
-  if (env != nullptr && *env != '\0') {
-    return static_cast<uint64_t>(std::strtoull(env, nullptr, 0));
-  }
-  return 1;
-}
-
 class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSoftwareBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
@@ -54,8 +44,6 @@ class FaultInjectionTest : public ::testing::Test {
     htm::fault::GlobalFaultStats().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);
     seed_ = ChaosSeed();
-    std::printf("[chaos] GOCC_CHAOS_SEED=%llu\n",
-                static_cast<unsigned long long>(seed_));
   }
   void TearDown() override {
     htm::fault::Disarm();
@@ -241,7 +229,7 @@ TEST_F(FaultInjectionTest, MutexElisionSurvivesRandomizedInjection) {
                   htm::AbortCode::kCapacity)
         .WithRule(Site::kBegin, 0.05 * mix.NextDouble(),
                   htm::AbortCode::kConflict)
-        .WithStall(0.01, 64);
+        .WithStallAt(Site::kLockTransition, 0.01, 64);
     htm::fault::Arm(plan);
 
     gosync::Mutex mu;
@@ -279,7 +267,7 @@ TEST_F(FaultInjectionTest, RWMutexElisionSurvivesRandomizedInjection) {
                   htm::AbortCode::kConflict)
         .WithRule(Site::kLoad, 0.03 * mix.NextDouble(),
                   htm::AbortCode::kSpurious)
-        .WithStall(0.02, 96);
+        .WithStallAt(Site::kLockTransition, 0.02, 96);
     htm::fault::Arm(plan);
 
     gosync::RWMutex rw;

@@ -10,9 +10,11 @@
 #include <vector>
 
 #include "src/htm/config.h"
+#include "src/htm/fault.h"
 #include "src/htm/shared.h"
 #include "src/htm/stats.h"
 #include "src/htm/tx.h"
+#include "tests/chaos_seed.h"
 
 namespace gocc::htm {
 namespace {
@@ -33,10 +35,8 @@ void RunTxUntilCommit(Fn&& body) {
 
 class HtmStressTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ForceSimBackend();
-    MutableConfig() = TxConfig{};
-  }
+  void SetUp() override { ForceSimBackend(); }
+  void TearDown() override { fault::Disarm(); }
 };
 
 TEST_F(HtmStressTest, ConcurrentCountersSumExactly) {
@@ -148,10 +148,14 @@ TEST_F(HtmStressTest, MixedTxAndNonTxWriters) {
   EXPECT_EQ(raw_cell.Load(), kIters - 1);
 }
 
-// With injected spurious aborts the workload must still complete correctly —
-// retry machinery may not lose or duplicate updates.
+// With injected spurious aborts (a seeded kSpurious rule on every
+// transactional read, TxFetchAdd included) the workload must still complete
+// correctly — retry machinery may not lose or duplicate updates.
 TEST_F(HtmStressTest, SpuriousAbortInjectionDoesNotBreakAtomicity) {
-  MutableConfig().spurious_abort_probability = 0.05;
+  fault::FaultPlan plan;
+  plan.seed = ChaosSeed();
+  plan.WithRule(fault::Site::kLoad, 0.05, AbortCode::kSpurious);
+  fault::Arm(plan);
   Shared<int64_t> counter(0);
   constexpr int kThreads = 4;
   constexpr int kIncrements = 5000;

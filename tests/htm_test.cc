@@ -1,5 +1,6 @@
 // Software-TM semantics: atomicity, isolation, abort codes, nesting,
-// capacity, strong atomicity, fault injection. HtmTest runs on SimTM; every
+// capacity (at the constants kReadCapacityLines / kWriteCapacityLines),
+// strong atomicity, fault injection. HtmTest runs on SimTM; every
 // backend-neutral body also runs on sw-OCC as HtmSwOccTest.
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "src/htm/config.h"
+#include "src/htm/fault.h"
 #include "src/htm/shared.h"
 #include "src/htm/stats.h"
 #include "src/htm/swocc.h"
@@ -50,9 +52,9 @@ class TxTest : public ::testing::Test {
     } else {
       ForceSimBackend();
     }
-    MutableConfig() = TxConfig{};
     GlobalTxStats().Reset();
   }
+  void TearDown() override { fault::Disarm(); }
 };
 
 using HtmTest = TxTest<Backend::kSim>;
@@ -136,41 +138,49 @@ TX_TEST_BOTH_BACKENDS(AbortCodeLockHeldSurfaces) {
   EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kLockHeld), 1u);
 }
 
+// One cell per 64-B line, so each cell a transaction touches is a line.
+struct alignas(64) Line {
+  Shared<int64_t> cell;
+};
+
+// Four 16-B cells share each 64-B line, so a transaction's entries pass a
+// line capacity long before its lines do.
+struct alignas(64) PackedLine {
+  Shared<int64_t> cells[4];
+};
+static_assert(sizeof(PackedLine) == 64);
+
+// One line past the write capacity aborts on either backend (SimTM counts
+// the lines, sw-OCC the cells) and publishes nothing.
 TX_TEST_BOTH_BACKENDS(WriteCapacityAbort) {
-  MutableConfig().write_capacity_lines = 4;
-  std::vector<std::unique_ptr<Shared<int64_t>>> cells;
-  for (int i = 0; i < 64; ++i) {
-    cells.push_back(std::make_unique<Shared<int64_t>>(0));
-  }
+  std::vector<Line> lines(kWriteCapacityLines + 1);
   std::jmp_buf env;
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
-    for (auto& c : cells) {
-      c->Store(1);  // each heap cell lands on its own line eventually
+    for (Line& l : lines) {
+      l.cell.Store(1);
     }
     TxCommit();
   }
   EXPECT_FALSE(status.started);
   EXPECT_EQ(status.abort_code, AbortCode::kCapacity);
-  // Nothing was published.
-  for (auto& c : cells) {
-    EXPECT_EQ(c->Load(), 0);
+  for (Line& l : lines) {
+    EXPECT_EQ(l.cell.Load(), 0);
   }
 }
 
 TEST_F(HtmTest, ReadCapacityAbort) {
-  MutableConfig().read_capacity_lines = 4;
-  std::vector<std::unique_ptr<Shared<int64_t>>> cells;
-  for (int i = 0; i < 64; ++i) {
-    cells.push_back(std::make_unique<Shared<int64_t>>(1));
+  std::vector<Line> lines(kReadCapacityLines + 1);
+  for (Line& l : lines) {
+    l.cell.Store(1);
   }
   std::jmp_buf env;
   volatile int64_t sum = 0;
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
     int64_t local = 0;
-    for (auto& c : cells) {
-      local += c->Load();
+    for (Line& l : lines) {
+      local += l.cell.Load();
     }
     sum = local;
     TxCommit();
@@ -180,65 +190,62 @@ TEST_F(HtmTest, ReadCapacityAbort) {
   EXPECT_EQ(sum, 0);
 }
 
-// Four 16-B cells share each 64-B line, so a transaction's entries pass a
-// line capacity long before its lines do.
-struct alignas(64) PackedLine {
-  Shared<int64_t> cells[4];
-};
-static_assert(sizeof(PackedLine) == 64);
-
-// SimTM's read capacity counts distinct lines: eight cells on two lines fit
-// a two-line capacity, and the abort fires at exactly the read that touches
-// a third line (the count of completed reads lives outside the rollback).
-TEST_F(HtmTest, ReadCapacityCountsLinesAndAbortsAtTheThirdLine) {
-  MutableConfig().read_capacity_lines = 2;
-  PackedLine lines[3];
+// SimTM's read capacity counts distinct lines: a second cell read on each
+// of the first few lines takes the entries past kReadCapacityLines while
+// the lines stay at it, and the transaction commits; the abort fires at
+// exactly the read that touches one line more (the count of completed reads
+// lives outside the rollback).
+TEST_F(HtmTest, ReadCapacityCountsLines) {
+  constexpr size_t kDoubled = 8;  // lines read at two cells
+  std::vector<PackedLine> lines(kReadCapacityLines + 1);
   for (PackedLine& l : lines) {
-    for (Shared<int64_t>& c : l.cells) {
-      c.Store(1);
-    }
+    l.cells[0].Store(1);
+    l.cells[1].Store(1);
   }
+  constexpr auto kWithin = static_cast<int64_t>(kReadCapacityLines + kDoubled);
   int64_t sum = 0;
   EXPECT_EQ(RunTx([&] {
               int64_t local = 0;
-              for (int l = 0; l < 2; ++l) {
-                for (Shared<int64_t>& c : lines[l].cells) {
-                  local += c.Load();
+              for (size_t l = 0; l < kReadCapacityLines; ++l) {
+                local += lines[l].cells[0].Load();
+                if (l < kDoubled) {
+                  local += lines[l].cells[1].Load();
                 }
               }
               sum = local;
             }),
             0);
-  EXPECT_EQ(sum, 8);
+  EXPECT_EQ(sum, kWithin);
   EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kCapacity), 0u);
 
-  volatile int completed = 0;
+  volatile int64_t completed = 0;
   std::jmp_buf env;
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
-    for (int l = 0; l < 2; ++l) {
-      for (Shared<int64_t>& c : lines[l].cells) {
-        (void)c.Load();
+    for (size_t l = 0; l < kReadCapacityLines; ++l) {
+      (void)lines[l].cells[0].Load();
+      completed = completed + 1;
+      if (l < kDoubled) {
+        (void)lines[l].cells[1].Load();
         completed = completed + 1;
       }
     }
-    (void)lines[2].cells[0].Load();
+    (void)lines[kReadCapacityLines].cells[0].Load();
     completed = completed + 1;
     TxCommit();
   }
   EXPECT_FALSE(status.started);
   EXPECT_EQ(status.abort_code, AbortCode::kCapacity);
-  EXPECT_EQ(completed, 8);
+  EXPECT_EQ(completed, kWithin);
 }
 
-// The same bound on the write side: eight packed cells on two lines commit
-// under a two-line write capacity; a ninth on a third line aborts at that
-// store and publishes nothing.
-TEST_F(HtmTest, WriteCapacityCountsLinesAndAbortsAtTheThirdLine) {
-  MutableConfig().write_capacity_lines = 2;
-  PackedLine lines[3];
+// The same bound on the write side: every cell of kWriteCapacityLines
+// packed lines (four entries per line) commits; one more cell on a fresh
+// line aborts at that store and publishes nothing.
+TEST_F(HtmTest, WriteCapacityCountsLines) {
+  std::vector<PackedLine> lines(kWriteCapacityLines + 1);
   EXPECT_EQ(RunTx([&] {
-              for (int l = 0; l < 2; ++l) {
+              for (size_t l = 0; l < kWriteCapacityLines; ++l) {
                 for (Shared<int64_t>& c : lines[l].cells) {
                   c.Store(7);
                 }
@@ -247,57 +254,66 @@ TEST_F(HtmTest, WriteCapacityCountsLinesAndAbortsAtTheThirdLine) {
             0);
   EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kCapacity), 0u);
 
-  volatile int completed = 0;
+  volatile int64_t completed = 0;
   std::jmp_buf env;
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
-    for (int l = 0; l < 2; ++l) {
+    for (size_t l = 0; l < kWriteCapacityLines; ++l) {
       for (Shared<int64_t>& c : lines[l].cells) {
         c.Store(9);
         completed = completed + 1;
       }
     }
-    lines[2].cells[0].Store(9);
+    lines[kWriteCapacityLines].cells[0].Store(9);
     completed = completed + 1;
     TxCommit();
   }
   EXPECT_FALSE(status.started);
   EXPECT_EQ(status.abort_code, AbortCode::kCapacity);
-  EXPECT_EQ(completed, 8);
-  for (int l = 0; l < 2; ++l) {
+  EXPECT_EQ(completed, static_cast<int64_t>(4 * kWriteCapacityLines));
+  for (size_t l = 0; l < kWriteCapacityLines; ++l) {
     for (Shared<int64_t>& c : lines[l].cells) {
       EXPECT_EQ(c.Load(), 7);
     }
   }
-  EXPECT_EQ(lines[2].cells[0].Load(), 0);
+  EXPECT_EQ(lines[kWriteCapacityLines].cells[0].Load(), 0);
 }
 
-// sw-OCC's write capacity counts cells, whatever lines they share: with a
-// capacity of two, the third distinct cell aborts.
-TEST_F(HtmSwOccTest, WriteCapacityCountsCellsAndAbortsAtTheThird) {
-  MutableConfig().write_capacity_lines = 2;
-  PackedLine line;
-  volatile int completed = 0;
+// sw-OCC's write capacity counts cells, whatever lines they share:
+// kWriteCapacityLines cells packed four to a line commit, and the next
+// distinct cell aborts.
+TEST_F(HtmSwOccTest, WriteCapacityCountsCells) {
+  std::vector<PackedLine> lines(kWriteCapacityLines / 4 + 1);
+  auto cell = [&](size_t i) -> Shared<int64_t>& {
+    return lines[i / 4].cells[i % 4];
+  };
+  EXPECT_EQ(RunTx([&] {
+              for (size_t i = 0; i < kWriteCapacityLines; ++i) {
+                cell(i).Store(7);
+              }
+            }),
+            0);
+
+  volatile int64_t completed = 0;
   std::jmp_buf env;
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
-    for (Shared<int64_t>& c : line.cells) {
-      c.Store(1);
+    for (size_t i = 0; i <= kWriteCapacityLines; ++i) {
+      cell(i).Store(9);
       completed = completed + 1;
     }
     TxCommit();
   }
   EXPECT_FALSE(status.started);
   EXPECT_EQ(status.abort_code, AbortCode::kCapacity);
-  EXPECT_EQ(completed, 2);
-  for (Shared<int64_t>& c : line.cells) {
-    EXPECT_EQ(c.Load(), 0);
+  EXPECT_EQ(completed, static_cast<int64_t>(kWriteCapacityLines));
+  for (size_t i = 0; i < kWriteCapacityLines; ++i) {
+    EXPECT_EQ(cell(i).Load(), 7);
   }
+  EXPECT_EQ(cell(kWriteCapacityLines).Load(), 0);
 }
 
 TX_TEST_BOTH_BACKENDS(RepeatedAccessToOneCellDoesNotExhaustCapacity) {
-  MutableConfig().write_capacity_lines = 2;
-  MutableConfig().read_capacity_lines = 2;
   Shared<int64_t> a(0);
   int aborts = RunTx([&] {
     for (int i = 0; i < 10000; ++i) {
@@ -527,18 +543,53 @@ TX_TEST_BOTH_BACKENDS(SubscribedWordChangeAbortsWritingCommit) {
   EXPECT_EQ(b.Load(), 0);
 }
 
-TX_TEST_BOTH_BACKENDS(SpuriousAbortInjection) {
-  MutableConfig().spurious_abort_probability = 1.0;
-  Shared<int64_t> a(0);
+// Arms a 100 % kSpurious rule at `site` and runs `before`, then `access`,
+// in one transaction: the abort must come at `access` (the step count
+// lives outside the rollback) and leave no transaction open.
+template <typename Before, typename Access>
+void ExpectSpuriousAbortAt(fault::Site site, Before&& before,
+                           Access&& access) {
+  fault::FaultPlan plan;
+  plan.WithRule(site, 1.0, AbortCode::kSpurious);
+  fault::Arm(plan);
+  volatile int steps = 0;
   std::jmp_buf env;
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
-    a.Store(1);  // first access triggers the injected abort
+    before();
+    steps = 1;
+    access();
+    steps = 2;
     TxCommit();
-    FAIL() << "expected spurious abort";
   }
+  fault::Disarm();
+  EXPECT_FALSE(status.started);
   EXPECT_EQ(status.abort_code, AbortCode::kSpurious);
-  EXPECT_EQ(a.LoadRelaxed(), 0);
+  EXPECT_EQ(steps, 1);
+  EXPECT_FALSE(InTx());
+}
+
+// Spurious aborts come from kSpurious rules, which reach every
+// transactional access: a kStore rule aborts the first TxStore, and a kLoad
+// rule the first TxLoad, TxSubscribe and TxFetchAdd, each after a buffered
+// store that the abort discards.
+TX_TEST_BOTH_BACKENDS(SpuriousAbortInjection) {
+  std::atomic<uint64_t> word{0};
+  Shared<int64_t> a(0);
+  Shared<int64_t> b(5);
+  ExpectSpuriousAbortAt(fault::Site::kStore, [] {}, [&] { a.Store(1); });
+  ExpectSpuriousAbortAt(
+      fault::Site::kLoad, [&] { a.Store(1); }, [&] { (void)b.Load(); });
+  ExpectSpuriousAbortAt(
+      fault::Site::kLoad, [&] { a.Store(1); },
+      [&] { (void)TxSubscribe(&word); });
+  ExpectSpuriousAbortAt(
+      fault::Site::kLoad, [&] { a.Store(1); }, [&] { b.Add(1); });
+  EXPECT_EQ(a.Load(), 0);
+  EXPECT_EQ(b.Load(), 5);
+  EXPECT_EQ(word.load(), 0u);
+  EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kSpurious), 4u);
+  EXPECT_EQ(GlobalTxStats().commits.load(), 0u);
 }
 
 TX_TEST_BOTH_BACKENDS(StatsCountCommitsAndAborts) {
@@ -681,45 +732,48 @@ TEST_F(HtmTest, AdjacentCellsDoNotConflict) {
   EXPECT_EQ(GlobalTxStats().Aborts(AbortCode::kConflict), 0u);
 }
 
-// Transaction size sweep: commits must succeed right up to the capacity
-// boundary and abort just past it.
+// The write capacity's boundary, swept over how far the entries run ahead
+// of the lines: a transaction writes kWriteCapacityLines distinct lines
+// plus GetParam() more cells on lines it already wrote, and commits; the
+// same writes plus one cell on a fresh line abort at that store. The extra
+// cells go early, so SimTM builds its line set before the lines reach the
+// capacity and grows it on every later write.
 class CapacityBoundary : public HtmTest,
                          public ::testing::WithParamInterface<int> {};
 
 TEST_P(CapacityBoundary, WriteSetBoundaryIsExact) {
-  const int cap = GetParam();
-  MutableConfig().write_capacity_lines = static_cast<size_t>(cap);
-  // Allocate cells 64B apart so each occupies its own line.
-  struct alignas(64) Line {
-    Shared<int64_t> cell;
+  const size_t extra = static_cast<size_t>(GetParam());
+  ASSERT_LE(extra, kWriteCapacityLines);
+  std::vector<PackedLine> lines(kWriteCapacityLines + 1);
+  auto write_within = [&](int64_t value) {
+    for (size_t l = 0; l < kWriteCapacityLines; ++l) {
+      lines[l].cells[0].Store(value);
+      if (l < extra) {
+        lines[l].cells[1].Store(value);
+      }
+    }
   };
-  std::vector<std::unique_ptr<Line>> lines;
-  for (int i = 0; i < cap + 1; ++i) {
-    lines.push_back(std::make_unique<Line>());
-  }
 
-  // Exactly `cap` distinct lines: commits.
+  // Exactly kWriteCapacityLines distinct lines: commits.
+  EXPECT_EQ(RunTx([&] { write_within(1); }), 0);
+
+  // One line more: capacity abort at that store.
+  volatile int past = 0;
   std::jmp_buf env;
   BeginStatus status = GOCC_TX_BEGIN(env);
   if (status.started) {
-    for (int i = 0; i < cap; ++i) {
-      lines[static_cast<size_t>(i)]->cell.Store(1);
-    }
+    write_within(2);
+    past = 1;
+    lines[kWriteCapacityLines].cells[0].Store(2);
+    past = 2;
     TxCommit();
   }
-  EXPECT_TRUE(status.started);
-
-  // cap + 1 distinct lines: capacity abort.
-  std::jmp_buf env2;
-  BeginStatus status2 = GOCC_TX_BEGIN(env2);
-  if (status2.started) {
-    for (int i = 0; i < cap + 1; ++i) {
-      lines[static_cast<size_t>(i)]->cell.Store(2);
-    }
-    TxCommit();
-    FAIL() << "expected capacity abort";
-  }
-  EXPECT_EQ(status2.abort_code, AbortCode::kCapacity);
+  EXPECT_FALSE(status.started);
+  EXPECT_EQ(status.abort_code, AbortCode::kCapacity);
+  EXPECT_EQ(past, 1);
+  EXPECT_EQ(lines[0].cells[0].Load(), 1);
+  EXPECT_EQ(lines[kWriteCapacityLines - 1].cells[0].Load(), 1);
+  EXPECT_EQ(lines[kWriteCapacityLines].cells[0].Load(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CapacityBoundary,

@@ -71,7 +71,6 @@ TEST(LintRuntimeCrosscheck, StaticLintFlagsTheAbbaFixture) {
 // slow path acquires every set in global address order.
 TEST(LintRuntimeCrosscheck, RuntimeCountsTheSameHazardAndSortedSetsFixIt) {
   htm::ForceSoftwareBackend();
-  htm::MutableConfig() = htm::TxConfig{};
   optilib::PublishOptiConfig(optilib::OptiConfig{});
   support::SetMisusePolicy(MisusePolicy::kRecoverAndCount);
   support::ResetMisuseCounters();

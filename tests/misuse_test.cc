@@ -37,7 +37,6 @@ class MisuseTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSoftwareBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();

@@ -44,7 +44,6 @@ class MultiLockTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSoftwareBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     OptiConfig cfg;
     // The perceptron starts untrained; pin the decision to "attempt" so the

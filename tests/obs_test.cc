@@ -17,8 +17,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <iterator>
 #include <span>
@@ -47,6 +45,7 @@
 #include "src/profile/profile.h"
 #include "src/support/counter_table.h"
 #include "src/support/misuse.h"
+#include "tests/chaos_seed.h"
 
 namespace gocc::obs {
 namespace {
@@ -60,14 +59,6 @@ using optilib::OptiLock;
 using optilib::OptiStats;
 using optilib::PublishOptiConfig;
 
-uint64_t ChaosSeed() {
-  const char* env = std::getenv("GOCC_CHAOS_SEED");
-  if (env != nullptr && *env != '\0') {
-    return static_cast<uint64_t>(std::strtoull(env, nullptr, 0));
-  }
-  return 1;
-}
-
 uint64_t EpisodeSum() {
   OptiStats& s = GlobalOptiStats();
   return s.fast_commits.load(std::memory_order_relaxed) +
@@ -79,7 +70,6 @@ class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSoftwareBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
@@ -91,8 +81,6 @@ class ObsTest : public ::testing::Test {
     SetTraceRingCapacityForNewThreads(kDefaultRingCapacity);
     prev_procs_ = gosync::SetMaxProcs(4);
     seed_ = ChaosSeed();
-    std::printf("[chaos] GOCC_CHAOS_SEED=%llu\n",
-                static_cast<unsigned long long>(seed_));
   }
   void TearDown() override {
     htm::fault::Disarm();

@@ -34,7 +34,6 @@ class OltpTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSoftwareBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     optilib::PublishOptiConfig(optilib::OptiConfig{});
     optilib::GlobalOptiStats().Reset();

@@ -24,7 +24,6 @@ class OptiLockTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSimBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
@@ -281,18 +280,24 @@ TEST_F(OptiLockTest, NestedSetWithUntrackedMemberAbortsTheNestOnceAndRunsLocked)
   EXPECT_EQ(stats.fast_commits.load(), 0u);
 }
 
+// One cell per 64-B line, one line past the write capacity: a critical
+// section that writes them all overflows it on every elided attempt.
+struct alignas(64) Line {
+  htm::Shared<int64_t> cell;
+};
+std::vector<std::unique_ptr<Line>> CapacityHostileLines() {
+  std::vector<std::unique_ptr<Line>> lines;
+  for (size_t i = 0; i < htm::kWriteCapacityLines + 1; ++i) {
+    lines.push_back(std::make_unique<Line>());
+  }
+  return lines;
+}
+
 // An HTM-hostile critical section (capacity overflow on every attempt) must
 // converge to the slow path via the perceptron instead of thrashing.
 TEST_F(OptiLockTest, PerceptronLearnsToAvoidHostileCriticalSection) {
-  htm::MutableConfig().write_capacity_lines = 2;
   gosync::Mutex mu;
-  struct alignas(64) Line {
-    htm::Shared<int64_t> cell;
-  };
-  std::vector<std::unique_ptr<Line>> lines;
-  for (int i = 0; i < 8; ++i) {
-    lines.push_back(std::make_unique<Line>());
-  }
+  const std::vector<std::unique_ptr<Line>> lines = CapacityHostileLines();
 
   OptiLock ol;  // one static call site: a stable perceptron context feature
   constexpr int kEpisodes = 100;
@@ -311,21 +316,15 @@ TEST_F(OptiLockTest, PerceptronLearnsToAvoidHostileCriticalSection) {
       << "perceptron should route almost all episodes to the lock";
   EXPECT_LT(stats.htm_attempts.load(), 10u)
       << "HTM attempts must stop after a few failures";
+  EXPECT_GT(htm::GlobalTxStats().Aborts(htm::AbortCode::kCapacity), 0u);
 }
 
 TEST_F(OptiLockTest, NoPerceptronKeepsAttemptingHtm) {
   OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = false;
   PublishOptiConfig(cfg);
-  htm::MutableConfig().write_capacity_lines = 2;
   gosync::Mutex mu;
-  struct alignas(64) Line {
-    htm::Shared<int64_t> cell;
-  };
-  std::vector<std::unique_ptr<Line>> lines;
-  for (int i = 0; i < 8; ++i) {
-    lines.push_back(std::make_unique<Line>());
-  }
+  const std::vector<std::unique_ptr<Line>> lines = CapacityHostileLines();
   OptiLock ol;
   constexpr int kEpisodes = 50;
   for (int e = 0; e < kEpisodes; ++e) {
@@ -341,6 +340,8 @@ TEST_F(OptiLockTest, NoPerceptronKeepsAttemptingHtm) {
   EXPECT_GE(GlobalOptiStats().htm_attempts.load(),
             static_cast<uint64_t>(kEpisodes))
       << "without the perceptron every episode retries HTM";
+  EXPECT_GE(htm::GlobalTxStats().Aborts(htm::AbortCode::kCapacity),
+            static_cast<uint64_t>(kEpisodes));
 }
 
 TEST_F(OptiLockTest, RWMutexReadElisionAllowsParallelReaders) {

@@ -15,8 +15,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
@@ -32,20 +30,13 @@
 #include "src/support/histogram.h"
 #include "src/support/strings.h"
 #include "src/workloads/policy.h"
+#include "tests/chaos_seed.h"
 
 namespace gocc::service {
 namespace {
 
 using htm::fault::FaultPlan;
 using htm::fault::Site;
-
-uint64_t ChaosSeed() {
-  const char* env = std::getenv("GOCC_CHAOS_SEED");
-  if (env != nullptr && *env != '\0') {
-    return static_cast<uint64_t>(std::strtoull(env, nullptr, 0));
-  }
-  return 1;
-}
 
 // Test config: every knob explicit (never the env-latched DefaultConfig),
 // admission/hedging/deadlines individually disabled by the tests that
@@ -81,7 +72,6 @@ class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSoftwareBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     optilib::PublishOptiConfig(optilib::OptiConfig{});
     optilib::GlobalOptiStats().Reset();
@@ -91,8 +81,6 @@ class ServiceTest : public ::testing::Test {
     htm::fault::GlobalFaultStats().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);
     seed_ = ChaosSeed();
-    std::printf("[chaos] GOCC_CHAOS_SEED=%llu\n",
-                static_cast<unsigned long long>(seed_));
   }
   void TearDown() override {
     htm::fault::Disarm();

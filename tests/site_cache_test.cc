@@ -26,8 +26,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -40,17 +38,10 @@
 #include "src/htm/stats.h"
 #include "src/optilib/optilock.h"
 #include "src/optilib/perceptron.h"
+#include "tests/chaos_seed.h"
 
 namespace gocc::optilib {
 namespace {
-
-uint64_t ChaosSeed() {
-  const char* env = std::getenv("GOCC_CHAOS_SEED");
-  if (env != nullptr && *env != '\0') {
-    return static_cast<uint64_t>(std::strtoull(env, nullptr, 0));
-  }
-  return 1;
-}
 
 uint64_t Hits() { return GlobalOptiStats().site_cache_hits.load(); }
 uint64_t Installs() { return GlobalOptiStats().site_cache_installs.load(); }
@@ -69,7 +60,6 @@ class SiteCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSoftwareBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     PublishOptiConfig(OptiConfig{});
     GlobalOptiStats().Reset();
@@ -79,8 +69,6 @@ class SiteCacheTest : public ::testing::Test {
     htm::fault::GlobalFaultStats().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);
     seed_ = ChaosSeed();
-    std::printf("[chaos] GOCC_CHAOS_SEED=%llu\n",
-                static_cast<unsigned long long>(seed_));
   }
   void TearDown() override {
     htm::fault::Disarm();
@@ -166,6 +154,38 @@ TEST_F(SiteCacheTest, SlowPathFallbackInvalidatesElideVerdict) {
   ol.WithLock(&mu, [&] { value.Add(1); });
   EXPECT_EQ(Installs(), installs_before + 1);
   EXPECT_EQ(value.LoadRelaxed(), 4u);
+}
+
+// The invalidation counter counts only verdicts of the episode's own epoch:
+// a refuted episode that meets a verdict minted before an epoch bump (one
+// no episode can be served any more) clears it without counting it.
+TEST_F(SiteCacheTest, StaleVerdictEvictionIsNotCounted) {
+  gosync::Mutex mu;
+  htm::Shared<uint64_t> value{0};
+  OptiLock ol;
+  const Perceptron::Indices idx = Perceptron::IndicesFor(&mu, &ol);
+
+  ol.WithLock(&mu, [&] { value.Add(1); });  // mints the verdict
+  ASSERT_EQ(Installs(), 1u);
+  const uint64_t minted = SiteDecisionCacheEpoch();
+  ResetHardeningState();  // the verdict is stale from here on
+
+  // The perceptron still predicts elide; every attempt fails at commit, so
+  // the episode falls back to the lock and evicts the cell.
+  htm::fault::FaultPlan plan;
+  plan.seed = seed_;
+  plan.WithRule(htm::fault::Site::kCommit, 1.0, htm::AbortCode::kConflict);
+  htm::fault::Arm(plan);
+  ol.WithLock(&mu, [&] { value.Add(1); });
+  htm::fault::Disarm();
+
+  EXPECT_EQ(GlobalOptiStats().slow_acquires.load(), 1u);
+  EXPECT_EQ(Hits(), 0u);
+  EXPECT_EQ(Installs(), 1u);
+  EXPECT_EQ(Invalidations(), 0u) << "a stale verdict counted as evicted";
+  EXPECT_FALSE(GlobalPerceptron().HoldsElide(idx, minted))
+      << "the refuted episode left the stale verdict in place";
+  EXPECT_EQ(value.LoadRelaxed(), 2u);
 }
 
 // --- 3. churn + live publishing never break coherence (TSan target) --------
@@ -404,9 +424,10 @@ TEST_F(SiteCacheTest, InstallAndEvictionLeaveWeightAndStreak) {
   p.InstallElide(idx, epoch);
   EXPECT_TRUE(p.HoldsElide(idx, epoch));
   EXPECT_EQ(p.WeightSum(idx), 6);
-  EXPECT_TRUE(p.InvalidateElide(idx));
+  EXPECT_TRUE(p.InvalidateElide(idx, epoch));
   EXPECT_FALSE(p.HoldsElide(idx, epoch));
-  EXPECT_FALSE(p.InvalidateElide(idx)) << "an empty cell counted an eviction";
+  EXPECT_FALSE(p.InvalidateElide(idx, epoch))
+      << "an empty cell counted an eviction";
   EXPECT_EQ(p.WeightSum(idx), 6);
   EXPECT_TRUE(StreakIsExactly(p, idx, 7));
 }

@@ -14,8 +14,6 @@
 
 #include <atomic>
 #include <csetjmp>
-#include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -31,6 +29,7 @@
 #include "src/optilib/optilock.h"
 #include "src/optilib/perceptron.h"
 #include "src/support/misuse.h"
+#include "tests/chaos_seed.h"
 
 namespace gocc::optilib {
 namespace {
@@ -38,19 +37,10 @@ namespace {
 using htm::fault::FaultPlan;
 using htm::fault::Site;
 
-uint64_t ChaosSeed() {
-  const char* env = std::getenv("GOCC_CHAOS_SEED");
-  if (env != nullptr && *env != '\0') {
-    return static_cast<uint64_t>(std::strtoull(env, nullptr, 0));
-  }
-  return 1;
-}
-
 class SwOccTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSwOccBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     htm::GlobalTxStats().Reset();
     htm::GlobalSwOccWordStats().Reset();
     PublishOptiConfig(OptiConfig{});
@@ -63,8 +53,6 @@ class SwOccTest : public ::testing::Test {
     prev_policy_ = support::GetMisusePolicy();
     prev_procs_ = gosync::SetMaxProcs(4);
     seed_ = ChaosSeed();
-    std::printf("[chaos] GOCC_CHAOS_SEED=%llu\n",
-                static_cast<unsigned long long>(seed_));
   }
   void TearDown() override {
     htm::fault::Disarm();
@@ -209,7 +197,7 @@ TEST_F(SwOccTest, LivelockGuardBoundsValidationRetries) {
 
   FaultPlan plan;
   plan.seed = seed_;
-  plan.WithRule(Site::kOccValidate, 1.0, htm::AbortCode::kOccValidateFail);
+  plan.WithRule(Site::kCommit, 1.0, htm::AbortCode::kOccValidateFail);
   htm::fault::Arm(plan);
 
   gosync::Mutex mu;
@@ -237,7 +225,7 @@ TEST_F(SwOccTest, ValidationStormTripsBreakerAndRecovers) {
   // episode.
   FaultPlan plan;
   plan.seed = seed_;
-  plan.WithRule(Site::kOccValidate, 1.0, htm::AbortCode::kOccValidateFail);
+  plan.WithRule(Site::kCommit, 1.0, htm::AbortCode::kOccValidateFail);
   htm::fault::Arm(plan);
 
   gosync::Mutex mu;
@@ -259,7 +247,7 @@ TEST_F(SwOccTest, ValidationStormTripsBreakerAndRecovers) {
   EXPECT_EQ(stats.occ_fallbacks.load(), 1u);
   EXPECT_EQ(stats.EpisodeAborts(htm::AbortCode::kOccValidateFail), 1u + 4u);
   EXPECT_EQ(htm::fault::GlobalFaultStats()
-                .injected_by_site[static_cast<int>(Site::kOccValidate)]
+                .injected_by_site[static_cast<int>(Site::kCommit)]
                 .load(),
             1u + 4u);
 

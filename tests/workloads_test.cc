@@ -24,7 +24,6 @@ class WorkloadsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     htm::ForceSimBackend();
-    htm::MutableConfig() = htm::TxConfig{};
     optilib::PublishOptiConfig(optilib::OptiConfig{});
     optilib::GlobalPerceptron().Reset();
     prev_procs_ = gosync::SetMaxProcs(4);
