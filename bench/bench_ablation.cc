@@ -6,24 +6,14 @@
 //       genuinely hostile sites; too large reacts slowly to phase changes.
 //       Modelled with a phase-change workload (hostile first, friendly
 //       after).
-//  A4 — conflict-retry backoff shape, swept on the *real* optiLib runtime
-//       with deterministic fault injection (htm/fault.h) standing in for a
-//       contended machine.
+//  A1b — immediate fallback vs retrying conflict aborts.
+// The backoff shape (A4) is a pair of constants, OptiLock::kBackoffBasePauses
+// and kBackoffCapPauses; EXPERIMENTS.md §A4 keeps the last sweep.
 
-#include <chrono>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/gosync/mutex.h"
-#include "src/gosync/runtime.h"
-#include "src/htm/fault.h"
-#include "src/htm/shared.h"
-#include "src/htm/stats.h"
-#include "src/optilib/optilock.h"
-#include "src/optilib/perceptron.h"
-#include "src/support/stats.h"
 
 namespace {
 
@@ -138,79 +128,6 @@ void ConflictRetryAblation() {
   }
 }
 
-// --- real-runtime sweep (A4) ---------------------------------------------
-
-// Fresh runtime state for one sweep point.
-void ResetRuntime() {
-  gocc::htm::GlobalTxStats().Reset();
-  gocc::optilib::PublishOptiConfig(gocc::optilib::OptiConfig{});
-  gocc::optilib::GlobalOptiStats().Reset();
-  gocc::optilib::GlobalPerceptron().Reset();
-  gocc::optilib::ResetHardeningState();
-  gocc::htm::fault::Disarm();
-  gocc::htm::fault::GlobalFaultStats().Reset();
-}
-
-void BackoffSweep() {
-  std::printf("\n[A4] Conflict-retry backoff sweep — real runtime, 4 "
-              "threads, injected 50%% commit-conflict storm\n");
-  std::printf("  %10s %12s %12s %12s %14s\n", "base", "ns/op", "fast ratio",
-              "waits/op", "pauses/wait");
-  constexpr int kThreads = 4;
-  constexpr int kIters = 10000;
-  for (int base : {0, 8, 32, 128, 512}) {
-    ResetRuntime();
-    gocc::optilib::OptiConfig cfg = gocc::optilib::GetOptiConfig();
-    cfg.use_perceptron = false;  // keep every episode speculating
-    cfg.conflict_retries = 3;
-    cfg.backoff_base_pauses = base;
-    cfg.backoff_cap_pauses = 4096;
-    gocc::optilib::PublishOptiConfig(cfg);
-    gocc::htm::fault::FaultPlan plan;
-    plan.seed = 0x41424c41u;  // fixed: every sweep point sees the same storm
-    plan.WithRule(gocc::htm::fault::Site::kCommit, 0.5,
-                  gocc::htm::AbortCode::kConflict);
-    gocc::htm::fault::Arm(plan);
-
-    gocc::gosync::Mutex mu;
-    gocc::htm::Shared<int64_t> counter(0);
-    auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
-        gocc::optilib::OptiLock ol;
-        for (int i = 0; i < kIters; ++i) {
-          ol.WithLock(&mu, [&] { counter.Add(1); });
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    auto t1 = std::chrono::steady_clock::now();
-    gocc::htm::fault::Disarm();
-
-    const auto& st = gocc::optilib::GlobalOptiStats();
-    double ops = static_cast<double>(kThreads) * kIters;
-    double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    uint64_t waits = st.backoff_waits.load();
-    std::printf("  %10d %12.1f %12.3f %12.3f %14.1f\n", base, ns / ops,
-                static_cast<double>(st.fast_commits.load()) / ops,
-                static_cast<double>(waits) / ops,
-                waits == 0 ? 0.0
-                           : static_cast<double>(st.backoff_pauses.load()) /
-                                 static_cast<double>(waits));
-    EmitPoint("A4/backoff_base", "gocc", ns / ops,
-              static_cast<uint64_t>(ops),
-              {{"base", static_cast<double>(base)},
-               {"fast_commits", static_cast<double>(st.fast_commits.load())},
-               {"backoff_waits", static_cast<double>(waits)}});
-  }
-  std::printf("  (base 0 = retry immediately: contenders re-collide in "
-              "lockstep. A small\n   jittered base de-synchronizes them; "
-              "past that, pauses are pure latency.)\n");
-}
-
 }  // namespace
 
 int main() {
@@ -219,10 +136,5 @@ int main() {
   RetryBudgetSweep();
   DecayThresholdSweep();
   ConflictRetryAblation();
-  std::printf("\n== Conflict-retry backoff ablation (real runtime + fault "
-              "injection) ==\n");
-  int prev_procs = gocc::gosync::SetMaxProcs(4);
-  BackoffSweep();
-  gocc::gosync::SetMaxProcs(prev_procs);
   return 0;
 }

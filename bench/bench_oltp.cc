@@ -61,28 +61,6 @@
 namespace gocc::bench {
 namespace {
 
-int EnvInt(const char* name, int def, int lo, int hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') {
-    return def;
-  }
-  int out = std::atoi(v);
-  if (out < lo) out = lo;
-  if (out > hi) out = hi;
-  return out;
-}
-
-double EnvDouble(const char* name, double def, double lo, double hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') {
-    return def;
-  }
-  double out = std::atof(v);
-  if (out < lo) out = lo;
-  if (out > hi) out = hi;
-  return out;
-}
-
 std::vector<double> EnvThetas() {
   const char* v = std::getenv("GOCC_OLTP_THETAS");
   std::vector<double> out;

@@ -116,12 +116,24 @@ const char* ModeName(Mode m) {
   return "?";
 }
 
+// gopool::RunParallel sets GOMAXPROCS to the thread count for the run, so
+// a 1-thread cell would take the single-P bypass (§5.4.2) on every episode
+// and time the lock. §6.2 times the fast path itself, so every worker
+// raises GOMAXPROCS to at least 2 before its loop; RunParallel restores the
+// caller's value when the run ends.
+void KeepElisionOn() {
+  if (gosync::MaxProcs() < 2) {
+    gosync::SetMaxProcs(2);
+  }
+}
+
 // Builds a RunParallel body. Each thread claims a distinct slot, so all
 // lock acquisitions are uncontended and all transactions conflict-free.
 std::function<void(gopool::PB&)> MakeBody(Mode mode, bool empty_cs,
                                           std::vector<Slot>* slots,
                                           std::atomic<uint32_t>* next_slot) {
   return [mode, empty_cs, slots, next_slot](gopool::PB& pb) {
+    KeepElisionOn();
     Slot& slot =
         (*slots)[next_slot->fetch_add(1, std::memory_order_relaxed) %
                  slots->size()];
@@ -161,6 +173,7 @@ std::function<void(gopool::PB&)> MakeLatencyBody(
     Mode mode, bool empty_cs, std::vector<Slot>* slots,
     std::atomic<uint32_t>* next_slot, PercentileRecorder* recorder) {
   return [mode, empty_cs, slots, next_slot, recorder](gopool::PB& pb) {
+    KeepElisionOn();
     const uint32_t idx =
         next_slot->fetch_add(1, std::memory_order_relaxed);
     Slot& slot = (*slots)[idx % slots->size()];
@@ -192,9 +205,6 @@ std::function<void(gopool::PB&)> MakeLatencyBody(
 void ConfigureRuntime(Mode mode) {
   ResetRuntimeState();
   optilib::OptiConfig cfg;
-  // The single-P bypass would route every 1-thread episode to the lock and
-  // measure nothing; §6.2 measures the fast path itself.
-  cfg.single_proc_bypass = false;
   cfg.use_perceptron = mode != Mode::kGoccNoPerceptron;
   optilib::PublishOptiConfig(cfg);
 }

@@ -27,16 +27,16 @@
 // provisioned for, the robustness layer must be invisible. Retries a few
 // times so a host-load burst on shared CI does not fail the build.
 //
-// Knobs: GOCC_SVC_* (service config, src/service/service.cc),
-// GOCC_SVC_BENCH_KEYS (key space, default 1024), GOCC_SVC_BENCH_WRITE_FRAC
-// (default 0.1), GOCC_SVC_GATE_RATE (gate arrivals/sec, default 40000).
+// The service runs ServiceConfig's defaults with `shards` set per cell.
+// Knobs: GOCC_SVC_BENCH_KEYS (key space, default 1024),
+// GOCC_SVC_BENCH_WRITE_FRAC (default 0.1), GOCC_SVC_GATE_RATE (gate
+// arrivals/sec, default 40000).
 // Flags: --quick (CI smoke), --gate (SLO gate only).
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -57,28 +57,6 @@
 
 namespace gocc::bench {
 namespace {
-
-int EnvInt(const char* name, int def, int lo, int hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') {
-    return def;
-  }
-  int out = std::atoi(v);
-  if (out < lo) out = lo;
-  if (out > hi) out = hi;
-  return out;
-}
-
-double EnvDouble(const char* name, double def, double lo, double hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') {
-    return def;
-  }
-  double out = std::atof(v);
-  if (out < lo) out = lo;
-  if (out > hi) out = hi;
-  return out;
-}
 
 std::string ThetaStr(double theta) { return gocc::StrFormat("%g", theta); }
 
@@ -121,7 +99,7 @@ CellOut RunServiceCell(const char* mode, int shards, int threads, double rate,
                        std::chrono::milliseconds window,
                        int* oracle_failures) {
   ResetRuntimeState();
-  service::ServiceConfig cfg = service::DefaultConfig();
+  service::ServiceConfig cfg;
   cfg.shards = shards;
   auto svc = std::make_unique<service::CacheService<Policy>>(cfg);
 
@@ -288,7 +266,7 @@ CellOut RunServiceCell(const char* mode, int shards, int threads, double rate,
 // on a time-shared single-CPU CI host the open-loop lag tail is scheduler
 // timeslices, which would gate the host, not the router.
 int RunGate(const SvcKnobs& knobs) {
-  const service::ServiceConfig& cfg = service::DefaultConfig();
+  const service::ServiceConfig cfg;
   const uint64_t slo_ns = cfg.p99_shed_us * 1000;
   const int attempts = 3;
   int oracle_failures = 0;
@@ -365,7 +343,7 @@ int main(int argc, char** argv) {
   const auto window = std::chrono::milliseconds(quick ? 60 : 150);
 
   ResetRuntimeState();  // probes the backend before we report it
-  const gocc::service::ServiceConfig& cfg = gocc::service::DefaultConfig();
+  const gocc::service::ServiceConfig cfg;
   report.Config("quick", quick ? 1.0 : 0.0);
   report.Config("window_ms", static_cast<double>(window.count()));
   report.Config("key_space", static_cast<double>(knobs.key_space));

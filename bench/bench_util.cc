@@ -13,6 +13,7 @@ extern char** environ;
 #include "src/htm/config.h"
 #include "src/htm/stats.h"
 #include "src/optilib/optilock.h"
+#include "src/support/env.h"
 #include "src/support/stats.h"
 #include "src/support/strings.h"
 
@@ -113,6 +114,29 @@ void PrintRuntimeStats() {
   std::printf("  optiLib: %s\n",
               optilib::GlobalOptiStats().ToString().c_str());
   std::printf("  tm:      %s\n", htm::GlobalTxStats().ToString().c_str());
+}
+
+int EnvInt(const char* name, int def, int lo, int hi) {
+  return static_cast<int>(support::EnvInt(name, def, lo, hi));
+}
+
+double EnvDouble(const char* name, double def, double lo, double hi) {
+  const char* value = support::EnvRaw(name);
+  if (value == nullptr || *value == '\0') {
+    return def;
+  }
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  const std::string def_str = StrFormat("%g", def);
+  if (end == value || *end != '\0') {
+    support::WarnBadEnv(name, value, "not_a_number", def_str.c_str());
+    return def;
+  }
+  if (!(parsed >= lo && parsed <= hi)) {  // NaN fails both
+    support::WarnBadEnv(name, value, "out_of_range", def_str.c_str());
+    return def;
+  }
+  return parsed;
 }
 
 void AppendRuntimeCounters(std::vector<std::pair<std::string, double>>* out) {

@@ -67,6 +67,13 @@ void ResetRuntimeState();
 // Prints the accumulated optiLib and TM statistics for the section.
 void PrintRuntimeStats();
 
+// A bench's workload-shape variables (GOCC_OLTP_*, GOCC_SVC_BENCH_*,
+// GOCC_SVC_GATE_RATE) parse like every GOCC_* variable (support/env.h):
+// unset or empty reads `def`; text that does not parse whole, or a value
+// outside [lo, hi], warns on stderr and reads `def`.
+int EnvInt(const char* name, int def, int lo, int hi);
+double EnvDouble(const char* name, double def, double lo, double hi);
+
 // --- latency percentile helpers -------------------------------------------
 //
 // Shared by every benchmark that reports p50/p99/p999: batches of ops are

@@ -241,7 +241,6 @@ void TogglerBody(SoakState& st) {
     next.trace_episodes = (round & 1) != 0;
     next.use_perceptron = (round & 2) == 0;
     next.conflict_retries = static_cast<uint8_t>(round % 3);
-    next.backoff_base_pauses = (round & 4) != 0 ? 8 : 64;
     optilib::PublishOptiConfig(next);
     st.config_publishes.fetch_add(1, std::memory_order_relaxed);
     ++round;

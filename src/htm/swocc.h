@@ -86,7 +86,6 @@ struct SwOccWordStats {
   enum Slot : int {
     kWriterWaits = 0,
     kWriterPendingSets,
-    kOccPublishes,
     kNumSlots,
   };
 
@@ -96,8 +95,6 @@ struct SwOccWordStats {
   std::atomic<uint64_t>& writer_waits = slots[kWriterWaits];
   // Spins that crossed the starvation threshold and raised the pending flag.
   std::atomic<uint64_t>& writer_pending_sets = slots[kWriterPendingSets];
-  // Read-write OCC commits that published through the word.
-  std::atomic<uint64_t>& occ_publishes = slots[kOccPublishes];
 
   // Every slot's count, indexed by Slot (the values kSwOccWordRows reads).
   std::vector<uint64_t> Counts() const {
@@ -120,8 +117,6 @@ inline constexpr support::CounterRow kSwOccWordRows[] = {
      "Pessimistic acquirers that spun on a word held by an OCC committer."},
     {SwOccWordStats::kWriterPendingSets, 1, "writer_pending_sets",
      "Starved acquirers that raised the writer-pending flag."},
-    {SwOccWordStats::kOccPublishes, 1, "occ_publishes",
-     "Read-write OCC commits published through a word."},
 };
 
 SwOccWordStats& GlobalSwOccWordStats();

@@ -388,7 +388,6 @@ void CommitOccWrites(TxContext& tx) {
     }
     ReleaseOccWord(h, release);
   }
-  GlobalSwOccWordStats().occ_publishes.fetch_add(1, std::memory_order_relaxed);
 }
 
 void CommitOutermost(TxContext& tx, Backend backend) {

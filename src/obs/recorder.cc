@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-
-#include "src/support/env.h"
 
 namespace gocc::obs {
 namespace {
@@ -31,29 +30,22 @@ thread_local uint32_t t_current_site = 0;
 
 // --- ring registry ---------------------------------------------------------
 
-// One per-thread ring. The header (count + geometry) and the slot words are
-// owned by a single writer thread; the drainer reads them under the
-// registry mutex. alignas(64) keeps one thread's header off every other
-// thread's ring header.
-struct alignas(64) Ring {
-  Ring(size_t capacity_events, int tid_in)
-      : capacity(capacity_events),
-        mask(capacity_events - 1),
-        tid(tid_in),
-        words(new std::atomic<uint64_t>[capacity_events * kWordsPerEvent]) {
-    for (size_t i = 0; i < capacity_events * kWordsPerEvent; ++i) {
-      words[i].store(0, std::memory_order_relaxed);
-    }
-  }
+static_assert(std::has_single_bit(kRingCapacity));
+constexpr size_t kRingMask = kRingCapacity - 1;
 
-  const size_t capacity;  // events; power of two
-  const size_t mask;
+// One per-thread ring of kRingCapacity events. The header (count + tid) and
+// the slot words are owned by a single writer thread; the drainer reads
+// them under the registry mutex. alignas(64) keeps one thread's header off
+// every other thread's ring header.
+struct alignas(64) Ring {
+  explicit Ring(int tid_in) : tid(tid_in) {}
+
   const int tid;
   // Total events ever recorded since the last drain. Written by the owner
-  // (release) and zeroed by the drainer; slot (recorded & mask) is the next
-  // write position.
+  // (release) and zeroed by the drainer; slot (recorded & kRingMask) is the
+  // next write position.
   std::atomic<uint64_t> recorded{0};
-  std::unique_ptr<std::atomic<uint64_t>[]> words;
+  std::atomic<uint64_t> words[kRingCapacity * kWordsPerEvent] = {};
 };
 
 struct RingRegistry {
@@ -67,7 +59,6 @@ struct RingRegistry {
   // orders the old owner's final stores before the new owner's first.
   std::vector<Ring*> free_rings;
   uint64_t retired_count = 0;  // rings ever pushed to free_rings (monotone)
-  std::atomic<size_t> new_ring_capacity{0};  // 0 = not yet initialized
 };
 
 RingRegistry& Rings() {
@@ -94,33 +85,13 @@ struct RingRetirer {
   }
 };
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
-size_t InitialRingCapacity() {
-  return RoundUpPow2(static_cast<size_t>(
-      support::EnvUint64("GOCC_OBS_RING_CAPACITY", kDefaultRingCapacity,
-                         /*min=*/16, /*max=*/uint64_t{1} << 24)));
-}
-
 Ring* RegisterRing() {
   RingRegistry& registry = Rings();
   {
     std::lock_guard<std::mutex> lock(registry.mu);
-    size_t capacity =
-        registry.new_ring_capacity.load(std::memory_order_relaxed);
-    if (capacity == 0) {
-      capacity = InitialRingCapacity();
-      registry.new_ring_capacity.store(capacity, std::memory_order_relaxed);
-    }
-    // Prefer a retired ring of the right geometry. Its tid is thereby a
-    // ring-slot ordinal, not a thread identity: events recorded by
-    // successive owners of the same slot share a tid in exported traces.
+    // Prefer a retired ring. Its tid is thereby a ring-slot ordinal, not a
+    // thread identity: events recorded by successive owners of the same
+    // slot share a tid in exported traces.
     //
     // Adoption appends after the previous owner's backlog, so pick the
     // emptiest candidate and skip any ring holding at least half a ring of
@@ -135,9 +106,6 @@ Ring* RegisterRing() {
     // events.
     Ring* reused = nullptr;
     for (Ring* candidate : registry.free_rings) {
-      if (candidate->capacity != capacity) {
-        continue;
-      }
       if (reused == nullptr ||
           candidate->recorded.load(std::memory_order_relaxed) <
               reused->recorded.load(std::memory_order_relaxed)) {
@@ -145,7 +113,8 @@ Ring* RegisterRing() {
       }
     }
     if (reused != nullptr &&
-        reused->recorded.load(std::memory_order_relaxed) >= capacity / 2) {
+        reused->recorded.load(std::memory_order_relaxed) >=
+            kRingCapacity / 2) {
       reused = nullptr;
     }
     if (reused != nullptr) {
@@ -156,8 +125,8 @@ Ring* RegisterRing() {
     if (reused != nullptr) {
       t_ring = reused;
     } else {
-      registry.rings.push_back(std::make_unique<Ring>(
-          capacity, static_cast<int>(registry.rings.size())));
+      registry.rings.push_back(
+          std::make_unique<Ring>(static_cast<int>(registry.rings.size())));
       t_ring = registry.rings.back().get();
     }
   }
@@ -214,7 +183,7 @@ void RecordEpisode(uint32_t site_id, uint32_t mutex_id, Outcome outcome,
     ring = RegisterRing();
   }
   const uint64_t n = ring->recorded.load(std::memory_order_relaxed);
-  const size_t base = (n & ring->mask) * kWordsPerEvent;
+  const size_t base = (n & kRingMask) * kWordsPerEvent;
   ring->words[base + 0].store(
       PackMeta(site_id, mutex_id, outcome, last_abort, retries),
       std::memory_order_relaxed);
@@ -233,11 +202,11 @@ std::vector<Event> DrainTrace(DrainStats* stats) {
   std::vector<Event> events;
   for (const auto& ring : registry.rings) {
     const uint64_t n = ring->recorded.load(std::memory_order_acquire);
-    const uint64_t from = n > ring->capacity ? n - ring->capacity : 0;
+    const uint64_t from = n > kRingCapacity ? n - kRingCapacity : 0;
     local.recorded += n;
     local.dropped += from;
     for (uint64_t k = from; k < n; ++k) {
-      const size_t base = (k & ring->mask) * kWordsPerEvent;
+      const size_t base = (k & kRingMask) * kWordsPerEvent;
       Event event;
       UnpackMeta(ring->words[base + 0].load(std::memory_order_relaxed),
                  &event);
@@ -291,32 +260,6 @@ uint64_t TraceRingsRetired() {
   RingRegistry& registry = Rings();
   std::lock_guard<std::mutex> lock(registry.mu);
   return registry.retired_count;
-}
-
-size_t TraceRingCapacity() {
-  RingRegistry& registry = Rings();
-  size_t capacity =
-      registry.new_ring_capacity.load(std::memory_order_relaxed);
-  if (capacity == 0) {
-    std::lock_guard<std::mutex> lock(registry.mu);
-    capacity = registry.new_ring_capacity.load(std::memory_order_relaxed);
-    if (capacity == 0) {
-      capacity = InitialRingCapacity();
-      registry.new_ring_capacity.store(capacity, std::memory_order_relaxed);
-    }
-  }
-  return capacity;
-}
-
-void SetTraceRingCapacityForNewThreads(size_t capacity) {
-  if (capacity < 16) {
-    capacity = 16;
-  }
-  if (capacity > (1ull << 24)) {
-    capacity = 1ull << 24;
-  }
-  Rings().new_ring_capacity.store(RoundUpPow2(capacity),
-                                  std::memory_order_relaxed);
 }
 
 }  // namespace gocc::obs

@@ -117,10 +117,10 @@ uint64_t TraceEventsRecorded();
 // Number of per-thread rings ever allocated. Bounded by peak thread
 // concurrency, not by threads ever created: a thread that exits returns its
 // ring (events and count intact — nothing is lost) to a free list, and the
-// next new thread with the same capacity adopts it, continuing to append
-// where the previous owner stopped. A reused ring keeps its tid, so the
-// event `tid` field is a ring-slot ordinal — successive owners of a slot
-// share it in exported traces.
+// next new thread adopts it, continuing to append where the previous owner
+// stopped. A reused ring keeps its tid, so the event `tid` field is a
+// ring-slot ordinal — successive owners of a slot share it in exported
+// traces.
 size_t TraceRingCount();
 
 // Retired rings currently waiting for reuse (gauge).
@@ -129,13 +129,9 @@ size_t TraceRingFreeCount();
 // Rings ever retired by an exiting thread (monotone counter).
 uint64_t TraceRingsRetired();
 
-// Capacity (events) a new thread's ring will be created with. Defaults to
-// kDefaultRingCapacity, overridable via $GOCC_OBS_RING_CAPACITY; rounded up
-// to a power of two. Affects only rings created after the call.
-size_t TraceRingCapacity();
-void SetTraceRingCapacityForNewThreads(size_t capacity);
-
-inline constexpr size_t kDefaultRingCapacity = 8192;
+// Events one thread's ring holds (a power of two); the oldest are
+// overwritten once it is full.
+inline constexpr size_t kRingCapacity = 8192;
 
 }  // namespace gocc::obs
 

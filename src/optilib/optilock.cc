@@ -329,16 +329,9 @@ uint64_t SiteDecisionCacheEpoch() { return g_decision_epoch.Load(); }
 }
 
 [[gnu::hot]] void OptiLock::BackoffBeforeRetry() {
-  if (cfg_.backoff_base_pauses == 0) {
-    return;
-  }
-  int64_t limit = cfg_.backoff_base_pauses;
-  for (int i = 0; i < backoff_exponent_ && limit < cfg_.backoff_cap_pauses;
-       ++i) {
+  int64_t limit = kBackoffBasePauses;
+  for (int i = 0; i < backoff_exponent_ && limit < kBackoffCapPauses; ++i) {
     limit <<= 1;
-  }
-  if (limit > cfg_.backoff_cap_pauses) {
-    limit = cfg_.backoff_cap_pauses;
   }
   ++backoff_exponent_;
   // Jitter in [limit/2, limit]: full-limit lockstep would just re-align the
@@ -409,7 +402,7 @@ uint64_t SiteDecisionCacheEpoch() { return g_decision_epoch.Load(); }
 }
 
 [[gnu::hot]] bool OptiLock::DecideElide() {
-  if (cfg_.single_proc_bypass && gosync::MaxProcs() <= 1) [[unlikely]] {
+  if (gosync::MaxProcs() <= 1) [[unlikely]] {
     // §5.4.2: with a single P there is no concurrency to exploit and
     // HTM's begin/commit overhead is pure loss.
     Bump(OptiStats::kSingleProcBypasses);

@@ -34,6 +34,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <csetjmp>
 #include <cstdint>
 #include <initializer_list>
@@ -52,16 +53,16 @@
 
 namespace gocc::optilib {
 
-// Runtime policy knobs (defaults follow the paper; the ablation benchmarks
-// sweep them). Eight bytes with no padding, so the live configuration is one
-// lock-free atomic word (PublishOptiConfig). The retry and spin bounds the
-// paper keeps as constants are constants here too (OptiLock::kMaxAttempts,
-// kSpinPausesWhileLocked, kOccMaxRetries).
-struct OptiConfig {
+// Runtime policy knobs (defaults follow the paper). Aligned to four bytes,
+// since GCC's std::atomic of a 3-byte struct is not lock-free: the live
+// configuration is one lock-free atomic word (PublishOptiConfig). The
+// retry, spin and backoff bounds the paper keeps as constants are constants
+// here too (OptiLock::kMaxAttempts, kSpinPausesWhileLocked, kOccMaxRetries,
+// kBackoffBasePauses, kBackoffCapPauses), and the §5.4.2 single-P bypass
+// follows gosync::MaxProcs() alone.
+struct alignas(4) OptiConfig {
   // Gate HTM attempts behind the hashed perceptron (§5.4.1).
   bool use_perceptron = true;
-  // Skip HTM entirely when GOMAXPROCS==1 (§5.4.2).
-  bool single_proc_bypass = true;
 
   // Episode trace recorder (src/obs): when true, every completed episode
   // appends one compact event (site, mutex, outcome, last abort, retries,
@@ -74,19 +75,11 @@ struct OptiConfig {
   static bool DefaultTraceEpisodes();
 
   // Extra retries after conflict/capacity/spurious aborts (paper: 0 — any
-  // non-LockHeld abort falls back to the lock immediately).
+  // non-LockHeld abort falls back to the lock immediately). Each retry
+  // first waits a jittered backoff (OptiLock::kBackoffBasePauses).
   uint8_t conflict_retries = 0;
-
-  // Bounded exponential backoff with deterministic jitter before retrying a
-  // conflict-class abort (applies only while conflict_retries remain, so the
-  // paper's default of immediate fallback is unchanged) or a sw-OCC
-  // validation failure. Each retry waits a jittered [limit/2, limit]
-  // pause-spins, with limit doubling from backoff_base_pauses up to
-  // backoff_cap_pauses. 0 disables the wait.
-  uint16_t backoff_base_pauses = 16;
-  uint16_t backoff_cap_pauses = 2048;
 };
-static_assert(sizeof(OptiConfig) == 8, "OptiConfig is one 8-byte word");
+static_assert(sizeof(OptiConfig) == 4, "OptiConfig is one 4-byte word");
 static_assert(std::atomic<OptiConfig>::is_always_lock_free,
               "the live OptiConfig is one lock-free atomic word");
 
@@ -330,12 +323,24 @@ class OptiLock {
   static constexpr int kSpinPausesWhileLocked = 512;
   // sw-OCC backend only: retries after a commit-time validation failure
   // (kOccValidateFail) before the episode pins itself to the real lock —
-  // the per-site livelock guard. Each retry waits the config's jittered
-  // backoff so validation storms de-synchronize instead of re-colliding.
+  // the per-site livelock guard. Each retry waits the jittered backoff
+  // below so validation storms de-synchronize instead of re-colliding.
   // 4 rides out a burst of committers on the same word, yet a persistent
   // storm reaches the lock (and trains the perceptron toward it) within a
   // few microseconds of backoff.
   static constexpr int kOccMaxRetries = 4;
+  // Bounded exponential backoff with deterministic jitter before retrying a
+  // conflict-class abort (only while OptiConfig::conflict_retries remain,
+  // so the paper's default of immediate fallback is unchanged) or a sw-OCC
+  // validation failure. Each retry waits a jittered [limit/2, limit]
+  // pause-spins, with limit doubling from kBackoffBasePauses up to
+  // kBackoffCapPauses.
+  static constexpr int kBackoffBasePauses = 16;
+  static constexpr int kBackoffCapPauses = 2048;
+  static_assert(std::has_single_bit(unsigned{kBackoffBasePauses}) &&
+                    std::has_single_bit(unsigned{kBackoffCapPauses}) &&
+                    kBackoffBasePauses <= kBackoffCapPauses,
+                "powers of two, so doubling from the base lands on the cap");
 
   OptiLock() = default;
   OptiLock(const OptiLock&) = delete;

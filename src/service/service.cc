@@ -1,6 +1,5 @@
 #include "src/service/service.h"
 
-#include "src/support/env.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
 
@@ -39,56 +38,12 @@ uint64_t ThreadOrdinal() {
 
 // Deterministic per-thread jitter streams keyed by the thread ordinal (the
 // same compromise the fault injector documents: cross-thread interleaving
-// is scheduler-dependent, each thread's stream is exact). A thread that
-// moves to a config with another seed starts that seed's stream.
+// is scheduler-dependent, each thread's stream is exact).
 uint64_t RetryAfterJitterNs(const ServiceConfig& cfg) {
-  struct Stream {
-    bool seeded = false;
-    uint64_t seed = 0;
-    SplitMix64 rng{0};
-  };
-  thread_local Stream stream;
-  if (!stream.seeded || stream.seed != cfg.seed) {
-    stream.seeded = true;
-    stream.seed = cfg.seed;
-    stream.rng = SplitMix64(cfg.seed ^ SplitMix64(ThreadOrdinal() + 1).Next());
-  }
+  thread_local SplitMix64 rng(kRetryAfterJitterSeed ^
+                              SplitMix64(ThreadOrdinal() + 1).Next());
   const uint64_t base = cfg.retry_after_us * 1000;
-  return base + stream.rng.NextBelow(base == 0 ? 1 : base);
-}
-
-const ServiceConfig& DefaultConfig() {
-  static const ServiceConfig latched = [] {
-    ServiceConfig cfg;
-    cfg.shards = static_cast<int>(
-        support::EnvInt("GOCC_SVC_SHARDS", cfg.shards, 1, 256));
-    cfg.deadline_us =
-        support::EnvUint64("GOCC_SVC_DEADLINE_US", cfg.deadline_us, 0,
-                           60'000'000);
-    cfg.queue_limit = static_cast<uint32_t>(support::EnvUint64(
-        "GOCC_SVC_QUEUE_LIMIT", cfg.queue_limit, 0, 1u << 20));
-    cfg.p99_shed_us = support::EnvUint64("GOCC_SVC_P99_SHED_US",
-                                         cfg.p99_shed_us, 0, 60'000'000);
-    cfg.retry_after_us = support::EnvUint64(
-        "GOCC_SVC_RETRY_AFTER_US", cfg.retry_after_us, 1, 60'000'000);
-    cfg.hedge_us =
-        support::EnvUint64("GOCC_SVC_HEDGE_US", cfg.hedge_us, 0, 60'000'000);
-    cfg.window_tick_us = support::EnvUint64(
-        "GOCC_SVC_WINDOW_US", cfg.window_tick_us, 100, 60'000'000);
-    cfg.degrade_trips = static_cast<int>(
-        support::EnvInt("GOCC_SVC_DEGRADE_TRIPS", cfg.degrade_trips, 1,
-                        1 << 20));
-    cfg.quarantine_trips = static_cast<int>(
-        support::EnvInt("GOCC_SVC_QUAR_TRIPS", cfg.quarantine_trips, 1,
-                        1 << 20));
-    cfg.probe_successes = static_cast<int>(
-        support::EnvInt("GOCC_SVC_PROBE_OK", cfg.probe_successes, 1,
-                        1 << 20));
-    cfg.quarantine_cooldown_ms = support::EnvUint64(
-        "GOCC_SVC_QUAR_COOLDOWN_MS", cfg.quarantine_cooldown_ms, 1, 60'000);
-    return cfg;
-  }();
-  return latched;
+  return base + rng.NextBelow(base == 0 ? 1 : base);
 }
 
 const char* OutcomeName(Outcome o) {

@@ -38,8 +38,7 @@
 
 namespace gocc::service {
 
-// All knobs read their default from GOCC_SVC_* once per process (see
-// DefaultConfig in service.cc); tests and benches override fields directly.
+// The router's knobs; tests and benches override fields directly.
 struct ServiceConfig {
   // Shard count the router builds; any count works (ShardFor takes the
   // scrambled key modulo it).
@@ -77,13 +76,10 @@ struct ServiceConfig {
 
   // Quarantine cooldown between re-probes.
   uint64_t quarantine_cooldown_ms = 25;
-
-  // Seed for per-thread retry-after jitter streams.
-  uint64_t seed = 0x5345525649434531ULL;
 };
 
-// Process defaults with every GOCC_SVC_* override applied (latched once).
-const ServiceConfig& DefaultConfig();
+// Seed for the per-thread retry-after jitter streams (RetryAfterJitterNs).
+inline constexpr uint64_t kRetryAfterJitterSeed = 0x5345525649434531ULL;
 
 // Terminal outcome of one request — every request lands in exactly one.
 enum class Outcome : int {
@@ -403,7 +399,7 @@ class LatencyWindow {
 
 // Jittered retry-after hint in [base, 2*base) ns, base from
 // cfg.retry_after_us; deterministic per-thread streams seeded from
-// cfg.seed, re-seeded when a thread's cfg.seed changes. The jitter is the
+// kRetryAfterJitterSeed and the thread's ordinal. The jitter is the
 // thundering-herd defence: shed clients that all retry exactly retry_after
 // later just re-create the spike they were shed to dissolve.
 uint64_t RetryAfterJitterNs(const ServiceConfig& cfg);

@@ -3,12 +3,14 @@
 // batch-timed loop in bench/bench_util.h. The histogram trades memory for
 // a bounded ~12.5% relative bucket error; the tests below pin both the
 // exact small-value region and that bound, plus the deterministic
-// pace-bound interaction of BatchTimedLoop.
+// pace-bound interaction of BatchTimedLoop and the workload-shape
+// environment readers.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -161,6 +163,29 @@ TEST(BatchTimedLoopTest, PartialFinalBatchIsStillRecorded) {
   }
   EXPECT_EQ(executed, 64u);
   EXPECT_EQ(hist.TotalCount(), 1u);
+}
+
+// The workload-shape readers keep the default for text that does not parse
+// whole or a value outside [lo, hi], instead of atoi/atof's silent 0.
+TEST(BenchEnvTest, MalformedOrOutOfRangeShapesKeepTheDefault) {
+  constexpr const char* kVar = "GOCC_TEST_BENCH_SHAPE";
+  const struct {
+    const char* value;
+    int want_int;
+    double want_double;
+  } cases[] = {{"", 7, 0.5},      {"abc", 7, 0.5},  {"12abc", 7, 0.5},
+               {"99", 7, 0.5},    {"-1", 7, 0.5},   {"nan", 7, 0.5},
+               {"3", 3, 0.5},     {"0x4", 4, 0.5},  {"0.25", 7, 0.25},
+               {"1", 1, 1.0}};
+  for (const auto& c : cases) {
+    setenv(kVar, c.value, /*overwrite=*/1);
+    EXPECT_EQ(EnvInt(kVar, 7, 1, 10), c.want_int) << '"' << c.value << '"';
+    EXPECT_EQ(EnvDouble(kVar, 0.5, 0.0, 1.0), c.want_double)
+        << '"' << c.value << '"';
+  }
+  unsetenv(kVar);
+  EXPECT_EQ(EnvInt(kVar, 7, 1, 10), 7);
+  EXPECT_EQ(EnvDouble(kVar, 0.5, 0.0, 1.0), 0.5);
 }
 
 }  // namespace

@@ -141,8 +141,6 @@ TEST_F(FastPathStatsTest, ConservationUnderChaosInjection) {
 
   OptiConfig cfg = GetOptiConfig();
   cfg.conflict_retries = 2;
-  cfg.backoff_base_pauses = 4;
-  cfg.backoff_cap_pauses = 32;
   PublishOptiConfig(cfg);
 
   FaultPlan plan;

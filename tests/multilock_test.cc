@@ -504,7 +504,6 @@ TEST_F(MultiLockTest, MismatchedValidatingUnlockRecoversViaSlowPath) {
 htm::fault::FaultPlan PerceptronOnSetStorm() {
   OptiConfig cfg = GetOptiConfig();
   cfg.use_perceptron = true;
-  cfg.backoff_base_pauses = 0;  // keep the storm fast
   PublishOptiConfig(cfg);
   htm::fault::FaultPlan plan;
   plan.WithRule(htm::fault::Site::kMultiLockSubscribe, 1.0,

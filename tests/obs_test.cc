@@ -78,7 +78,6 @@ class ObsTest : public ::testing::Test {
     htm::fault::Disarm();
     htm::fault::GlobalFaultStats().Reset();
     DiscardTrace();
-    SetTraceRingCapacityForNewThreads(kDefaultRingCapacity);
     prev_procs_ = gosync::SetMaxProcs(4);
     seed_ = ChaosSeed();
   }
@@ -86,7 +85,6 @@ class ObsTest : public ::testing::Test {
     htm::fault::Disarm();
     optilib::ResetHardeningState();
     DiscardTrace();
-    SetTraceRingCapacityForNewThreads(kDefaultRingCapacity);
     gosync::SetMaxProcs(prev_procs_);
   }
 
@@ -121,11 +119,9 @@ TEST_F(ObsTest, MetaPackingRoundTrips) {
 // --- ring semantics --------------------------------------------------------
 
 TEST_F(ObsTest, RingOverwritesOldestAndCountsDrops) {
-  // A fresh thread gets the shrunken capacity; overfill it 3x and check the
-  // survivors are exactly the newest `capacity` events in order.
-  constexpr size_t kCapacity = 64;
-  constexpr uint64_t kTotal = 3 * kCapacity + 5;
-  SetTraceRingCapacityForNewThreads(kCapacity);
+  // Overfill a fresh thread's ring 3x and check the survivors are exactly
+  // the newest kRingCapacity events in order.
+  constexpr uint64_t kTotal = 3 * kRingCapacity + 5;
   std::thread recorder([&] {
     for (uint64_t i = 0; i < kTotal; ++i) {
       RecordEpisode(/*site_id=*/0, /*mutex_id=*/42, Outcome::kFastCommit,
@@ -138,11 +134,11 @@ TEST_F(ObsTest, RingOverwritesOldestAndCountsDrops) {
   DrainStats stats;
   std::vector<Event> events = DrainTrace(&stats);
   EXPECT_EQ(stats.recorded, kTotal);
-  EXPECT_EQ(stats.drained, kCapacity);
-  EXPECT_EQ(stats.dropped, kTotal - kCapacity);
-  ASSERT_EQ(events.size(), kCapacity);
+  EXPECT_EQ(stats.drained, kRingCapacity);
+  EXPECT_EQ(stats.dropped, kTotal - kRingCapacity);
+  ASSERT_EQ(events.size(), kRingCapacity);
   for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].start_ticks, kTotal - kCapacity + i);
+    EXPECT_EQ(events[i].start_ticks, kTotal - kRingCapacity + i);
   }
 
   // The drain reset the ring: nothing is recorded until new events arrive.
@@ -215,7 +211,7 @@ TEST_F(ObsTest, TraceConservationMultiThread) {
   std::vector<Event> events = DrainTrace(&stats);
   EXPECT_EQ(stats.recorded, episodes);
   EXPECT_EQ(stats.drained + stats.dropped, episodes);
-  ASSERT_EQ(events.size(), episodes);  // kDefaultRingCapacity holds 2000/thread
+  ASSERT_EQ(events.size(), episodes);  // kRingCapacity holds 2000/thread
 
   uint64_t fast = 0, nested = 0, slow = 0, occ_fallback = 0;
   for (const Event& e : events) {
@@ -251,8 +247,6 @@ TEST_F(ObsTest, TraceConservationUnderChaosInjection) {
   OptiConfig cfg = GetOptiConfig();
   cfg.trace_episodes = true;
   cfg.conflict_retries = 2;
-  cfg.backoff_base_pauses = 4;
-  cfg.backoff_cap_pauses = 32;
   PublishOptiConfig(cfg);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 1500;
@@ -368,7 +362,7 @@ TEST_F(ObsTest, AdoptionSkipsBackloggedRingsInsteadOfOverwriting) {
   PublishOptiConfig(cfg);
   DiscardTrace();
   const size_t rings_before = TraceRingCount();
-  constexpr uint64_t kBacklog = kDefaultRingCapacity / 2 + 64;
+  constexpr uint64_t kBacklog = kRingCapacity / 2 + 64;
   auto run_worker = [](uint64_t ops) {
     std::thread worker([ops] {
       gosync::Mutex mu;

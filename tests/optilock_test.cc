@@ -533,19 +533,13 @@ TEST_F(OptiLockTest, SlowPathFlagVisibleInsideCriticalSection) {
 TEST_F(OptiLockTest, GetOptiConfigReturnsPublishedConfig) {
   OptiConfig c;
   c.use_perceptron = false;
-  c.single_proc_bypass = false;
   c.trace_episodes = !OptiConfig{}.trace_episodes;
-  c.conflict_retries = 2;
-  c.backoff_base_pauses = 4;
-  c.backoff_cap_pauses = 4096;  // the largest value any caller sets
+  c.conflict_retries = 255;  // every bit of the byte survives the word
   PublishOptiConfig(c);
   const OptiConfig got = GetOptiConfig();
   EXPECT_EQ(got.use_perceptron, c.use_perceptron);
-  EXPECT_EQ(got.single_proc_bypass, c.single_proc_bypass);
   EXPECT_EQ(got.trace_episodes, c.trace_episodes);
   EXPECT_EQ(got.conflict_retries, c.conflict_retries);
-  EXPECT_EQ(got.backoff_base_pauses, c.backoff_base_pauses);
-  EXPECT_EQ(got.backoff_cap_pauses, c.backoff_cap_pauses);
 
   // An OptiLock keeps its config snapshot until the decision epoch moves:
   // a publish from another thread must reach its very next episode.

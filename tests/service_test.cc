@@ -38,10 +38,10 @@ namespace {
 using htm::fault::FaultPlan;
 using htm::fault::Site;
 
-// Test config: every knob explicit (never the env-latched DefaultConfig),
-// admission/hedging/deadlines individually disabled by the tests that
-// isolate one mechanism. The enormous window tick keeps primed estimator
-// samples from decaying mid-assertion; the decay test dials it down.
+// Test config: every knob explicit, admission/hedging/deadlines
+// individually disabled by the tests that isolate one mechanism. The
+// enormous window tick keeps primed estimator samples from decaying
+// mid-assertion; the decay test dials it down.
 ServiceConfig TestConfig(int shards = 4) {
   ServiceConfig cfg;
   cfg.shards = shards;
@@ -262,46 +262,32 @@ TEST_F(ServiceTest, BlownBudgetShedsBeforeTheShardLock) {
   EXPECT_TRUE(svc.stats().ConservationHolds(3, &why)) << why;
 }
 
+// The hints are jittered in [base, 2*base) and deterministic per thread:
+// a fresh thread draws exactly the SplitMix64 stream keyed by the constant
+// seed and its ordinal.
 TEST_F(ServiceTest, RetryAfterJitterStaysInBounds) {
   ServiceConfig cfg = TestConfig();
   cfg.retry_after_us = 200;
   const uint64_t base = cfg.retry_after_us * 1000;
+  constexpr int kDraws = 256;
+  std::vector<uint64_t> got, want;
+  std::thread([&] {
+    SplitMix64 ref(kRetryAfterJitterSeed ^
+                   SplitMix64(ThreadOrdinal() + 1).Next());
+    for (int i = 0; i < kDraws; ++i) {
+      got.push_back(RetryAfterJitterNs(cfg));
+      want.push_back(base + ref.NextBelow(base));
+    }
+  }).join();
+  EXPECT_EQ(got, want);
   std::set<uint64_t> distinct;
-  for (int i = 0; i < 256; ++i) {
-    const uint64_t hint = RetryAfterJitterNs(cfg);
+  for (uint64_t hint : got) {
     EXPECT_GE(hint, base);
     EXPECT_LT(hint, 2 * base);
     distinct.insert(hint);
   }
   // Jittered, not constant: a fixed hint would re-phase the herd.
   EXPECT_GT(distinct.size(), 8u);
-}
-
-// One thread serving two configs: the hints under the second seed are
-// that seed's stream, not the continuation of the first one's.
-TEST_F(ServiceTest, RetryAfterJitterReseedsWhenTheSeedChanges) {
-  ServiceConfig a = TestConfig();
-  ServiceConfig b = TestConfig();
-  b.seed = a.seed ^ SplitMix64(seed_).Next();
-  ASSERT_NE(a.seed, b.seed);
-  const uint64_t base = a.retry_after_us * 1000;
-  constexpr int kDraws = 32;
-  std::vector<uint64_t> got_a, got_b, want_a, want_b;
-  std::thread([&] {
-    const uint64_t mix = SplitMix64(ThreadOrdinal() + 1).Next();
-    SplitMix64 ref_a(a.seed ^ mix);
-    SplitMix64 ref_b(b.seed ^ mix);
-    for (int i = 0; i < kDraws; ++i) {
-      got_a.push_back(RetryAfterJitterNs(a));
-      want_a.push_back(base + ref_a.NextBelow(base));
-    }
-    for (int i = 0; i < kDraws; ++i) {
-      got_b.push_back(RetryAfterJitterNs(b));
-      want_b.push_back(base + ref_b.NextBelow(base));
-    }
-  }).join();
-  EXPECT_EQ(got_a, want_a);
-  EXPECT_EQ(got_b, want_b);
 }
 
 // NowNs() runs on the obs tick counter: over a 25-ms sleep it stays within

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "src/support/status.h"
 #include "src/support/strings.h"
 #include "src/support/zipf.h"
+#include "tests/chaos_seed.h"
 
 namespace gocc {
 namespace {
@@ -246,6 +248,28 @@ TEST_F(EnvTest, Uint64RejectsNegativesInsteadOfWrapping) {
   EXPECT_EQ(support::EnvUint64(kVar, 9, 16, 1u << 24), 16u);
   Set("15");  // below min
   EXPECT_EQ(support::EnvUint64(kVar, 9, 16, 1u << 24), 9u);
+}
+
+// The chaos suites' replay seed goes through EnvUint64 too: a negative or
+// malformed value replays seed 1 instead of wrapping ("-1" to 2^64-1) or
+// parsing as 0.
+TEST(ChaosSeedTest, MalformedSeedsReplaySeedOne) {
+  constexpr const char* kSeedVar = "GOCC_CHAOS_SEED";
+  const char* prev = std::getenv(kSeedVar);
+  const std::string saved = prev != nullptr ? prev : "";
+  const struct {
+    const char* value;
+    uint64_t seed;
+  } cases[] = {{"-1", 1}, {"junk", 1}, {"0x2a", 42}, {"", 1}};
+  for (const auto& c : cases) {
+    setenv(kSeedVar, c.value, /*overwrite=*/1);
+    EXPECT_EQ(ChaosSeed(), c.seed) << '"' << c.value << '"';
+  }
+  if (prev != nullptr) {
+    setenv(kSeedVar, saved.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv(kSeedVar);
+  }
 }
 
 TEST_F(EnvTest, RawReturnsNullWhenUnset) {

@@ -323,7 +323,9 @@ TEST_F(SwOccTest, PublishVersionSkewTolerated) {
   // pessimistic path still acquires it.
   EXPECT_EQ(value.Load(), 8);
   EXPECT_EQ(GlobalOptiStats().fast_commits.load(), 8u);
-  EXPECT_GE(htm::GlobalSwOccWordStats().occ_publishes.load(), 8u);
+  const htm::TxStats& tx = htm::GlobalTxStats();
+  EXPECT_EQ(tx.commits.load() - tx.read_only_commits.load(), 8u)
+      << "every writing commit published through the word";
   ol.WithLock(&mu, [&] { value.Add(1); });
   EXPECT_EQ(value.Load(), 9);
   mu.Lock();
